@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
+from . import algebra, charvar
 
 TOL_MONO = 1e-6
 TOL_ROOT = 1e-6
@@ -37,6 +36,10 @@ TWO_PI_I = 2j * math.pi
 
 class AbelMonoError(ValueError):
     pass
+
+
+class ParameterOutOfRange(AbelMonoError):
+    """An input parameter (r, tau, a section sign, a step size) lies outside its domain."""
 
 
 class NonGenericChi(AbelMonoError):
@@ -79,7 +82,7 @@ class RectangularLattice:
 
     def __init__(self, tau: float):
         if tau <= 0:
-            raise AbelMonoError("tau must be positive")
+            raise ParameterOutOfRange("tau must be positive")
         self.tau = float(tau)
         self.q = math.exp(-math.pi * tau)
         n_terms = max(6, int(math.ceil(math.sqrt(80.0 / (math.pi * tau)) + 2)))
@@ -136,12 +139,6 @@ def lattice(tau: float) -> RectangularLattice:
     return _LATTICE_CACHE[key]
 
 
-def weierstrass_sigma(w, tau: float):
-    """sigma(w) on Z + i tau Z together with the quasi-periods (eta1, eta2)."""
-    lat = lattice(tau)
-    return lat.sigma(w), lat.eta1, lat.eta2
-
-
 # ---------------------------------------------------------------------------
 # Connection data
 
@@ -155,9 +152,9 @@ class ConnectionParams:
 
     def __post_init__(self):
         if not 0.0 < self.r < 0.5:
-            raise AbelMonoError("r must lie in (0, 1/2)")
+            raise ParameterOutOfRange("r must lie in (0, 1/2)")
         if self.tau <= 0:
-            raise AbelMonoError("tau must be positive")
+            raise ParameterOutOfRange("tau must be positive")
 
 
 class BakerSection:
@@ -173,7 +170,7 @@ class BakerSection:
 
     def __init__(self, sign: int, chi: complex, r: float, tau: float):
         if sign not in (+1, -1):
-            raise AbelMonoError("sign must be +1 or -1")
+            raise ParameterOutOfRange("sign must be +1 or -1")
         lat = lattice(tau)
         lam = -2.0 * complex(chi) if sign == +1 else 2.0 * complex(chi)
         p = -tau * lam / math.pi
@@ -318,10 +315,6 @@ class TransportResult:
     accepted_steps: int
     rejected_steps: int
 
-    def __iter__(self):
-        yield self.matrix
-        yield self.det_drift
-
 
 def parallel_transport(
     form: ConnectionForm,
@@ -419,10 +412,6 @@ class MonodromyResult:
         return (self.x, self.y, self.z)
 
 
-def character_residual(x, y, z, r) -> complex:
-    return x * x + y * y + z * z - x * y * z - 2.0 - 2.0 * math.cos(2.0 * math.pi * r)
-
-
 def monodromies(
     params: ConnectionParams,
     steps: int = DEFAULT_STEP_BUDGET,
@@ -443,7 +432,7 @@ def monodromies(
     x = algebra.trace(X)
     y = algebra.trace(Y)
     z = algebra.trace(Y @ X)
-    char_res = abs(character_residual(x, y, z, params.r))
+    char_res = abs(charvar.fricke_torus_residual(x, y, z, params.r))
     comm_res = abs(algebra.trace(K) - 2.0 * math.cos(2.0 * math.pi * params.r))
     return MonodromyResult(
         X, Y, K, x, y, z, char_res, comm_res, max(tx.det_drift, ty.det_drift)
@@ -521,114 +510,6 @@ class SweepResult:
     def flagged_real(self):
         return [row for row in self.rows if row.is_real]
 
-    def overlay(self, x_lo=2.001, x_hi=12.0, n=400):
-        """Sampled (x, y) pairs of the analytic real-locus branch."""
-        pts = []
-        for x in np.linspace(x_lo, x_hi, n):
-            try:
-                pts.append((float(x), analytic_locus_y(float(x), self.r)))
-            except AbelMonoError:
-                continue
-        return pts
-
-
-def analytic_locus_y(x: float, r: float) -> float:
-    """Branch y(x) > 0 of the real eta-invariant locus for x^2 > 4."""
-    c = math.cos(2.0 * math.pi * r)
-    val = (4.0 * x * x - 8.0 * (1.0 + c)) / (x * x - 4.0)
-    if val < 0:
-        raise AbelMonoError(f"no real locus point over x = {x}")
-    return math.sqrt(val)
-
-
-def _eta_residual(x, y, r) -> float:
-    xr, yr = complex(x).real, complex(y).real
-    return (
-        xr * xr * yr * yr
-        - 4.0 * xr * xr
-        - 4.0 * yr * yr
-        + 8.0 * (1.0 + math.cos(2.0 * math.pi * r))
-    )
-
-
-def real_locus_sweep(
-    r: float,
-    tau: float,
-    chi0: complex,
-    a_range=(0.05, 2.0),
-    n: int = 60,
-    tol: float = TOL_MONO,
-    refine: bool = True,
-    steps: int = DEFAULT_STEP_BUDGET,
-    rtol: float = DEFAULT_RTOL,
-    threads: int = 1,
-) -> SweepResult:
-    """Sweep a along the admissible line through chi0, flagging real points.
-
-    Rows carry (a, x, y, z, eta-locus residual, real flag); where Im z
-    changes sign between samples the crossing is bisected to the flag
-    tolerance and inserted as a refined row, since the real locus meets a
-    fixed-tau slice in isolated points.  Grid points evaluate independently
-    (optionally on a thread pool); row order is by parameter value either
-    way.
-    """
-    line, _kind = _slice_parametrization(chi0, tau)
-
-    def evaluate(t):
-        res = monodromies(ConnectionParams(line(t), chi0, r, tau), steps, rtol)
-        return SweepRow(
-            t,
-            line(t),
-            res.x,
-            res.y,
-            res.z,
-            _eta_residual(res.x, res.y, r),
-            abs(complex(res.z).imag) <= tol,
-        )
-
-    ts = np.linspace(a_range[0], a_range[1], n)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate, ts))
-    else:
-        rows = [evaluate(t) for t in ts]
-
-    if refine:
-        crossings = []
-        for lo, hi in zip(rows[:-1], rows[1:]):
-            im_lo, im_hi = complex(lo.z).imag, complex(hi.z).imag
-            if im_lo == 0.0 or lo.is_real or hi.is_real:
-                continue
-            if im_lo * im_hi < 0:
-                crossings.append((lo.t, hi.t, im_lo))
-        for t_lo, t_hi, im_lo in crossings:
-            row = None
-            for _ in range(48):
-                t_mid = 0.5 * (t_lo + t_hi)
-                row = evaluate(t_mid)
-                im_mid = complex(row.z).imag
-                if abs(im_mid) <= tol:
-                    break
-                if im_mid * im_lo < 0:
-                    t_hi = t_mid
-                else:
-                    t_lo, im_lo = t_mid, im_mid
-            if row is not None and abs(complex(row.z).imag) <= tol:
-                row.is_real = True
-                row.refined = True
-                rows.append(row)
-        rows.sort(key=lambda row: row.t)
-
-    return SweepResult(rows, r, tau, chi0)
-
-
-@dataclass
-class MatchResult:
-    a: complex
-    t: float
-    result: MonodromyResult
-    evaluations: int
-
 
 def _illinois(f, t_lo, f_lo, t_hi, f_hi, tol):
     """Illinois regula falsi inside a straddling bracket (f_lo * f_hi < 0).
@@ -657,6 +538,77 @@ def _illinois(f, t_lo, f_lo, t_hi, f_hi, tol):
             if side == +1:
                 f_hi *= 0.5
             side = +1
+
+
+def real_locus_sweep(
+    r: float,
+    tau: float,
+    chi0: complex,
+    a_range=(0.05, 2.0),
+    n: int = 60,
+    tol: float = TOL_MONO,
+    refine: bool = True,
+    steps: int = DEFAULT_STEP_BUDGET,
+    rtol: float = DEFAULT_RTOL,
+) -> SweepResult:
+    """Sweep a along the admissible line through chi0, flagging real points.
+
+    Rows carry (a, x, y, z, eta-locus residual, real flag) in the order of
+    the line parameter t.  The real locus meets a fixed-tau slice in
+    isolated points, so where Im z changes sign between two samples that
+    are not flagged real, Illinois closes the crossing to |Im z| <= tol and
+    the point is inserted as a refined row; a crossing that 48 evaluations
+    do not close adds no row.
+    """
+    line, _kind = _slice_parametrization(chi0, tau)
+
+    def evaluate(t):
+        res = monodromies(ConnectionParams(line(t), chi0, r, tau), steps, rtol)
+        return SweepRow(
+            t,
+            line(t),
+            res.x,
+            res.y,
+            res.z,
+            charvar.eta_locus_residual(complex(res.x).real, complex(res.y).real, r),
+            abs(complex(res.z).imag) <= tol,
+        )
+
+    def crossing_row(lo, hi):
+        evals = 0
+
+        def im_z(t):
+            nonlocal evals
+            evals += 1
+            if evals > 48:
+                raise MaxIterations("crossing not closed in 48 evaluations")
+            row = evaluate(t)
+            return complex(row.z).imag, row
+
+        try:
+            _t, row = _illinois(im_z, lo.t, complex(lo.z).imag, hi.t, complex(hi.z).imag, tol)
+        except MaxIterations:
+            return None
+        row.refined = True
+        return row
+
+    rows = [evaluate(t) for t in np.linspace(a_range[0], a_range[1], n)]
+    if refine:
+        crossings = [
+            crossing_row(lo, hi)
+            for lo, hi in zip(rows, rows[1:])
+            if not (lo.is_real or hi.is_real) and complex(lo.z).imag * complex(hi.z).imag < 0
+        ]
+        rows = sorted(rows + [row for row in crossings if row], key=lambda row: row.t)
+    return SweepResult(rows, r, tau, chi0)
+
+
+@dataclass
+class MatchResult:
+    a: complex
+    t: float
+    result: MonodromyResult
+    evaluations: int
 
 
 def match_y(
@@ -854,6 +806,8 @@ def jacobian_rank(
     Rank 2 is declared when the smaller singular value exceeds rank_floor.
     The excluded center a0 = -pi/(4 tau) must be at distance >= 0.05.
     """
+    if h <= 0:
+        raise ParameterOutOfRange("finite-difference step h must be positive")
     if abs(a - (-math.pi / (4.0 * tau))) < 0.05:
         raise SlicePreconditionError(
             "a is within 0.05 of the excluded point -pi/(4 tau)"

@@ -59,10 +59,6 @@ def normalize(m):
     return np.asarray(m, dtype=complex) / np.sqrt(d)
 
 
-def multiply(a, b):
-    return a @ b
-
-
 def power(m, n):
     if n < 0:
         return power(inverse(m), -n)

@@ -120,10 +120,9 @@ class SphereTraceCoords:
         return (self.xt, self.yt, self.zt)
 
 
-def fricke_torus_residual(t: TraceCoords, w: Weight) -> complex:
-    """x^2+y^2+z^2 - xyz - 2 - 2cos(2 pi r), signed."""
-    x, y, z = t.astuple()
-    return x * x + y * y + z * z - x * y * z - 2.0 - w.c
+def fricke_torus_residual(x, y, z, r: float) -> complex:
+    """x^2+y^2+z^2 - xyz - 2 - 2cos(2 pi r), signed, for the torus weight r."""
+    return x * x + y * y + z * z - x * y * z - 2.0 - 2.0 * math.cos(2.0 * math.pi * r)
 
 
 def fricke_sphere_residual(s: SphereTraceCoords) -> complex:
@@ -171,7 +170,7 @@ def lift_traces(s: SphereTraceCoords, w: Weight, tol=TOL_CHAR):
         for sy in (1, -1):
             for sz in (1, -1):
                 cand = TraceCoords(sx * x0, sy * y0, sz * z0)
-                if abs(fricke_torus_residual(cand, w)) <= tol:
+                if abs(fricke_torus_residual(*cand.astuple(), w.r)) <= tol:
                     out.append(cand)
     return out
 
@@ -191,7 +190,7 @@ def solve_z(x, y, w: Weight):
     return z1, z2
 
 
-def eta_locus_residual(x, y, w: Weight):
+def eta_locus_residual(x, y, r: float):
     """x^2 y^2 - 4x^2 - 4y^2 + 8(1+cos(2 pi r)); zero on the real eta-invariant locus.
 
     This equals the discriminant of the solve_z quadratic, so it vanishes
@@ -199,13 +198,13 @@ def eta_locus_residual(x, y, w: Weight):
     """
     x2 = x * x
     y2 = y * y
-    return x2 * y2 - 4.0 * x2 - 4.0 * y2 + 8.0 * (1.0 + math.cos(2.0 * math.pi * w.r))
+    return x2 * y2 - 4.0 * x2 - 4.0 * y2 + 8.0 * (1.0 + math.cos(2.0 * math.pi * r))
 
 
-def real_locus_y(x, w: Weight):
+def real_locus_y(x, r: float):
     """Analytic branch y(x) >= 0 of the eta-invariant real locus for |x| > 2."""
     x2 = x * x
-    num = 4.0 * x2 - 8.0 * (1.0 + math.cos(2.0 * math.pi * w.r))
+    num = 4.0 * x2 - 8.0 * (1.0 + math.cos(2.0 * math.pi * r))
     den = x2 - 4.0
     val = num / den
     if val < 0:
@@ -220,7 +219,7 @@ def classify_real(t: TraceCoords, w: Weight, tol=TOL_CHAR):
     ('+'/'-' when |coord| > 2, '.' inside the box), following the
     sign-change description of the four non-compact components.
     """
-    res = fricke_torus_residual(t, w)
+    res = fricke_torus_residual(*t.astuple(), w.r)
     if abs(res) > tol:
         raise OffVariety(f"character-equation residual {abs(res):.3e} exceeds {tol:.1e}")
     coords = t.astuple()
@@ -263,7 +262,7 @@ def traces_of_pair(X, Y):
     return TraceCoords(algebra.trace(X), algebra.trace(Y), algebra.trace(Y @ X))
 
 
-def sphere_traces(M1, M2, M3, M4=None):
+def sphere_traces(M1, M2, M3):
     """(tr M2M1, tr M3M2, tr M3M1) of a 4-punctured-sphere representation."""
     xt = algebra.trace(M2 @ M1)
     yt = algebra.trace(M3 @ M2)

@@ -14,7 +14,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from . import __version__, abelmono, algebra, charvar, covering, dodeca, lorentz
 
 USAGE_EXIT = 2
 CHECK_EXIT = 1
+FORMATS = ("json", "csv", "text")
 
 
 class CliInputError(ValueError):
@@ -36,7 +37,6 @@ class RunConfig:
     tol_mono: float = abelmono.TOL_MONO
     tol_root: float = abelmono.TOL_ROOT
     steps: int = abelmono.DEFAULT_STEP_BUDGET
-    threads: int = 1
     format: str = "json"
 
     def __post_init__(self):
@@ -45,9 +45,7 @@ class RunConfig:
                 raise CliInputError(f"{name} must be positive")
         if self.steps < 100:
             raise CliInputError("step budget must be >= 100")
-        if self.threads < 1:
-            raise CliInputError("thread count must be >= 1")
-        if self.format not in ("json", "csv", "svg", "text"):
+        if self.format not in FORMATS:
             raise CliInputError(f"unknown output format {self.format!r}")
 
     def tolerances(self):
@@ -89,6 +87,7 @@ def parse_complex(text: str) -> complex:
 def load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
+    types = {f.name: type(f.default) for f in fields(RunConfig)}
     values = {}
     try:
         text = Path(path).read_text()
@@ -100,33 +99,29 @@ def load_config(path: str | None) -> RunConfig:
             continue
         if "=" not in line:
             raise CliInputError(f"bad config line {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key in ("steps", "threads"):
-            values[key] = int(raw)
-        elif key == "format":
-            values[key] = raw
-        elif key in ("tol_alg", "tol_char", "tol_mono", "tol_root"):
-            values[key] = float(raw)
-        else:
+        key, _, raw = (part.strip() for part in line.partition("="))
+        if key not in types:
             raise CliInputError(f"unknown config key {key!r}")
+        try:
+            values[key] = types[key](raw)
+        except ValueError as exc:
+            raise CliInputError(f"bad value for config key {key!r}: {raw!r}") from exc
     return RunConfig(**values)
 
 
 def apply_flag_overrides(config: RunConfig, args) -> RunConfig:
-    updates = {}
-    for name in ("tol_alg", "tol_char", "tol_mono", "tol_root", "steps", "threads"):
-        val = getattr(args, name, None)
-        if val is not None:
-            updates[name] = val
-    if getattr(args, "format", None):
-        updates["format"] = args.format
+    updates = {
+        f.name: getattr(args, f.name)
+        for f in fields(RunConfig)
+        if getattr(args, f.name, None) is not None
+    }
     return replace(config, **updates) if updates else config
 
 
-def emit_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def write_json(payload, config: RunConfig, **tolerances):
+    """Print payload as sorted-key JSON with its tolerances block (config, then extras)."""
+    payload = {**payload, "tolerances": {**config.tolerances(), **tolerances}}
+    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def error(code: str, message: str):
@@ -147,15 +142,14 @@ def cmd_verify(args, config: RunConfig) -> int:
     tol = args.tol if args.tol is not None else config.tol_alg
     checks = dodeca.verify_theorem91(tol)
     passed = dodeca.theorem91_passed(checks)
-    payload = {
-        "target": "dodeca",
-        "passed": passed,
-        "tolerances": {**config.tolerances(), "tol": tol},
-        "residuals": {name: res for name, (res, _bound) in checks.items()},
-        "bounds": {name: bound for name, (_res, bound) in checks.items()},
-    }
     if args.json or config.format == "json":
-        sys.stdout.write(emit_json(payload))
+        payload = {
+            "target": "dodeca",
+            "passed": passed,
+            "residuals": {name: res for name, (res, _bound) in checks.items()},
+            "bounds": {name: bound for name, (_res, bound) in checks.items()},
+        }
+        write_json(payload, config, tol=tol)
     else:
         for name, (res, bound) in checks.items():
             state = "ok" if res <= bound else "FAIL"
@@ -183,18 +177,13 @@ def cmd_charvar(args, config: RunConfig) -> int:
     if args.action == "residual":
         x, y, z = _parse_coords(args.coords)
         if args.surface == "torus":
-            res = charvar.fricke_torus_residual(charvar.TraceCoords(x, y, z), w)
+            res = charvar.fricke_torus_residual(x, y, z, w.r)
         else:
             res = charvar.fricke_sphere_residual(
                 charvar.SphereTraceCoords(x, y, z, w.mu)
             )
-        payload = {
-            "surface": args.surface,
-            "weight": str(w),
-            "residual": [res.real, res.imag],
-            "tolerances": config.tolerances(),
-        }
-        sys.stdout.write(emit_json(payload))
+        payload = {"surface": args.surface, "weight": str(w), "residual": [res.real, res.imag]}
+        write_json(payload, config)
         return 0
     if args.action == "abelianize":
         x, y, z = _parse_coords(args.coords)
@@ -206,9 +195,8 @@ def cmd_charvar(args, config: RunConfig) -> int:
             "yt": [s.yt.real, s.yt.imag],
             "zt": [s.zt.real, s.zt.imag],
             "residual": abs(charvar.fricke_sphere_residual(s)),
-            "tolerances": config.tolerances(),
         }
-        sys.stdout.write(emit_json(payload))
+        write_json(payload, config)
         return 0
     if args.action == "lift":
         xt, yt, zt = _parse_coords(args.coords)
@@ -222,13 +210,12 @@ def cmd_charvar(args, config: RunConfig) -> int:
                     "x": [t.x.real, t.x.imag],
                     "y": [t.y.real, t.y.imag],
                     "z": [t.z.real, t.z.imag],
-                    "residual": abs(charvar.fricke_torus_residual(t, w)),
+                    "residual": abs(charvar.fricke_torus_residual(*t.astuple(), w.r)),
                 }
                 for t in lifts
             ],
-            "tolerances": config.tolerances(),
         }
-        sys.stdout.write(emit_json(payload))
+        write_json(payload, config)
         return 0
     if args.action == "classify":
         x, y, z = _parse_coords(args.coords)
@@ -237,8 +224,7 @@ def cmd_charvar(args, config: RunConfig) -> int:
             payload = {"class": verdict[0], "component": verdict[1]}
         else:
             payload = {"class": verdict}
-        payload["tolerances"] = config.tolerances()
-        sys.stdout.write(emit_json(payload))
+        write_json(payload, config)
         return 0
     raise CliInputError(f"unknown charvar action {args.action!r}")
 
@@ -259,9 +245,8 @@ def cmd_lorentz(args, config: RunConfig) -> int:
             [0.0, 0.0, 0.0, math.cos(math.pi / 5), math.cos(math.pi / 3), math.cos(math.pi / 4)]
         ),
         "residuals": lifts,
-        "tolerances": config.tolerances(),
     }
-    sys.stdout.write(emit_json(payload))
+    write_json(payload, config)
     worst_angle = max(
         abs(a - b) for a, b in zip(payload["dihedral_cosines"], payload["expected"])
     )
@@ -282,13 +267,12 @@ def cmd_covering(args, config: RunConfig) -> int:
         "all_positive": report.all_positive,
         "signs": report.signs,
         "residuals": {"worst": report.worst_residual},
-        "tolerances": config.tolerances(),
     }
-    sys.stdout.write(emit_json(payload))
+    write_json(payload, config)
     return 0 if report.passed else CHECK_EXIT
 
 
-def _monodromy_payload(res: abelmono.MonodromyResult, config: RunConfig):
+def _monodromy_payload(res: abelmono.MonodromyResult):
     return {
         "x": [complex(res.x).real, complex(res.x).imag],
         "y": [complex(res.y).real, complex(res.y).imag],
@@ -301,7 +285,6 @@ def _monodromy_payload(res: abelmono.MonodromyResult, config: RunConfig):
             "commutator_trace": res.commutator_residual,
             "det_drift": res.det_drift,
         },
-        "tolerances": config.tolerances(),
     }
 
 
@@ -310,7 +293,7 @@ def cmd_monodromy(args, config: RunConfig) -> int:
         parse_complex(args.a), parse_complex(args.chi), args.r, args.tau
     )
     res = abelmono.monodromies(params, steps=config.steps)
-    sys.stdout.write(emit_json(_monodromy_payload(res, config)))
+    write_json(_monodromy_payload(res), config)
     ok = (
         res.char_residual <= config.tol_mono
         and res.commutator_residual <= config.tol_mono
@@ -324,6 +307,14 @@ def _chi0_value(text: str, tau: float) -> complex:
     if text == "ipi/4":
         return complex(0.0, math.pi / 4.0)
     return parse_complex(text)
+
+
+def _parse_bracket(text: str):
+    try:
+        lo, hi = (float(p) for p in text.split(","))
+    except ValueError as exc:
+        raise CliInputError(f"bracket must be two comma-separated numbers: {text!r}") from exc
+    return lo, hi
 
 
 def locus_rows_to_csv(result: abelmono.SweepResult) -> str:
@@ -351,8 +342,8 @@ def emit_locus_svg(result: abelmono.SweepResult, width=640, height=480) -> str:
     overlay = []
     for x in np.linspace(xs_min, xs_max, 400):
         try:
-            overlay.append((float(x), abelmono.analytic_locus_y(float(x), r)))
-        except abelmono.AbelMonoError:
+            overlay.append((float(x), charvar.real_locus_y(float(x), r)))
+        except charvar.CharVarError:
             continue
     flagged = [
         (complex(row.x).real, complex(row.y).real) for row in result.flagged_real()
@@ -408,7 +399,7 @@ def emit_locus_svg(result: abelmono.SweepResult, width=640, height=480) -> str:
             'fill-opacity="0.85"/>'
         )
     if abs(r - 0.1) <= 1e-12:
-        dx = math.sqrt(3.0 + math.sqrt(5.0))
+        dx = math.sqrt(3.0 + lorentz.SQRT5)
         px, py = to_px(dx, dx)
         parts.append(
             f'<g stroke="#2ca02c" stroke-width="1.5">'
@@ -434,7 +425,6 @@ def cmd_locus(args, config: RunConfig) -> int:
         tol=config.tol_mono,
         refine=not args.no_refine,
         steps=config.steps,
-        threads=config.threads,
     )
     csv_text = locus_rows_to_csv(result)
     if args.csv:
@@ -462,34 +452,29 @@ def cmd_match(args, config: RunConfig) -> int:
             "tau": res.tau,
             "a": [res.a.real, res.a.imag],
             "evaluations": res.evaluations,
-            **_monodromy_payload(res.result, config),
+            **_monodromy_payload(res.result),
         }
-        payload["residuals"]["y_mismatch"] = abs(
-            complex(res.result.y).real - args.y_target
+    else:
+        res = abelmono.match_y(
+            args.y_target,
+            args.r,
+            args.tau,
+            _chi0_value(args.chi0, args.tau),
+            _parse_bracket(args.bracket),
+            tol_root=config.tol_root,
+            steps=config.steps,
         )
-        sys.stdout.write(emit_json(payload))
-        return 0 if payload["residuals"]["y_mismatch"] <= config.tol_root else CHECK_EXIT
-    chi0 = _chi0_value(args.chi0, args.tau)
-    lo, hi = (float(p) for p in args.bracket.split(","))
-    res = abelmono.match_y(
-        args.y_target,
-        args.r,
-        args.tau,
-        chi0,
-        (lo, hi),
-        tol_root=config.tol_root,
-        steps=config.steps,
-    )
-    payload = {
-        "mode": "fixed-tau",
-        "a": [res.a.real, res.a.imag],
-        "t": res.t,
-        "evaluations": res.evaluations,
-        **_monodromy_payload(res.result, config),
-    }
-    payload["residuals"]["y_mismatch"] = abs(complex(res.result.y).real - args.y_target)
-    sys.stdout.write(emit_json(payload))
-    return 0 if payload["residuals"]["y_mismatch"] <= config.tol_root else CHECK_EXIT
+        payload = {
+            "mode": "fixed-tau",
+            "a": [res.a.real, res.a.imag],
+            "t": res.t,
+            "evaluations": res.evaluations,
+            **_monodromy_payload(res.result),
+        }
+    mismatch = abs(complex(res.result.y).real - args.y_target)
+    payload["residuals"]["y_mismatch"] = mismatch
+    write_json(payload, config)
+    return 0 if mismatch <= config.tol_root else CHECK_EXIT
 
 
 def cmd_jacobian(args, config: RunConfig) -> int:
@@ -499,10 +484,9 @@ def cmd_jacobian(args, config: RunConfig) -> int:
         "singular_values": list(res.singular_values),
         "rank": res.rank,
         "step": res.step,
-        "tolerances": config.tolerances(),
         "residuals": {"smallest_singular_value": res.singular_values[1]},
     }
-    sys.stdout.write(emit_json(payload))
+    write_json(payload, config)
     return 0 if res.rank == 2 else CHECK_EXIT
 
 
@@ -528,9 +512,8 @@ def cmd_spin(args, config: RunConfig) -> int:
             "holonomy_x": abs(hx - state.eps_x),
             "holonomy_y": abs(hy - state.eps_y),
         },
-        "tolerances": config.tolerances(),
     }
-    sys.stdout.write(emit_json(payload))
+    write_json(payload, config)
     return 0
 
 
@@ -538,8 +521,28 @@ def cmd_spin(args, config: RunConfig) -> int:
 # dispatch
 
 
+INPUT_ERRORS = (
+    CliInputError,
+    charvar.CharVarError,
+    covering.CoveringError,
+    spingraft.SpinGraftError,
+    algebra.AlgebraError,
+    lorentz.LorentzError,
+    abelmono.ParameterOutOfRange,
+    abelmono.NonGenericChi,
+    abelmono.SlicePreconditionError,
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as CliInputError, i.e. one ``E:input`` line."""
+
+    def error(self, message):
+        raise CliInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fricke",
         description="Character varieties, numerical monodromy and the dodecahedral lattice checks",
     )
@@ -549,8 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-mono", dest="tol_mono", type=float)
     parser.add_argument("--tol-root", dest="tol_root", type=float)
     parser.add_argument("--steps", type=int, help="accepted-step budget per transport")
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--format", choices=("json", "csv", "svg", "text"))
+    parser.add_argument("--format", choices=FORMATS)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("verify", help="run a bundled verification suite")
@@ -628,32 +630,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_EXIT if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         config = apply_flag_overrides(load_config(args.config), args)
         return args.func(args, config)
-    except (
-        CliInputError,
-        charvar.CharVarError,
-        covering.CoveringError,
-        spingraft.SpinGraftError,
-        algebra.AlgebraError,
-        lorentz.LorentzError,
-    ) as exc:
+    except SystemExit as exc:  # --help
+        return USAGE_EXIT if exc.code not in (0, None) else 0
+    except INPUT_ERRORS as exc:
         error("input", str(exc))
         return USAGE_EXIT
     except abelmono.AbelMonoError as exc:
-        kind = (
-            "input"
-            if isinstance(exc, (abelmono.NonGenericChi, abelmono.SlicePreconditionError))
-            else "check"
-        )
-        error(kind, str(exc))
-        return USAGE_EXIT if kind == "input" else CHECK_EXIT
+        error("check", str(exc))
+        return CHECK_EXIT
 
 
 def main():

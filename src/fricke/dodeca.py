@@ -7,14 +7,12 @@ monodromies J_1..J_4 with J_1 = -(g_{0,2})^2 and J_{i+1} = j0 J_i j0^-1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, charvar, lorentz
-
-SQRT5 = math.sqrt(5.0)
+from .lorentz import SQRT5
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ def rsr_check(M1, M2, M3, M4, w: charvar.Weight, tol=algebra.TOL_ALG,
               max_order=64) -> RSRReport:
     """Check the Real / Symmetric / Rectangular conditions on four monodromies."""
     mats = (M1, M2, M3, M4)
-    xt, yt, zt = charvar.sphere_traces(M1, M2, M3, M4)
+    xt, yt, zt = charvar.sphere_traces(M1, M2, M3)
     traces = {
         "tr_M": [algebra.trace(M) for M in mats],
         "xt": xt,
@@ -71,9 +69,7 @@ def rsr_check(M1, M2, M3, M4, w: charvar.Weight, tol=algebra.TOL_ALG,
     is_symmetric = all(abs(algebra.trace(M) - mu) <= tol for M in mats)
     is_rectangular = abs(traces["tr_M1M3"] - traces["tr_M2M4"]) <= tol
     order_k = algebra.order_of(M1, max_order, tol)
-    genus = None
-    if order_k is not None:
-        genus = order_k - 1 if order_k % 2 == 1 else order_k // 2 - 1
+    genus = None if order_k is None else charvar.genus_for_order(order_k)
     prod = M4 @ M3 @ M2 @ M1
     product_is_identity = algebra.norm_inf(prod - algebra.IDENTITY) <= tol
     return RSRReport(is_real, traces, is_symmetric, is_rectangular,
@@ -129,8 +125,8 @@ def verify_theorem91(tol=algebra.TOL_ALG):
     checks["lift_exists"] = (0.0 if positive else 1.0, 0.5)
     if positive:
         t = positive[0]
-        checks["torus_fricke"] = (abs(charvar.fricke_torus_residual(t, w)), 1e-8)
-        checks["eta_locus"] = (abs(charvar.eta_locus_residual(t.x.real, t.y.real, w)), 1e-8)
+        checks["torus_fricke"] = (abs(charvar.fricke_torus_residual(*t.astuple(), w.r)), 1e-8)
+        checks["eta_locus"] = (abs(charvar.eta_locus_residual(t.x.real, t.y.real, w.r)), 1e-8)
     return checks
 
 

@@ -146,7 +146,7 @@ def lift_check(g, reflection_map):
     return worst
 
 
-def _sl2_generators():
+def generators():
     """The six lifted generators g_{m,n}, keyed by (m,n) with 0 <= m < n <= 3."""
     s5 = SQRT5
     a01 = 1.0 + s5 + math.sqrt(2.0 * (s5 - 1.0))
@@ -159,7 +159,3 @@ def _sl2_generators():
     g13 = algebra.make(-1.0 - 1j, 0.0, 0.0, -1.0 + 1j) / math.sqrt(2.0)
     g23 = (-1j / math.sqrt(2.0)) * algebra.make(1.0, 1.0, 1.0, -1.0)
     return {(0, 1): g01, (0, 2): g02, (0, 3): g03, (1, 2): g12, (1, 3): g13, (2, 3): g23}
-
-
-def generators():
-    return _sl2_generators()

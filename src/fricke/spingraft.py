@@ -90,22 +90,16 @@ def spin_to_chi(s: SpinClass, tau: float) -> complex:
     return chi
 
 
-def line_holonomies(chi: complex, tau: float, quad_nodes: int = 64):
+def line_holonomies(chi: complex, tau: float):
     """Z2 holonomies along gamma_x, gamma_y of d + chi dwbar - conj(chi) dw.
 
-    Computed by numerical line integrals of the connection form over the
-    straight generating loops (trapezoid rule is exact up to rounding for
-    constant forms; nodes kept for the contract's sake).
+    The form is constant, so its line integral over a straight loop with
+    velocity wdot is chi conj(wdot) - conj(chi) wdot in closed form.
     """
     chi = complex(chi)
 
-    def holonomy(direction):
-        total = 0.0 + 0.0j
-        h = 1.0 / quad_nodes
-        for i in range(quad_nodes):
-            wdot = direction
-            total += (chi * wdot.conjugate() - chi.conjugate() * wdot) * h
-        return cmath.exp(-total)
+    def holonomy(wdot):
+        return cmath.exp(-(chi * wdot.conjugate() - chi.conjugate() * wdot))
 
     return holonomy(1.0 + 0.0j), holonomy(1j * tau)
 

@@ -55,13 +55,6 @@ def test_eta1_square_lattice():
     assert abs(am.lattice(1.0).eta1 - math.pi) <= 1e-12
 
 
-def test_weierstrass_sigma_wrapper():
-    val, eta1, eta2 = am.weierstrass_sigma(0.25 + 0.1j, 1.0)
-    lat = am.lattice(1.0)
-    assert val == lat.sigma(0.25 + 0.1j)
-    assert (eta1, eta2) == (lat.eta1, lat.eta2)
-
-
 # ---------------------------------------------------------------------------
 # baker sections
 
@@ -217,10 +210,12 @@ def test_monodromy_eta_case_real():
 
 
 def test_monodromy_rejects_bad_params():
-    with pytest.raises(am.AbelMonoError):
+    with pytest.raises(am.ParameterOutOfRange):
         am.ConnectionParams(0.2, CHI, 0.7, TAU)
-    with pytest.raises(am.AbelMonoError):
+    with pytest.raises(am.ParameterOutOfRange):
         am.ConnectionParams(0.2, CHI, R, -1.0)
+    with pytest.raises(am.ParameterOutOfRange):
+        am.RectangularLattice(0.0)
     with pytest.raises(am.NonGenericChi):
         am.monodromies(am.ConnectionParams(0.2, 0.0, R, TAU))
 
@@ -254,9 +249,9 @@ def test_eta_case_examples():
 
 
 def test_analytic_locus_values():
-    assert abs(am.analytic_locus_y(YSTAR, R) - YSTAR) <= 1e-12
-    assert abs(am.analytic_locus_y(1e6, R) - 2.0) <= 1e-9
-    assert am.analytic_locus_y(3.0, R) > 2.0
+    assert abs(charvar.real_locus_y(YSTAR, R) - YSTAR) <= 1e-12
+    assert abs(charvar.real_locus_y(1e6, R) - 2.0) <= 1e-9
+    assert charvar.real_locus_y(3.0, R) > 2.0
 
 
 @pytest.fixture(scope="module")
@@ -273,7 +268,7 @@ def test_sweep_flags_real_graze(sweep):
         y = complex(row.y).real
         assert abs(row.eta_residual) <= 1e-5
         if x * x > 4.0 + 1e-9:
-            assert abs(y - am.analytic_locus_y(x, R)) <= 1e-4
+            assert abs(y - charvar.real_locus_y(x, R)) <= 1e-4
 
 
 def test_sweep_rows_sorted_and_eta_column(sweep):
@@ -283,7 +278,40 @@ def test_sweep_rows_sorted_and_eta_column(sweep):
         x = complex(row.x).real
         y = complex(row.y).real
         w = charvar.Weight.from_torus("1/10")
-        assert abs(row.eta_residual - charvar.eta_locus_residual(x, y, w)) <= 1e-9
+        assert abs(row.eta_residual - charvar.eta_locus_residual(x, y, w.r)) <= 1e-9
+
+
+def _count_monodromies(monkeypatch):
+    calls = []
+    monodromies = am.monodromies
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].a)
+        return monodromies(*args, **kwargs)
+
+    monkeypatch.setattr(am, "monodromies", spy)
+    return calls
+
+
+def test_sweep_closes_crossing_with_illinois(monkeypatch):
+    """The one Im z crossing of the tau = 1 slice closes within 4 evaluations past the grid."""
+    calls = _count_monodromies(monkeypatch)
+    res = am.real_locus_sweep(R, TAU, math.pi / (4.0 * TAU), (0.05, 1.6), 60)
+    refined = [row for row in res.rows if row.refined]
+    assert len(calls) <= 64
+    assert refined
+    for row in refined:
+        assert row.is_real and abs(complex(row.z).imag) <= 1e-6
+        assert abs(row.eta_residual) <= 1e-6
+    assert [row.t for row in res.rows] == sorted(row.t for row in res.rows)
+
+
+def test_sweep_crossing_budget_adds_no_row(monkeypatch):
+    """A crossing that 48 evaluations cannot close is left without a refined row."""
+    calls = _count_monodromies(monkeypatch)
+    res = am.real_locus_sweep(R, TAU, math.pi / (4.0 * TAU), (0.7, 0.95), 4, tol=1e-300)
+    assert len(calls) == 4 + 48
+    assert len(res.rows) == 4 and not any(row.refined for row in res.rows)
 
 
 def test_sweep_requires_admissible_chi0():
@@ -387,6 +415,12 @@ def test_jacobian_rank_two():
     res = am.jacobian_rank(0.3, 1.0, R)
     assert res.rank == 2
     assert res.singular_values[1] > 1e-3
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-4])
+def test_jacobian_rejects_nonpositive_step(h):
+    with pytest.raises(am.ParameterOutOfRange):
+        am.jacobian_rank(0.3, 1.0, R, h=h)
 
 
 def test_jacobian_step_halving_stability():

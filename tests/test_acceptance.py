@@ -64,7 +64,7 @@ def test_criterion_3_character_variety():
         y = complex(rng.uniform(-2.5, 2.5), rng.uniform(-1, 1))
         z1, z2 = charvar.solve_z(x, y, w)
         t = charvar.TraceCoords(x, y, z1 if count % 2 else z2)
-        if abs(charvar.fricke_torus_residual(t, w)) > 1e-10:
+        if abs(charvar.fricke_torus_residual(*t.astuple(), w.r)) > 1e-10:
             continue
         count += 1
         s = charvar.abelianize(t, w)
@@ -94,8 +94,8 @@ def test_criterion_3_character_variety():
 
     w10 = charvar.Weight(3, 10)
     dodeca_point = charvar.TraceCoords(YSTAR, YSTAR, (3 + SQRT5) / 2)
-    char_res = abs(charvar.fricke_torus_residual(dodeca_point, w10))
-    eta_res = abs(charvar.eta_locus_residual(YSTAR, YSTAR, w10))
+    char_res = abs(charvar.fricke_torus_residual(*dodeca_point.astuple(), w10.r))
+    eta_res = abs(charvar.eta_locus_residual(YSTAR, YSTAR, w10.r))
     elapsed = time.time() - t0
     ok = (
         worst_sphere <= 1e-8
@@ -198,12 +198,12 @@ def test_criterion_7_locus_figure():
         x = complex(row.x).real
         y = complex(row.y).real
         if x * x > 4.0 + 1e-9:
-            dev = abs(abs(y) - am.analytic_locus_y(x, r))
+            dev = abs(abs(y) - charvar.real_locus_y(x, r))
             worst_dev = max(worst_dev, dev)
             on_locus = on_locus and dev <= 1e-4
         else:
             on_locus = on_locus and abs(row.eta_residual) <= 1e-4
-    through_dodeca = abs(am.analytic_locus_y(YSTAR, r) - YSTAR) <= 1e-9
+    through_dodeca = abs(charvar.real_locus_y(YSTAR, r) - YSTAR) <= 1e-9
     elapsed = time.time() - t0
     ok = on_locus and through_dodeca and elapsed < 120.0
     assert _report(
@@ -242,7 +242,7 @@ def test_criterion_8_matching():
             charvar.eta_locus_residual(
                 complex(res.result.x).real,
                 complex(res.result.y).real,
-                charvar.Weight(3, 10),
+                charvar.Weight(3, 10).r,
             )
         )
         <= 1e-4

@@ -16,7 +16,7 @@ def random_unimodular(rng):
 
 def test_multiply_g12_g13_gives_j0():
     gens = lorentz.generators()
-    j0 = algebra.multiply(gens[(1, 2)], gens[(1, 3)])
+    j0 = gens[(1, 2)] @ gens[(1, 3)]
     expected = algebra.make(1, -1, 1, 1) / math.sqrt(2)
     assert algebra.norm_inf(j0 - expected) <= 1e-12
 
@@ -24,7 +24,7 @@ def test_multiply_g12_g13_gives_j0():
 def test_multiply_identity_and_inverse():
     rng = np.random.default_rng(0)
     a = random_unimodular(rng)
-    assert algebra.norm_inf(algebra.multiply(a, algebra.IDENTITY) - a) == 0
+    assert algebra.norm_inf(a @ algebra.IDENTITY - a) == 0
     gens = lorentz.generators()
     j0 = gens[(1, 2)] @ gens[(1, 3)]
     assert algebra.norm_inf(j0 @ algebra.inverse(j0) - algebra.IDENTITY) <= 1e-12

@@ -27,7 +27,7 @@ def random_on_variety(rng, w, box=2.5, real=False):
         z1, z2 = charvar.solve_z(x, y, w)
         z = z1 if rng.uniform() < 0.5 else z2
         t = charvar.TraceCoords(x, y, z)
-        if abs(charvar.fricke_torus_residual(t, w)) <= 1e-10:
+        if abs(charvar.fricke_torus_residual(*t.astuple(), w.r)) <= 1e-10:
             return t
 
 
@@ -50,18 +50,18 @@ def test_weight_validation():
 
 def test_torus_residual_at_222():
     for w in (charvar.Weight(3, 10), charvar.Weight(2, 5)):
-        res = charvar.fricke_torus_residual(charvar.TraceCoords(2, 2, 2), w)
+        res = charvar.fricke_torus_residual(2, 2, 2, w.r)
         assert abs(res - (2 - 2 * math.cos(2 * math.pi * w.r))) <= 1e-12
 
 
 def test_torus_residual_dodeca_point():
-    assert abs(charvar.fricke_torus_residual(DODECA_TORUS, W_DODECA)) <= 1e-9
+    assert abs(charvar.fricke_torus_residual(*DODECA_TORUS.astuple(), W_DODECA.r)) <= 1e-9
 
 
 def test_torus_residual_x_y_zero():
     w = charvar.Weight(3, 10)
     z = math.sqrt(2 + 2 * math.cos(2 * math.pi * w.r))
-    assert abs(charvar.fricke_torus_residual(charvar.TraceCoords(0, 0, z), w)) <= 1e-12
+    assert abs(charvar.fricke_torus_residual(0, 0, z, w.r)) <= 1e-12
 
 
 def test_sphere_residual_direct_substitution():
@@ -116,7 +116,7 @@ def test_lift_traces_dodeca():
     )
     assert best <= 1e-9
     for t in lifts:
-        assert abs(charvar.fricke_torus_residual(t, W_DODECA)) <= 1e-9
+        assert abs(charvar.fricke_torus_residual(*t.astuple(), W_DODECA.r)) <= 1e-9
 
 
 def test_lift_traces_degenerate():
@@ -158,7 +158,7 @@ def test_solve_z_double_root_at_dodeca():
     assert abs(z1 - z2) <= 1e-7
     assert abs(z1 - DODECA_TORUS.x * DODECA_TORUS.y / 2) <= 1e-7
     # oracle: the discriminant is the eta-locus residual, zero here
-    assert abs(charvar.eta_locus_residual(DODECA_TORUS.x, DODECA_TORUS.y, W_DODECA)) <= 1e-9
+    assert abs(charvar.eta_locus_residual(DODECA_TORUS.x, DODECA_TORUS.y, W_DODECA.r)) <= 1e-9
 
 
 def test_solve_z_x_y_zero():
@@ -195,19 +195,19 @@ def test_eta_locus_residual_matches_discriminant():
     for _ in range(50):
         x, y = rng.uniform(-3, 3, size=2)
         disc = (x * y) ** 2 - 4 * (x * x + y * y - 2 - w.c)
-        assert abs(charvar.eta_locus_residual(x, y, w) - disc) <= 1e-12
+        assert abs(charvar.eta_locus_residual(x, y, w.r) - disc) <= 1e-12
 
 
 def test_eta_locus_residual_cases():
     assert abs(charvar.eta_locus_residual(
-        math.sqrt(3 + SQRT5), math.sqrt(3 + SQRT5), W_DODECA)) <= 1e-9
+        math.sqrt(3 + SQRT5), math.sqrt(3 + SQRT5), W_DODECA.r)) <= 1e-9
     # all terms cancel when cos(2 pi r) = -1 and x = y = 0
     w_half = charvar.Weight(2, 5)  # r = 3/10, cos(3pi/5) != -1; use direct formula
     val = 0.0**2 * 0.0**2 - 0 - 0 + 8 * (1 + math.cos(2 * math.pi * w_half.r))
-    assert abs(charvar.eta_locus_residual(0.0, 0.0, w_half) - val) <= 1e-12
+    assert abs(charvar.eta_locus_residual(0.0, 0.0, w_half.r) - val) <= 1e-12
     # just outside the box the residual is negative for bounded y
     for y in (0.0, 0.5, 1.0, 1.5, 2.0):
-        assert charvar.eta_locus_residual(2.01, y, W_DODECA) < 0
+        assert charvar.eta_locus_residual(2.01, y, W_DODECA.r) < 0
 
 
 def test_classify_real():

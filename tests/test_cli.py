@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +217,60 @@ def test_jacobian_verb(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["rank"] == 2
+
+
+@pytest.mark.parametrize("bracket", ["0.05", "0.05,x", "0.05,0.3,0.7"])
+def test_match_rejects_malformed_bracket(capsys, bracket):
+    code, out, err = run(
+        capsys, "match", "--y-target", "1.8", "--r", "0.1", "--bracket", bracket,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("E:input:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.7", "--tau", "1"], "input"),
+        (["monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.1", "--tau=-1"], "input"),
+        (["jacobian", "--a", "0.3", "--tau", "1", "--r", "0.1", "--h", "0"], "input"),
+        # tau = 0.05 is in range, but the theta series fails the Legendre check there
+        (["monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.1", "--tau", "0.05"], "check"),
+    ],
+)
+def test_parameter_errors_are_typed(capsys, argv, kind):
+    code, _, err = run(capsys, *argv)
+    assert err.startswith(f"E:{kind}:")
+    assert code == (2 if kind == "input" else 1)
+
+
+@pytest.mark.parametrize("removed", [["--format", "svg"], ["--threads", "2"]])
+def test_removed_options_rejected(capsys, removed):
+    code, _, err = run(capsys, *removed, "lorentz", "angles")
+    assert code == 2
+    assert err.startswith("E:input:")
+
+
+@pytest.mark.parametrize("line", ["format=svg", "threads=2", "steps=many"])
+def test_config_rejects_removed_keys_and_bad_values(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run(capsys, "--config", str(cfg), "lorentz", "angles")
+    assert code == 2
+    assert err.startswith("E:input:")
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("fricke ")]
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
+    """Every command in the README's CLI block exits 0."""
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, _, err = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, f"{line}: {err}"
