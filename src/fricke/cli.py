@@ -24,6 +24,8 @@ from . import __version__, abelmono, algebra, charvar, covering, dodeca, lorentz
 USAGE_EXIT = 2
 CHECK_EXIT = 1
 FORMATS = ("json", "csv", "text")
+# The verbs that can write a format other than json, and the one each writes.
+VERB_FORMATS = {"verify": "text", "locus": "csv"}
 
 
 class CliInputError(ValueError):
@@ -40,11 +42,11 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        for name in ("tol_alg", "tol_char", "tol_mono", "tol_root"):
-            if getattr(self, name) <= 0:
-                raise CliInputError(f"{name} must be positive")
+        for name, value in self.tolerances().items():
+            if not (math.isfinite(value) and value > 0):
+                raise CliInputError(f"{name} must be positive and finite")
         if self.steps < 100:
-            raise CliInputError("step budget must be >= 100")
+            raise CliInputError("panel budget (steps) must be >= 100")
         if self.format not in FORMATS:
             raise CliInputError(f"unknown output format {self.format!r}")
 
@@ -551,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-char", dest="tol_char", type=float)
     parser.add_argument("--tol-mono", dest="tol_mono", type=float)
     parser.add_argument("--tol-root", dest="tol_root", type=float)
-    parser.add_argument("--steps", type=int, help="accepted-step budget per transport")
+    parser.add_argument("--steps", type=int, help="panel budget per transport")
     parser.add_argument("--format", choices=FORMATS)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -633,6 +635,8 @@ def dispatch(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = apply_flag_overrides(load_config(args.config), args)
+        if config.format not in ("json", VERB_FORMATS.get(args.verb)):
+            raise CliInputError(f"{args.verb} cannot write format {config.format!r}")
         return args.func(args, config)
     except SystemExit as exc:  # --help
         return USAGE_EXIT if exc.code not in (0, None) else 0

@@ -1,5 +1,7 @@
 import cmath
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -175,7 +177,54 @@ def test_transport_det_drift_small():
     form = am.ConnectionForm(am.ConnectionParams(0.4, CHI, R, TAU))
     for path in (am.gamma_x(TAU), am.gamma_y(TAU)):
         res = am.parallel_transport(form, path)
-        assert res.det_drift <= 1e-8
+        assert res.det_drift <= 1e-12
+
+
+def test_transport_evaluates_each_panel_level_at_once(monkeypatch):
+    """One coefficient call per panel level: N = 32, 64, ..., panels."""
+    calls = []
+    coefficient = am.ConnectionForm.coefficient
+
+    def spy(self, w, wdot):
+        calls.append(np.shape(w))
+        return coefficient(self, w, wdot)
+
+    monkeypatch.setattr(am.ConnectionForm, "coefficient", spy)
+    form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
+    res = am.parallel_transport(form, am.gamma_x(TAU))
+    assert len(calls) == math.log2(res.panels / 32) + 1
+    assert calls[-1] == (res.panels, 2)
+
+
+@pytest.mark.parametrize("tau", [0.2, 1.0, 5.0])
+def test_transport_matches_dop853(tau):
+    """Oracle: an independent adaptive integrator on both loops."""
+    integrate = pytest.importorskip("scipy.integrate")
+    form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, tau))
+    for path in (am.gamma_x(tau), am.gamma_y(tau)):
+
+        def rhs(s, psi):
+            a = form.coefficient(path.point(s), path.velocity(s))
+            return (a @ psi.reshape(2, 2)).ravel()
+
+        sol = integrate.solve_ivp(
+            rhs, (0.0, 1.0), np.eye(2, dtype=complex).ravel(),
+            method="DOP853", rtol=1e-12, atol=1e-14,
+        )
+        expected = sol.y[:, -1].reshape(2, 2)
+        got = am.parallel_transport(form, path).matrix
+        assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+def test_transport_fails_fast_near_half_lattice_chi():
+    """chi = 1e-7 passes the genericity gate; the overflowing product fails at once."""
+    params = am.ConnectionParams(0.2, 1e-7, R, TAU)
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(am.StepLimitExceeded, match="non-finite"):
+            am.monodromies(params)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +454,18 @@ def test_graze_point_warm_start():
     # finds the same bracket and Illinois the same point.
     t, _, _, used = am._graze_point(*args, warm=(t_cold + 0.3, -slope))
     assert t == t_cold and used > used_cold
+
+
+def test_graze_point_scan_reuses_warm_evaluations(monkeypatch):
+    """A warm search clamped to a_scan[0] hands that point to the scan, not back to monodromies."""
+    tau = 2.0
+    args = (R, tau, math.pi / (4.0 * tau), (0.02, 1.8), 30, 1e-10, 120, am.DEFAULT_STEP_BUDGET)
+    t_cold, _, slope, _ = am._graze_point(*args)
+    calls = _count_monodromies(monkeypatch)
+    t, _, _, used = am._graze_point(*args, warm=(0.151, -slope))
+    assert 0.02 in calls
+    assert len(calls) == len(set(calls)) == used
+    assert t == t_cold
 
 
 # ---------------------------------------------------------------------------

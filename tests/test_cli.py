@@ -274,3 +274,34 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
     for line in lines:
         code, _, err = run(capsys, *shlex.split(line)[1:])
         assert code == 0, f"{line}: {err}"
+
+
+MONODROMY = ["monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.1", "--tau", "1"]
+
+
+@pytest.mark.parametrize("flag", [["--tol-mono", "nan"], ["--tol-mono", "inf"]])
+def test_non_finite_tolerance_flag_rejected(capsys, flag):
+    code, out, err = run(capsys, *flag, *MONODROMY)
+    assert (code, out) == (2, "")
+    assert err.startswith("E:input:")
+
+
+def test_non_finite_tolerance_config_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol_mono=nan\n")
+    code, out, err = run(capsys, "--config", str(cfg), *MONODROMY)
+    assert (code, out) == (2, "")
+    assert err.startswith("E:input:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--format", "csv", *MONODROMY],
+        ["--format", "text", "locus", "--r", "0.1", "--n", "3"],
+    ],
+)
+def test_format_the_verb_cannot_write_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("E:input:")
