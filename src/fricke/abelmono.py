@@ -42,7 +42,7 @@ class ParameterOutOfRange(AbelMonoError):
 
 
 class NonGenericChi(AbelMonoError):
-    """chi is a half-lattice point of the Jacobian: no generic form exists."""
+    """chi is, or is numerically too near, a half-lattice point of the Jacobian."""
 
 
 class StepLimitExceeded(AbelMonoError):
@@ -405,12 +405,18 @@ def monodromies(
 
     K = Y^-1 X^-1 Y X is the commutator-loop monodromy (loops composed
     right-to-left); its trace must equal 2 cos(2 pi r), and (x, y, z) must
-    satisfy the character equation.
+    satisfy the character equation.  NonGenericChi is raised when the
+    condition number max|entry|^2 of X or Y times eps exceeds TOL_MONO.
     """
     form = ConnectionForm(params)
     tx = parallel_transport(form, gamma_x(params.tau), steps, rtol, atol)
     ty = parallel_transport(form, gamma_y(params.tau), steps, rtol, atol)
     X, Y = tx.matrix, ty.matrix
+    kappa = max(algebra.norm_inf(X), algebra.norm_inf(Y)) ** 2
+    if kappa * np.finfo(float).eps > TOL_MONO:
+        raise NonGenericChi(
+            f"chi = {params.chi}: monodromy condition number {kappa:.1e} is beyond double precision"
+        )
     K = algebra.commutator(X, Y)
     x = algebra.trace(X)
     y = algebra.trace(Y)
@@ -644,59 +650,29 @@ class LocusMatchResult:
     evaluations: int
 
 
-def _graze_point(r, tau, chi0, a_scan, n_scan, tol_im, budget, steps, warm=None):
+def _on_slice(a, tau, r, steps, rtol=DEFAULT_RTOL) -> MonodromyResult:
+    """Monodromies at a on the trivializing slice chi0 = pi/(4 tau)."""
+    return monodromies(ConnectionParams(a, math.pi / (4.0 * tau), r, tau), steps, rtol)
+
+
+def _graze_point(ev, a_scan, n_scan, tol_im):
     """Locate the isolated real point (Im z sign change) on a fixed-tau slice.
 
-    warm = (t_guess, slope) starts at a predicted point: after one
-    evaluation there, the next point is where the given slope of Im z puts
-    the root, overshot by a quarter, and the step doubles until Im z
-    changes sign.  Without a warm start, or when that search reaches the
-    end of a_scan, n_scan points of a_scan are scanned from its start.
-    Points where y <= 1 neither end a bracket nor count as real.  Illinois
-    then closes the bracket to |Im z| <= tol_im.  Returns (t, monodromy,
-    slope of Im z over the bracket, evaluations).
+    ev(t) returns (Im z, monodromy) at a = t.  n_scan points of a_scan are
+    scanned from its start; points where y <= 1 neither end a bracket nor
+    count as real.  Illinois closes the first bracket to |Im z| <= tol_im.
+    Returns (t, monodromy).
     """
-    line, _ = _slice_parametrization(chi0, tau)
-    lo, hi = a_scan
-    seen = {}  # t -> (Im z, monodromy): the scan reuses what the warm search computed
-
-    def ev(t):
-        if t not in seen:
-            if len(seen) >= budget:
-                raise MaxIterations("graze search exceeded its evaluation budget")
-            m = monodromies(ConnectionParams(line(t), chi0, r, tau), steps)
-            seen[t] = complex(m.z).imag, m
-        return seen[t]
-
-    def warm_points(t, slope):
+    t0 = f0 = None
+    for t in np.linspace(a_scan[0], a_scan[1], n_scan):
         f, m = ev(t)
-        yield t, f, m
-        step = -1.25 * f / slope
-        while lo < t < hi:
-            t = min(max(t + step, lo), hi)
-            yield (t, *ev(t))
-            step *= 2.0
-
-    def first_crossing(points):
-        t0 = f0 = None
-        for t, f, m in points:
-            if complex(m.y).real > 1.0 and (abs(f) <= tol_im or f0 is not None and f0 * f < 0):
-                return t0, f0, t, f, m
-            t0, f0 = t, f
-        return None
-
-    found = first_crossing(warm_points(*warm)) if warm else None
-    found = found or first_crossing((t, *ev(t)) for t in np.linspace(lo, hi, n_scan))
-    if found is None:
-        raise BracketDoesNotStraddle(
-            f"no real point found on the slice tau={tau} over a in {a_scan}"
-        )
-    t0, f0, t1, f1, m1 = found
-    slope = (f1 - f0) / (t1 - t0) if f0 is not None else warm and warm[1]
-    if abs(f1) <= tol_im:
-        return t1, m1, slope, len(seen)
-    t, m = _illinois(ev, t0, f0, t1, f1, tol_im)
-    return t, m, slope, len(seen)
+        if complex(m.y).real > 1.0:
+            if abs(f) <= tol_im:
+                return t, m
+            if f0 is not None and f0 * f < 0:
+                return _illinois(ev, t0, f0, t, f, tol_im)
+        t0, f0 = t, f
+    raise BracketDoesNotStraddle(f"no real point found on the slice over a in {a_scan}")
 
 
 def match_on_locus(
@@ -707,64 +683,59 @@ def match_on_locus(
     n_scan: int = 30,
     tol_root: float = TOL_ROOT,
     tol_im: float = 1e-10,
-    max_outer: int = 16,
-    budget_per_stage: int = 120,
+    max_evals: int = 60,
     steps: int = DEFAULT_STEP_BUDGET,
 ) -> LocusMatchResult:
     """Match tr Y on the real locus itself by moving the modulus tau.
 
     The trivializing slice chi0 = pi/(4 tau) meets the real locus in one
-    point per tau; sweeping tau moves that point along the locus, on which
-    tr Y is a global coordinate.  A secant iteration on tau drives the
-    grazed point's y to y_target; the dodecahedral representation is
-    recovered at y_target = sqrt(3 + sqrt 5) with r = 1/10.
+    point per tau, and tr Y is a global coordinate on the locus, so the
+    matched point is a regular root of F(a, tau) = (Im z, Re y - y_target).
+    The dodecahedral representation is recovered at y_target =
+    sqrt(3 + sqrt 5) with r = 1/10.
 
-    Only the first tau step scans a_scan for its graze point.  Every later
-    step starts warm: its graze a is predicted by the secant through the
-    last two graze points (the last one alone on the second step), and the
-    slope of Im z found on the previous step aims the bracket search.  The
-    dodecahedral solve takes 42 monodromy evaluations from the default
-    tau bracket and 32 from (2.6, 3.2).
+    Newton on (a, tau) starts from the graze point that a scan of a_scan
+    finds at the midpoint of tau_bracket (which does not confine tau).  Its
+    Jacobian takes forward differences with step 1e-6; each step is halved
+    until a lies in a_scan, tau >= 0.1, Re y > 1 and |F| decreases.  Every
+    monodromy evaluation, stencil points included, counts against
+    max_evals; exhausting it or a singular Jacobian raises MaxIterations.
+    The dodecahedral solve takes 21 evaluations.
     """
-    total = 0
-    grazes = []  # (tau, graze t, slope of Im z) of every tau step so far
+    evals = 0
 
-    def graze_y(tau):
-        nonlocal total
-        warm = None
-        if grazes and grazes[-1][2]:
-            tau_b, t_b, slope = grazes[-1]
-            if len(grazes) > 1:
-                tau_a, t_a, _ = grazes[-2]
-                t_b += (t_b - t_a) / (tau_b - tau_a) * (tau - tau_b)
-            warm = (min(max(t_b, a_scan[0]), a_scan[1]), slope)
-        t_star, m, slope, used = _graze_point(
-            r, tau, math.pi / (4.0 * tau), a_scan, n_scan, tol_im,
-            budget_per_stage, steps, warm,
-        )
-        total += used
-        grazes.append((tau, t_star, slope))
-        return t_star, m
+    def ev(a, tau):
+        nonlocal evals
+        if evals >= max_evals:
+            raise MaxIterations(f"budget of {max_evals} monodromy evaluations")
+        evals += 1
+        m = _on_slice(a, tau, r, steps)
+        return complex(m.z).imag, m
 
-    tau0, tau1 = float(tau_bracket[0]), float(tau_bracket[1])
-    t0, m0 = graze_y(tau0)
-    g0 = complex(m0.y).real - y_target
-    if abs(g0) <= tol_root:
-        return LocusMatchResult(tau0, complex(t0, 0.0), m0, total)
-    t1, m1 = graze_y(tau1)
-    g1 = complex(m1.y).real - y_target
-    for _ in range(max_outer):
-        if abs(g1) <= tol_root:
-            return LocusMatchResult(tau1, complex(t1, 0.0), m1, total)
-        if g1 == g0:
-            raise MaxIterations("locus matching stalled (flat secant)")
-        tau2 = tau1 - g1 * (tau1 - tau0) / (g1 - g0)
-        if tau2 <= 0.05:
-            tau2 = 0.5 * (tau0 + tau1)
-        t1_new, m2 = graze_y(tau2)
-        tau0, g0 = tau1, g1
-        tau1, g1, t1, m1 = tau2, complex(m2.y).real - y_target, t1_new, m2
-    raise MaxIterations(f"locus matching did not converge in {max_outer} tau steps")
+    def residual(m):
+        return np.array([complex(m.z).imag, complex(m.y).real - y_target])
+
+    tau = 0.5 * (float(tau_bracket[0]) + float(tau_bracket[1]))
+    a, m = _graze_point(lambda t: ev(t, tau), a_scan, n_scan, tol_im)
+    f, h = residual(m), 1e-6
+    while abs(f[0]) > tol_im or abs(f[1]) > tol_root:
+        stencil = [residual(ev(a + h, tau)[1]), residual(ev(a, tau + h)[1])]
+        jac = (np.column_stack(stencil) - f[:, None]) / h
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            raise MaxIterations("singular finite-difference Jacobian") from None
+        for halvings in range(64):
+            a_new, tau_new = (a, tau) + step / 2**halvings
+            if a_scan[0] <= a_new <= a_scan[1] and tau_new >= 0.1:
+                m_new = ev(a_new, tau_new)[1]
+                f_new = residual(m_new)
+                if complex(m_new.y).real > 1.0 and np.linalg.norm(f_new) < np.linalg.norm(f):
+                    break
+        else:
+            raise MaxIterations("no step along the Newton direction decreases |F|")
+        a, tau, m, f = float(a_new), float(tau_new), m_new, f_new
+    return LocusMatchResult(tau, complex(a, 0.0), m, evals)
 
 
 @dataclass
@@ -797,8 +768,7 @@ def jacobian_rank(
         )
 
     def xy(a_val, tau_val):
-        chi0 = math.pi / (4.0 * tau_val)
-        res = monodromies(ConnectionParams(a_val, chi0, r, tau_val), steps, rtol)
+        res = _on_slice(a_val, tau_val, r, steps, rtol)
         return np.array([complex(res.x).real, complex(res.y).real])
 
     col_a = (xy(a + h, tau) - xy(a - h, tau)) / (2.0 * h)

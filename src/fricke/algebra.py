@@ -47,10 +47,6 @@ def norm_inf(m):
     return float(np.max(np.abs(m)))
 
 
-def is_unimodular(m, tol=TOL_ALG):
-    return abs(det(m) - 1.0) <= tol
-
-
 def normalize(m):
     """Rescale so det = 1; raises if the determinant vanishes."""
     d = det(m)

@@ -24,8 +24,8 @@ from . import __version__, abelmono, algebra, charvar, covering, dodeca, lorentz
 USAGE_EXIT = 2
 CHECK_EXIT = 1
 FORMATS = ("json", "csv", "text")
-# The verbs that can write a format other than json, and the one each writes.
-VERB_FORMATS = {"verify": "text", "locus": "csv"}
+# The formats each verb can write; a verb not listed writes json only.
+VERB_FORMATS = {"verify": ("json", "text"), "locus": ("csv",)}
 
 
 class CliInputError(ValueError):
@@ -39,7 +39,7 @@ class RunConfig:
     tol_mono: float = abelmono.TOL_MONO
     tol_root: float = abelmono.TOL_ROOT
     steps: int = abelmono.DEFAULT_STEP_BUDGET
-    format: str = "json"
+    format: str | None = None  # None: the verb's own default
 
     def __post_init__(self):
         for name, value in self.tolerances().items():
@@ -47,7 +47,7 @@ class RunConfig:
                 raise CliInputError(f"{name} must be positive and finite")
         if self.steps < 100:
             raise CliInputError("panel budget (steps) must be >= 100")
-        if self.format not in FORMATS:
+        if self.format is not None and self.format not in FORMATS:
             raise CliInputError(f"unknown output format {self.format!r}")
 
     def tolerances(self):
@@ -89,7 +89,7 @@ def parse_complex(text: str) -> complex:
 def load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    types = {f.name: type(f.default) for f in fields(RunConfig)}
+    types = {f.name: str if f.default is None else type(f.default) for f in fields(RunConfig)}
     values = {}
     try:
         text = Path(path).read_text()
@@ -144,7 +144,7 @@ def cmd_verify(args, config: RunConfig) -> int:
     tol = args.tol if args.tol is not None else config.tol_alg
     checks = dodeca.verify_theorem91(tol)
     passed = dodeca.theorem91_passed(checks)
-    if args.json or config.format == "json":
+    if args.json or config.format != "text":
         payload = {
             "target": "dodeca",
             "passed": passed,
@@ -635,7 +635,7 @@ def dispatch(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = apply_flag_overrides(load_config(args.config), args)
-        if config.format not in ("json", VERB_FORMATS.get(args.verb)):
+        if config.format not in (None, *VERB_FORMATS.get(args.verb, ("json",))):
             raise CliInputError(f"{args.verb} cannot write format {config.format!r}")
         return args.func(args, config)
     except SystemExit as exc:  # --help

@@ -227,6 +227,20 @@ def test_transport_fails_fast_near_half_lattice_chi():
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("chi", [1e-2, 1e-3])
+def test_ill_conditioned_monodromy_is_non_generic(chi):
+    """Near chi = 0 the entries of Y outgrow double precision (chi = 1e-3: ~1e67)."""
+    t0 = time.perf_counter()
+    with pytest.raises(am.NonGenericChi, match="condition number"):
+        am.monodromies(am.ConnectionParams(0.2, chi, R, TAU))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_conditioning_gate_keeps_moderate_chi():
+    m = am.monodromies(am.ConnectionParams(0.2, 0.03, R, TAU))
+    assert max(np.max(np.abs(m.X)), np.max(np.abs(m.Y))) ** 2 * np.finfo(float).eps < 1e-11
+
+
 # ---------------------------------------------------------------------------
 # monodromies
 
@@ -435,37 +449,52 @@ def test_match_on_locus_slice_without_graze_point():
 
 
 def test_match_on_locus_stage_budget():
+    """One max_evals budget covers every stage of the solve, the first scan included."""
     with pytest.raises(am.MaxIterations):
-        am.match_on_locus(YSTAR, R, budget_per_stage=5)
+        am.match_on_locus(YSTAR, R, max_evals=5)
 
 
-def test_graze_point_warm_start():
-    """Every warm start lands on the graze point that the cold scan finds."""
-    tau = 2.0
-    args = (R, tau, math.pi / (4.0 * tau), (0.02, 1.8), 30, 1e-10, 120, am.DEFAULT_STEP_BUDGET)
-    t_cold, _, slope, used_cold = am._graze_point(*args)
-    # On the graze point itself: one evaluation, no bracket.
-    t, _, _, used = am._graze_point(*args, warm=(t_cold, slope))
-    assert (t, used) == (t_cold, 1)
-    # Far off but aimed right: the doubling search brackets the root.
-    t, _, _, used = am._graze_point(*args, warm=(t_cold - 0.4, slope))
-    assert abs(t - t_cold) <= 1e-9 and used < used_cold
-    # Aimed away: the search runs to the end of a_scan, then the cold scan
-    # finds the same bracket and Illinois the same point.
-    t, _, _, used = am._graze_point(*args, warm=(t_cold + 0.3, -slope))
-    assert t == t_cold and used > used_cold
+@pytest.mark.parametrize(
+    "y_target, tau",
+    [(2.05, 1.393192), (2.15, 2.175828), (2.4, 3.479566), (2.6, 4.308709), (3.0, 5.746428)],
+)
+def test_match_on_locus_targets(y_target, tau):
+    """Newton from the bracket midpoint reaches targets whose tau lies outside the bracket."""
+    res = am.match_on_locus(y_target, R)
+    assert abs(res.tau - tau) <= 1e-5
+    assert abs(complex(res.result.y).real - y_target) <= 1e-6
+    assert abs(complex(res.result.z).imag) <= 1e-10
+    assert res.evaluations <= 40
 
 
-def test_graze_point_scan_reuses_warm_evaluations(monkeypatch):
-    """A warm search clamped to a_scan[0] hands that point to the scan, not back to monodromies."""
-    tau = 2.0
-    args = (R, tau, math.pi / (4.0 * tau), (0.02, 1.8), 30, 1e-10, 120, am.DEFAULT_STEP_BUDGET)
-    t_cold, _, slope, _ = am._graze_point(*args)
+def test_match_on_locus_halves_overshooting_steps():
+    """Near the low end of the locus, full Newton steps from tau = 2.75 overshoot (y = 2.02)."""
+    res = am.match_on_locus(2.02, R)
+    assert abs(res.tau - 1.027230) <= 1e-5
+    assert abs(complex(res.result.y).real - 2.02) <= 1e-6
+    assert abs(complex(res.result.z).imag) <= 1e-10
+
+
+@pytest.mark.parametrize("tau_bracket", [(2.0, 3.5), (2.6, 3.2)])
+def test_match_on_locus_counts_every_evaluation(monkeypatch, tau_bracket):
+    """evaluations is the number of monodromies calls, finite-difference stencil included."""
     calls = _count_monodromies(monkeypatch)
-    t, _, _, used = am._graze_point(*args, warm=(0.151, -slope))
-    assert 0.02 in calls
-    assert len(calls) == len(set(calls)) == used
-    assert t == t_cold
+    res = am.match_on_locus(YSTAR, R, tau_bracket=tau_bracket)
+    assert res.evaluations == len(calls) <= 25
+    assert 2.9528 < res.tau < 2.9530
+    assert abs(complex(res.result.z).imag) <= 1e-10
+
+
+def test_match_on_locus_singular_jacobian(monkeypatch):
+    """An exactly singular finite-difference Jacobian raises MaxIterations, not LinAlgError."""
+    monodromies = am.monodromies
+
+    def frozen_tau(params, *args, **kwargs):
+        return monodromies(am.ConnectionParams(params.a, math.pi / 11.0, R, 2.75), *args, **kwargs)
+
+    monkeypatch.setattr(am, "monodromies", frozen_tau)
+    with pytest.raises(am.MaxIterations, match="singular"):
+        am.match_on_locus(YSTAR, R)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,8 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         (["jacobian", "--a", "0.3", "--tau", "1", "--r", "0.1", "--h", "0"], "input"),
         # tau = 0.05 is in range, but the theta series fails the Legendre check there
         (["monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.1", "--tau", "0.05"], "check"),
+        # chi = 1e-3 is generic, but its monodromy is too ill-conditioned to check
+        (["monodromy", "--a", "0.2", "--chi", "0.001", "--r", "0.1", "--tau", "1"], "input"),
     ],
 )
 def test_parameter_errors_are_typed(capsys, argv, kind):
@@ -299,9 +301,20 @@ def test_non_finite_tolerance_config_rejected(tmp_path, capsys):
     [
         ["--format", "csv", *MONODROMY],
         ["--format", "text", "locus", "--r", "0.1", "--n", "3"],
+        ["--format", "json", "locus", "--r", "0.1", "--n", "2", "--no-refine"],
     ],
 )
 def test_format_the_verb_cannot_write_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("E:input:")
+
+
+def test_format_config_line_the_verb_cannot_write_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=json\n")
+    code, out, err = run(
+        capsys, "--config", str(cfg), "locus", "--r", "0.1", "--n", "2", "--no-refine"
+    )
     assert (code, out) == (2, "")
     assert err.startswith("E:input:")
