@@ -17,6 +17,8 @@ keeps everything real-coefficient and well-conditioned for tau in [0.2, 5].
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +28,14 @@ from . import algebra, charvar
 
 TOL_MONO = 1e-6
 TOL_ROOT = 1e-6
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-13
+TOL_IM = 1e-10  # |Im z| below which match_on_locus takes a point as real
+TOL_ETA = 1e-12  # eta_case's tolerance on real and imaginary parts
+TOL_SLICE = 1e-9  # how far chi0 may lie from an eta-admissible line
+RANK_FLOOR = 1e3 * TOL_MONO  # jacobian_rank's floor on the smaller singular value
+TRANSPORT_RTOL = 1e-10
+TRANSPORT_ATOL = 1e-13
 DEFAULT_STEP_BUDGET = 10_000
+TAU_MIN, TAU_MAX = 1e-3, 1e3  # the moduli a RectangularLattice is built for
 
 TWO_PI_I = 2j * math.pi
 
@@ -38,7 +45,7 @@ class AbelMonoError(ValueError):
 
 
 class ParameterOutOfRange(AbelMonoError):
-    """An input parameter (r, tau, a section sign, a step size) lies outside its domain."""
+    """An input (a, chi, r, tau, a section sign, a step, a count) lies outside its domain."""
 
 
 class NonGenericChi(AbelMonoError):
@@ -70,7 +77,7 @@ class SlicePreconditionError(AbelMonoError):
 
 
 class RectangularLattice:
-    """Theta-series data for the lattice Z + i tau Z, tau > 0.
+    """Theta-series data for the lattice Z + i tau Z, TAU_MIN <= tau <= TAU_MAX.
 
     Provides the odd entire function sigma with sigma(w)/w -> 1 at 0 and
     sigma(w + omega_i) = -exp(eta_i (w + omega_i/2)) sigma(w) for the full
@@ -80,22 +87,15 @@ class RectangularLattice:
     """
 
     def __init__(self, tau: float):
-        if tau <= 0:
-            raise ParameterOutOfRange("tau must be positive")
+        if not TAU_MIN <= tau <= TAU_MAX:
+            raise ParameterOutOfRange(f"tau must lie in [{TAU_MIN:g}, {TAU_MAX:g}], got {tau}")
         self.tau = float(tau)
-        self.q = math.exp(-math.pi * tau)
-        n_terms = max(6, int(math.ceil(math.sqrt(80.0 / (math.pi * tau)) + 2)))
-        n = np.arange(n_terms)
-        self._odd = 2.0 * n + 1.0
-        self._coef = 2.0 * (-1.0) ** n * self.q ** ((n + 0.5) ** 2)
-        self._theta1_d0 = float(np.dot(self._coef, self._odd))
-        theta1_d3 = -float(np.dot(self._coef, self._odd**3))
-        self.eta1 = -(math.pi**2 / 3.0) * theta1_d3 / self._theta1_d0
+        self._odd, self._coef, self._theta1_d0, self.eta1 = _theta_series(self.tau)
         self.eta2 = self.eta1 * (1j * tau) - TWO_PI_I
         self.legendre_residual = abs(
-            self.eta1 * (1j * tau) - _eta1_of(1.0 / tau) / (1j * tau) - TWO_PI_I
+            self.eta1 * (1j * tau) - _theta_series(1.0 / tau)[3] / (1j * tau) - TWO_PI_I
         )
-        if self.legendre_residual > 1e-10:
+        if not self.legendre_residual <= 1e-10:
             raise AbelMonoError(
                 f"Legendre relation residual {self.legendre_residual:.2e} at tau={tau}"
             )
@@ -117,24 +117,30 @@ class RectangularLattice:
         return np.hypot(dx, dy)
 
 
-def _eta1_of(tau: float) -> float:
+def _theta_series(tau: float):
+    """theta1(v) = sum_n coef_n sin(odd_n v) in the nome q = exp(-pi tau), and eta1.
+
+    odd_n = 2n + 1 and coef_n = 2 (-1)^n q^((n+1/2)^2) for
+    n < max(6, ceil(sqrt(80/(pi tau)) + 2)), so the first omitted term is
+    below exp(-80).  Returns (odd, coef, theta1'(0), eta1) with
+    eta1 = -(pi^2/3) theta1'''(0) / theta1'(0).  A theta1'(0) that rounds
+    to 0 (the nome underflows, or the alternating series cancels) raises
+    AbelMonoError.
+    """
     q = math.exp(-math.pi * tau)
     n = np.arange(max(6, int(math.ceil(math.sqrt(80.0 / (math.pi * tau)) + 2))))
     odd = 2.0 * n + 1.0
     coef = 2.0 * (-1.0) ** n * q ** ((n + 0.5) ** 2)
-    return -(math.pi**2 / 3.0) * (-float(np.dot(coef, odd**3))) / float(np.dot(coef, odd))
+    theta1_d0 = float(np.dot(coef, odd))
+    if theta1_d0 == 0.0:
+        raise AbelMonoError(f"theta1'(0) rounds to 0 at tau={tau}")
+    theta1_d3 = -float(np.dot(coef, odd**3))
+    return odd, coef, theta1_d0, -(math.pi**2 / 3.0) * theta1_d3 / theta1_d0
 
 
-_LATTICE_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=256)
 def lattice(tau: float) -> RectangularLattice:
-    key = float(tau)
-    if key not in _LATTICE_CACHE:
-        if len(_LATTICE_CACHE) > 256:
-            _LATTICE_CACHE.clear()
-        _LATTICE_CACHE[key] = RectangularLattice(key)
-    return _LATTICE_CACHE[key]
+    return RectangularLattice(float(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +155,12 @@ class ConnectionParams:
     tau: float
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.a) and cmath.isfinite(self.chi)):
+            raise ParameterOutOfRange("a and chi must be finite")
         if not 0.0 < self.r < 0.5:
             raise ParameterOutOfRange("r must lie in (0, 1/2)")
-        if self.tau <= 0:
-            raise ParameterOutOfRange("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ParameterOutOfRange("tau must be positive and finite")
 
 
 class BakerSection:
@@ -176,15 +184,9 @@ class BakerSection:
             raise NonGenericChi(
                 f"chi = {chi} is (numerically) a half-lattice point of the Jacobian"
             )
-        beta = -lam * (lat.eta2 + 1j * tau * lat.eta1) / TWO_PI_I
-        self.sign = sign
-        self.chi = complex(chi)
-        self.r = float(r)
-        self.tau = float(tau)
         self.lam = lam
         self.p = p
-        self.beta = beta
-        self.residue = float(r)
+        self.beta = -lam * (lat.eta2 + 1j * tau * lat.eta1) / TWO_PI_I
         self._lat = lat
         self.scale = -r / lat.sigma(p)
 
@@ -347,19 +349,16 @@ def _magnus_product(form: ConnectionForm, path: TorusPath, n: int) -> np.ndarray
 
 
 def parallel_transport(
-    form: ConnectionForm,
-    path: TorusPath,
-    steps: int = DEFAULT_STEP_BUDGET,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
+    form: ConnectionForm, path: TorusPath, steps: int = DEFAULT_STEP_BUDGET
 ) -> TransportResult:
     """Solve Psi' = -(A_w wdot + A_wbar conj(wdot)) Psi, Psi(0) = Id, over the path.
 
     The 4th-order Magnus product on N panels is compared with the one on 2N
     panels, from N = 32 on, doubling N until max|P_2N - P_N| / 15 <=
-    atol + rtol max|P_2N|; P_2N is returned.  steps caps the panel count,
-    and a non-finite product fails at once.  No renormalization is applied;
-    the determinant drift of the result is reported.
+    TRANSPORT_ATOL + TRANSPORT_RTOL max|P_2N|; P_2N is returned.  steps caps
+    the panel count, and a non-finite product fails at once.  No
+    renormalization is applied; the determinant drift of the result is
+    reported.
     """
     n, coarse = _FIRST_PANELS, None
     with np.errstate(all="ignore"):
@@ -369,7 +368,7 @@ def parallel_transport(
                 raise StepLimitExceeded(f"{path.label}: non-finite panel product at {n} panels")
             if coarse is not None:
                 err = float(np.max(np.abs(fine - coarse))) / 15.0
-                if err <= atol + rtol * float(np.max(np.abs(fine))):
+                if err <= TRANSPORT_ATOL + TRANSPORT_RTOL * float(np.max(np.abs(fine))):
                     return TransportResult(fine, abs(algebra.det(fine) - 1.0), n, err)
             n, coarse = 2 * n, fine
     raise StepLimitExceeded(f"{path.label}: budget of {steps} panels")
@@ -391,16 +390,8 @@ class MonodromyResult:
     commutator_residual: float
     det_drift: float
 
-    def astuple(self):
-        return (self.x, self.y, self.z)
 
-
-def monodromies(
-    params: ConnectionParams,
-    steps: int = DEFAULT_STEP_BUDGET,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> MonodromyResult:
+def monodromies(params: ConnectionParams, steps: int = DEFAULT_STEP_BUDGET) -> MonodromyResult:
     """Monodromy matrices X, Y along gamma_x, gamma_y and their residuals.
 
     K = Y^-1 X^-1 Y X is the commutator-loop monodromy (loops composed
@@ -409,8 +400,8 @@ def monodromies(
     condition number max|entry|^2 of X or Y times eps exceeds TOL_MONO.
     """
     form = ConnectionForm(params)
-    tx = parallel_transport(form, gamma_x(params.tau), steps, rtol, atol)
-    ty = parallel_transport(form, gamma_y(params.tau), steps, rtol, atol)
+    tx = parallel_transport(form, gamma_x(params.tau), steps)
+    ty = parallel_transport(form, gamma_y(params.tau), steps)
     X, Y = tx.matrix, ty.matrix
     kappa = max(algebra.norm_inf(X), algebra.norm_inf(Y)) ** 2
     if kappa * np.finfo(float).eps > TOL_MONO:
@@ -428,7 +419,7 @@ def monodromies(
     )
 
 
-def eta_case(a, chi, tau: float, tol: float = 1e-12):
+def eta_case(a, chi, tau: float):
     """Which eta-invariance condition (a, chi) satisfies, as (case, k), or None.
 
     Case 1: chi, a real.  Case 2: chi + k pi i/2 and a - k pi i/2 real.
@@ -437,28 +428,28 @@ def eta_case(a, chi, tau: float, tol: float = 1e-12):
     """
     a = complex(a)
     chi = complex(chi)
-    if abs(chi.imag) <= tol and abs(a.imag) <= tol:
+    if abs(chi.imag) <= TOL_ETA and abs(a.imag) <= TOL_ETA:
         return (1, 0)
     k = round(-2.0 * chi.imag / math.pi)
     if (
         k != 0
-        and abs(chi.imag + k * math.pi / 2.0) <= tol
-        and abs(a.imag - k * math.pi / 2.0) <= tol
+        and abs(chi.imag + k * math.pi / 2.0) <= TOL_ETA
+        and abs(a.imag - k * math.pi / 2.0) <= TOL_ETA
     ):
         return (2, k)
-    if abs(chi.real) <= tol and abs(a.real) <= tol:
+    if abs(chi.real) <= TOL_ETA and abs(a.real) <= TOL_ETA:
         return (3, 0)
     k = round(-2.0 * tau * chi.real / math.pi)
     if (
         k != 0
-        and abs(chi.real + k * math.pi / (2.0 * tau)) <= tol
-        and abs(a.real - k * math.pi / (2.0 * tau)) <= tol
+        and abs(chi.real + k * math.pi / (2.0 * tau)) <= TOL_ETA
+        and abs(a.real - k * math.pi / (2.0 * tau)) <= TOL_ETA
     ):
         return (4, k)
     return None
 
 
-def _slice_parametrization(chi0: complex, tau: float, tol: float = 1e-9):
+def _slice_parametrization(chi0: complex, tau: float):
     """Map t in R to the admissible a-line paired with chi0, or raise.
 
     For chi0 with Im chi0 in (pi/2) Z the line is a(t) = t - i Im chi0
@@ -467,11 +458,11 @@ def _slice_parametrization(chi0: complex, tau: float, tol: float = 1e-9):
     """
     chi0 = complex(chi0)
     k_im = round(2.0 * chi0.imag / math.pi)
-    if abs(chi0.imag - k_im * math.pi / 2.0) <= tol:
-        return lambda t: complex(t, -chi0.imag), "real"
+    if abs(chi0.imag - k_im * math.pi / 2.0) <= TOL_SLICE:
+        return lambda t: complex(t, -chi0.imag)
     k_re = round(2.0 * tau * chi0.real / math.pi)
-    if abs(chi0.real - k_re * math.pi / (2.0 * tau)) <= tol:
-        return lambda t: complex(-chi0.real, t), "imaginary"
+    if abs(chi0.real - k_re * math.pi / (2.0 * tau)) <= TOL_SLICE:
+        return lambda t: complex(-chi0.real, t)
     raise SlicePreconditionError(
         f"chi0 = {chi0} does not lie on an eta-admissible line for tau = {tau}"
     )
@@ -538,7 +529,6 @@ def real_locus_sweep(
     tol: float = TOL_MONO,
     refine: bool = True,
     steps: int = DEFAULT_STEP_BUDGET,
-    rtol: float = DEFAULT_RTOL,
 ) -> SweepResult:
     """Sweep a along the admissible line through chi0, flagging real points.
 
@@ -549,10 +539,12 @@ def real_locus_sweep(
     the point is inserted as a refined row; a crossing that 48 evaluations
     do not close adds no row.
     """
-    line, _kind = _slice_parametrization(chi0, tau)
+    if n < 1:
+        raise ParameterOutOfRange(f"a sweep needs n >= 1 samples, got {n}")
+    line = _slice_parametrization(chi0, tau)
 
     def evaluate(t):
-        res = monodromies(ConnectionParams(line(t), chi0, r, tau), steps, rtol)
+        res = monodromies(ConnectionParams(line(t), chi0, r, tau), steps)
         return SweepRow(
             t,
             line(t),
@@ -592,6 +584,11 @@ def real_locus_sweep(
     return SweepResult(rows, r, tau, chi0)
 
 
+def _require_finite(*values):
+    if not all(math.isfinite(v) for v in values):
+        raise ParameterOutOfRange(f"target and bracket must be finite, got {values}")
+
+
 @dataclass
 class MatchResult:
     a: complex
@@ -609,14 +606,14 @@ def match_y(
     tol_root: float = TOL_ROOT,
     max_evals: int = 60,
     steps: int = DEFAULT_STEP_BUDGET,
-    rtol: float = DEFAULT_RTOL,
 ) -> MatchResult:
     """Root-find a on the admissible slice so that tr Y matches y_target.
 
     Safeguarded secant (Illinois) inside a straddling bracket; the
     returned monodromy satisfies |Re y - y_target| <= tol_root.
     """
-    line, _kind = _slice_parametrization(chi0, tau)
+    _require_finite(y_target, *bracket)
+    line = _slice_parametrization(chi0, tau)
     evals = 0
 
     def g(t):
@@ -624,7 +621,7 @@ def match_y(
         if evals >= max_evals:
             raise MaxIterations(f"budget of {max_evals} monodromy evaluations")
         evals += 1
-        res = monodromies(ConnectionParams(line(t), chi0, r, tau), steps, rtol)
+        res = monodromies(ConnectionParams(line(t), chi0, r, tau), steps)
         return complex(res.y).real - y_target, res
 
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
@@ -650,27 +647,27 @@ class LocusMatchResult:
     evaluations: int
 
 
-def _on_slice(a, tau, r, steps, rtol=DEFAULT_RTOL) -> MonodromyResult:
+def _on_slice(a, tau, r, steps) -> MonodromyResult:
     """Monodromies at a on the trivializing slice chi0 = pi/(4 tau)."""
-    return monodromies(ConnectionParams(a, math.pi / (4.0 * tau), r, tau), steps, rtol)
+    return monodromies(ConnectionParams(a, math.pi / (4.0 * tau), r, tau), steps)
 
 
-def _graze_point(ev, a_scan, n_scan, tol_im):
+def _graze_point(ev, a_scan, n_scan):
     """Locate the isolated real point (Im z sign change) on a fixed-tau slice.
 
     ev(t) returns (Im z, monodromy) at a = t.  n_scan points of a_scan are
     scanned from its start; points where y <= 1 neither end a bracket nor
-    count as real.  Illinois closes the first bracket to |Im z| <= tol_im.
+    count as real.  Illinois closes the first bracket to |Im z| <= TOL_IM.
     Returns (t, monodromy).
     """
     t0 = f0 = None
     for t in np.linspace(a_scan[0], a_scan[1], n_scan):
         f, m = ev(t)
         if complex(m.y).real > 1.0:
-            if abs(f) <= tol_im:
+            if abs(f) <= TOL_IM:
                 return t, m
             if f0 is not None and f0 * f < 0:
-                return _illinois(ev, t0, f0, t, f, tol_im)
+                return _illinois(ev, t0, f0, t, f, TOL_IM)
         t0, f0 = t, f
     raise BracketDoesNotStraddle(f"no real point found on the slice over a in {a_scan}")
 
@@ -682,7 +679,6 @@ def match_on_locus(
     a_scan=(0.02, 1.8),
     n_scan: int = 30,
     tol_root: float = TOL_ROOT,
-    tol_im: float = 1e-10,
     max_evals: int = 60,
     steps: int = DEFAULT_STEP_BUDGET,
 ) -> LocusMatchResult:
@@ -702,6 +698,7 @@ def match_on_locus(
     max_evals; exhausting it or a singular Jacobian raises MaxIterations.
     The dodecahedral solve takes 21 evaluations.
     """
+    _require_finite(y_target, *tau_bracket)
     evals = 0
 
     def ev(a, tau):
@@ -716,9 +713,9 @@ def match_on_locus(
         return np.array([complex(m.z).imag, complex(m.y).real - y_target])
 
     tau = 0.5 * (float(tau_bracket[0]) + float(tau_bracket[1]))
-    a, m = _graze_point(lambda t: ev(t, tau), a_scan, n_scan, tol_im)
+    a, m = _graze_point(lambda t: ev(t, tau), a_scan, n_scan)
     f, h = residual(m), 1e-6
-    while abs(f[0]) > tol_im or abs(f[1]) > tol_root:
+    while abs(f[0]) > TOL_IM or abs(f[1]) > tol_root:
         stencil = [residual(ev(a + h, tau)[1]), residual(ev(a, tau + h)[1])]
         jac = (np.column_stack(stencil) - f[:, None]) / h
         try:
@@ -751,29 +748,27 @@ def jacobian_rank(
     tau: float,
     r: float,
     h: float = 1e-4,
-    rank_floor: float = 1e3 * TOL_MONO,
     steps: int = DEFAULT_STEP_BUDGET,
-    rtol: float = DEFAULT_RTOL,
 ) -> JacobianResult:
     """Finite-difference Jacobian of (a, tau) -> (x, y) on the slice chi0 = pi/(4 tau).
 
-    Rank 2 is declared when the smaller singular value exceeds rank_floor.
+    Rank 2 is declared when the smaller singular value exceeds RANK_FLOOR.
     The excluded center a0 = -pi/(4 tau) must be at distance >= 0.05.
     """
-    if h <= 0:
-        raise ParameterOutOfRange("finite-difference step h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ParameterOutOfRange("finite-difference step h must be positive and finite")
     if abs(a - (-math.pi / (4.0 * tau))) < 0.05:
         raise SlicePreconditionError(
             "a is within 0.05 of the excluded point -pi/(4 tau)"
         )
 
     def xy(a_val, tau_val):
-        res = _on_slice(a_val, tau_val, r, steps, rtol)
+        res = _on_slice(a_val, tau_val, r, steps)
         return np.array([complex(res.x).real, complex(res.y).real])
 
     col_a = (xy(a + h, tau) - xy(a - h, tau)) / (2.0 * h)
     col_tau = (xy(a, tau + h) - xy(a, tau - h)) / (2.0 * h)
     jac = np.column_stack([col_a, col_tau])
     svals = np.linalg.svd(jac, compute_uv=False)
-    rank = int(np.sum(svals > rank_floor))
+    rank = int(np.sum(svals > RANK_FLOOR))
     return JacobianResult(jac, (float(svals[0]), float(svals[1])), rank, h)

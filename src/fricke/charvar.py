@@ -220,7 +220,7 @@ def classify_real(t: TraceCoords, w: Weight, tol=TOL_CHAR):
     sign-change description of the four non-compact components.
     """
     res = fricke_torus_residual(*t.astuple(), w.r)
-    if abs(res) > tol:
+    if not abs(res) <= tol:
         raise OffVariety(f"character-equation residual {abs(res):.3e} exceeds {tol:.1e}")
     coords = t.astuple()
     reals = []

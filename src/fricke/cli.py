@@ -10,6 +10,7 @@ identical up to the version comment line).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
@@ -26,6 +27,7 @@ CHECK_EXIT = 1
 FORMATS = ("json", "csv", "text")
 # The formats each verb can write; a verb not listed writes json only.
 VERB_FORMATS = {"verify": ("json", "text"), "locus": ("csv",)}
+SVG_WIDTH, SVG_HEIGHT = 640, 480
 
 
 class CliInputError(ValueError):
@@ -65,25 +67,37 @@ _COMPLEX_RE = re.compile(
 )
 
 
+def finite_float(text: str) -> float:
+    """argparse type of every float flag: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def parse_complex(text: str) -> complex:
-    """Parse the flag syntax RE+IMi (either part optional, signs allowed)."""
+    """Parse the flag syntax RE+IMi (either part optional, signs allowed); finite parts only."""
     s = text.strip().replace(" ", "")
     if not s:
         raise CliInputError("empty complex literal")
     if s.endswith("i"):
         m = _COMPLEX_RE.match(s)
-        if m and (m.group("re") or m.group("im")):
-            re_part = m.group("re")
-            im_part = m.group("im")
-            if im_part is None:
-                # pure imaginary like '0.2i' or '-0.2i'
-                return complex(0.0, float(re_part))
-            return complex(float(re_part or 0.0), float(im_part))
-        raise CliInputError(f"cannot parse complex literal {text!r}")
-    try:
-        return complex(float(s), 0.0)
-    except ValueError as exc:
-        raise CliInputError(f"cannot parse complex literal {text!r}") from exc
+        if not (m and (m.group("re") or m.group("im"))):
+            raise CliInputError(f"cannot parse complex literal {text!r}")
+        re_part, im_part = m.group("re"), m.group("im")
+        if im_part is None:
+            # pure imaginary like '0.2i' or '-0.2i'
+            value = complex(0.0, float(re_part))
+        else:
+            value = complex(float(re_part or 0.0), float(im_part))
+    else:
+        try:
+            value = complex(float(s), 0.0)
+        except ValueError as exc:
+            raise CliInputError(f"cannot parse complex literal {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise CliInputError(f"complex literal {text!r} is not finite")
+    return value
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -331,7 +345,7 @@ def locus_rows_to_csv(result: abelmono.SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_locus_svg(result: abelmono.SweepResult, width=640, height=480) -> str:
+def emit_locus_svg(result: abelmono.SweepResult) -> str:
     """Standalone SVG: flagged-real sample points, analytic overlay, axes.
 
     The dodecahedral point is marked when r = 1/10.  Raises on an empty
@@ -357,16 +371,16 @@ def emit_locus_svg(result: abelmono.SweepResult, width=640, height=480) -> str:
     margin = 50.0
 
     def to_px(x, y):
-        px = margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
-        py = height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+        px = margin + (x - x_lo) / (x_hi - x_lo) * (SVG_WIDTH - 2 * margin)
+        py = SVG_HEIGHT - margin - (y - y_lo) / (y_hi - y_lo) * (SVG_HEIGHT - 2 * margin)
         return px, py
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f"<!-- fricke locus svg v{__version__} -->",
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
     ax_x0, ax_y0 = to_px(x_lo, y_lo)
     ax_x1, ax_y1 = to_px(x_hi, y_hi)
@@ -379,12 +393,12 @@ def emit_locus_svg(result: abelmono.SweepResult, width=640, height=480) -> str:
         'stroke="black" stroke-width="1"/>'
     )
     parts.append(
-        f'<text x="{width/2:.0f}" y="{height-12}" font-size="13" text-anchor="middle">'
+        f'<text x="{SVG_WIDTH/2:.0f}" y="{SVG_HEIGHT-12}" font-size="13" text-anchor="middle">'
         "x = tr X</text>"
     )
     parts.append(
-        f'<text x="14" y="{height/2:.0f}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 14 {height/2:.0f})">y = tr Y</text>'
+        f'<text x="14" y="{SVG_HEIGHT/2:.0f}" font-size="13" text-anchor="middle" '
+        f'transform="rotate(-90 14 {SVG_HEIGHT/2:.0f})">y = tr Y</text>'
     )
     if overlay:
         path = " ".join(
@@ -549,17 +563,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Character varieties, numerical monodromy and the dodecahedral lattice checks",
     )
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--tol-alg", dest="tol_alg", type=float)
-    parser.add_argument("--tol-char", dest="tol_char", type=float)
-    parser.add_argument("--tol-mono", dest="tol_mono", type=float)
-    parser.add_argument("--tol-root", dest="tol_root", type=float)
+    parser.add_argument("--tol-alg", dest="tol_alg", type=finite_float)
+    parser.add_argument("--tol-char", dest="tol_char", type=finite_float)
+    parser.add_argument("--tol-mono", dest="tol_mono", type=finite_float)
+    parser.add_argument("--tol-root", dest="tol_root", type=finite_float)
     parser.add_argument("--steps", type=int, help="panel budget per transport")
     parser.add_argument("--format", choices=FORMATS)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("verify", help="run a bundled verification suite")
     p.add_argument("target", choices=("dodeca",))
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=finite_float)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -586,17 +600,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monodromy", help="monodromy of one connection")
     p.add_argument("--a", required=True)
     p.add_argument("--chi", required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
+    p.add_argument("--r", type=finite_float, required=True)
+    p.add_argument("--tau", type=finite_float, required=True)
     p.set_defaults(func=cmd_monodromy)
 
     p = sub.add_parser("locus", help="sweep an eta-invariant slice, flag real points")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--r", type=finite_float, required=True)
+    p.add_argument("--tau", type=finite_float, default=1.0)
     p.add_argument("--chi0", default="pi/(4tau)",
                    help="'pi/(4tau)', 'ipi/4' or an explicit complex value")
-    p.add_argument("--a-min", dest="a_min", type=float, default=0.05)
-    p.add_argument("--a-max", dest="a_max", type=float, default=1.6)
+    p.add_argument("--a-min", dest="a_min", type=finite_float, default=0.05)
+    p.add_argument("--a-max", dest="a_max", type=finite_float, default=1.6)
     p.add_argument("--n", type=int, default=60)
     p.add_argument("--no-refine", action="store_true")
     p.add_argument("--csv", help="write the table to this path")
@@ -604,28 +618,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_locus)
 
     p = sub.add_parser("match", help="root-find a monodromy trace target")
-    p.add_argument("--y-target", dest="y_target", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--y-target", dest="y_target", type=finite_float, required=True)
+    p.add_argument("--r", type=finite_float, required=True)
+    p.add_argument("--tau", type=finite_float, default=1.0)
     p.add_argument("--chi0", default="pi/(4tau)")
     p.add_argument("--bracket", default="0.05,1.5", help="t_lo,t_hi along the slice")
     p.add_argument("--on-locus", action="store_true",
                    help="match along the real locus by moving tau")
-    p.add_argument("--tau-min", dest="tau_min", type=float, default=2.0)
-    p.add_argument("--tau-max", dest="tau_max", type=float, default=3.5)
+    p.add_argument("--tau-min", dest="tau_min", type=finite_float, default=2.0)
+    p.add_argument("--tau-max", dest="tau_max", type=finite_float, default=3.5)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("jacobian", help="finite-difference rank check on the real slice")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--h", type=float, default=1e-4)
+    p.add_argument("--a", type=finite_float, required=True)
+    p.add_argument("--tau", type=finite_float, required=True)
+    p.add_argument("--r", type=finite_float, required=True)
+    p.add_argument("--h", type=finite_float, default=1e-4)
     p.set_defaults(func=cmd_jacobian)
 
     p = sub.add_parser("spin", help="spin classes and grafting bookkeeping")
     p.add_argument("--state", required=True, help="initial class, e.g. '+,-'")
     p.add_argument("--graft", default="", help="sequence of grafts, e.g. 'xyy'")
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--tau", type=finite_float, default=1.0)
     p.set_defaults(func=cmd_spin)
 
     return parser

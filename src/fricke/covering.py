@@ -60,6 +60,8 @@ class SignChoice:
 
 
 DEFAULT_SIGNS = SignChoice(1, -1, -1)
+COHERENCE_SAMPLES = 25  # random generator products the sign coherence test checks
+COHERENCE_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -86,12 +88,6 @@ class CoveringSpec:
     @property
     def sheets(self):
         return genus_of_weight(self.weight) + 1
-
-    @property
-    def character(self):
-        """Images of gamma_1..gamma_4 in Z_sheets."""
-        n = self.sheets
-        return (1 % n, 1 % n, (-1) % n, (-1) % n)
 
 
 def fuchsian_local_monodromies(w: Weight, signs: SignChoice = DEFAULT_SIGNS):
@@ -158,8 +154,7 @@ class TrivialityReport:
         return self.values_central and self.sign_coherent
 
 
-def covering_triviality_check(w: Weight, signs: SignChoice = DEFAULT_SIGNS,
-                              tol=algebra.TOL_ALG, samples=25, seed=7):
+def covering_triviality_check(w: Weight, signs: SignChoice = DEFAULT_SIGNS, tol=algebra.TOL_ALG):
     """Evaluate the abelian system on the covering subgroup generators.
 
     Checks that every Reidemeister-Schreier generator evaluates to +Id or
@@ -194,8 +189,8 @@ def covering_triviality_check(w: Weight, signs: SignChoice = DEFAULT_SIGNS,
 
     coherent = central
     if central:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
+        rng = np.random.default_rng(COHERENCE_SEED)
+        for _ in range(COHERENCE_SAMPLES):
             i, j = rng.integers(0, len(gens), size=2)
             prod = values[i] @ values[j]
             expected = sign_list[i] * sign_list[j]

@@ -14,6 +14,8 @@ import numpy as np
 from . import algebra, charvar, lorentz
 from .lorentz import SQRT5
 
+MAX_ORDER = 64  # the largest finite order order_of looks for
+
 
 @dataclass(frozen=True)
 class DodecaData:
@@ -47,8 +49,7 @@ def build_dodeca() -> DodecaData:
     return DodecaData(gens, j0, tuple(Js))
 
 
-def rsr_check(M1, M2, M3, M4, w: charvar.Weight, tol=algebra.TOL_ALG,
-              max_order=64) -> RSRReport:
+def rsr_check(M1, M2, M3, M4, w: charvar.Weight, tol=algebra.TOL_ALG) -> RSRReport:
     """Check the Real / Symmetric / Rectangular conditions on four monodromies."""
     mats = (M1, M2, M3, M4)
     xt, yt, zt = charvar.sphere_traces(M1, M2, M3)
@@ -68,7 +69,7 @@ def rsr_check(M1, M2, M3, M4, w: charvar.Weight, tol=algebra.TOL_ALG,
     mu = w.mu
     is_symmetric = all(abs(algebra.trace(M) - mu) <= tol for M in mats)
     is_rectangular = abs(traces["tr_M1M3"] - traces["tr_M2M4"]) <= tol
-    order_k = algebra.order_of(M1, max_order, tol)
+    order_k = algebra.order_of(M1, MAX_ORDER, tol)
     genus = None if order_k is None else charvar.genus_for_order(order_k)
     prod = M4 @ M3 @ M2 @ M1
     product_is_identity = algebra.norm_inf(prod - algebra.IDENTITY) <= tol
@@ -107,7 +108,7 @@ def verify_theorem91(tol=algebra.TOL_ALG):
     orders = {"j0": (data.j0, 8), "J1": (J1, 10), "J2": (J2, 10),
               "J3": (J3, 10), "J4": (J4, 10), "g02": (data.generators[(0, 2)], 5)}
     for name, (M, expected) in orders.items():
-        got = algebra.order_of(M, 64, tol)
+        got = algebra.order_of(M, MAX_ORDER, tol)
         checks[f"order_{name}"] = (0.0 if got == expected else 1.0, 0.5)
 
     g02 = data.generators[(0, 2)]

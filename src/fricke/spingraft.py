@@ -80,8 +80,8 @@ def spin_to_chi(s: SpinClass, tau: float) -> complex:
     (+,+) -> 0, (-,+) -> i pi/2, (+,-) -> pi/(2 tau),
     (-,-) -> pi/(2 tau) + i pi/2.
     """
-    if tau <= 0:
-        raise NonPositiveInput("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise NonPositiveInput("tau must be positive and finite")
     chi = 0.0 + 0.0j
     if s.eps_x == -1:
         chi += 0.5j * math.pi
@@ -118,26 +118,21 @@ def verify_spin_dictionary(tau: float, tol: float = 1e-10):
 def hopf_modulus(ell: float) -> float:
     """Conformal modulus of the Hopf annulus glued in by grafting.
 
-    Default model 2 pi / ell (the quotient-annulus modulus for translation
-    length ell); any replacement must stay positive, strictly decreasing
-    and unbounded as ell -> 0.
+    2 pi / ell, the quotient-annulus modulus for translation length ell.
     """
-    if ell <= 0:
-        raise NonPositiveInput("translation length must be positive")
+    if not 0 < ell < math.inf:
+        raise NonPositiveInput("translation length must be positive and finite")
     return 2.0 * math.pi / ell
 
 
-def graft_modulus(tau: float, ell: float, hopf=hopf_modulus) -> float:
+def graft_modulus(tau: float, ell: float) -> float:
     """Rectangular modulus after grafting: harmonic sum with the Hopf modulus.
 
     tau_new = (1/tau + 1/tau_Y)^-1 < tau, strictly increasing in tau.
     """
-    if tau <= 0:
-        raise NonPositiveInput("tau must be positive")
-    tau_y = hopf(ell)
-    if tau_y <= 0:
-        raise NonPositiveInput("hopf modulus must be positive")
-    return 1.0 / (1.0 / tau + 1.0 / tau_y)
+    if not 0 < tau < math.inf:
+        raise NonPositiveInput("tau must be positive and finite")
+    return 1.0 / (1.0 / tau + 1.0 / hopf_modulus(ell))
 
 
 @dataclass(frozen=True)
@@ -150,8 +145,8 @@ class GraftState:
     n_y: int = 0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise NonPositiveInput("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise NonPositiveInput("tau must be positive and finite")
 
     def graft(self, curve: str, ell: float) -> "GraftState":
         return GraftState(

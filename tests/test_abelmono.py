@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -55,6 +56,24 @@ def test_legendre_relation(tau):
 def test_eta1_square_lattice():
     # the square lattice quasi-period is exactly pi
     assert abs(am.lattice(1.0).eta1 - math.pi) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "tau", [1e-300, 1e-16, 1e-3, 0.05, 20.0, 150.0, 240.0, 300.0, 1e3, 1e300, math.nan, math.inf]
+)
+def test_lattice_builds_or_fails_fast(tau):
+    """Every tau builds a lattice or raises AbelMonoError, quickly and in little memory."""
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        am.RectangularLattice(tau)
+    except am.AbelMonoError:
+        pass
+    elapsed = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 10e6
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,8 @@ def test_classify_real():
     assert charvar.classify_real(charvar.TraceCoords(x, y, z1), w) == "not-real"
     with pytest.raises(charvar.OffVariety):
         charvar.classify_real(charvar.TraceCoords(5, 5, 5), w)
+    with pytest.raises(charvar.CharVarError):
+        charvar.classify_real(charvar.TraceCoords(math.nan, 1, 1), w)
 
 
 def test_reconstruct_rep_roundtrip():

@@ -238,12 +238,34 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         (["monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.1", "--tau", "0.05"], "check"),
         # chi = 1e-3 is generic, but its monodromy is too ill-conditioned to check
         (["monodromy", "--a", "0.2", "--chi", "0.001", "--r", "0.1", "--tau", "1"], "input"),
+        # in range, but theta1'(0) rounds to 0 (at 1/150, and at 300 where the nome underflows)
+        (["monodromy", "--a", "0.2", "--chi", "0.3", "--r", "0.1", "--tau", "150"], "check"),
+        (["monodromy", "--a", "0.2", "--chi", "0.3", "--r", "0.1", "--tau", "300"], "check"),
+        (["monodromy", "--a", "0.2", "--chi", "0.3", "--r", "0.1", "--tau", "1e300"], "input"),
+        (["monodromy", "--a", "nan", "--chi", "0.3", "--r", "0.1", "--tau", "1"], "input"),
+        (["monodromy", "--a", "0.2", "--chi", "nan", "--r", "0.1", "--tau", "1"], "input"),
+        (["monodromy", "--a", "0.2", "--chi", "0.3", "--r", "0.1", "--tau", "nan"], "input"),
+        (["monodromy", "--a", "0.2", "--chi", "0.3", "--r", "0.1", "--tau", "inf"], "input"),
+        (["jacobian", "--a", "0.3", "--tau", "nan", "--r", "0.1"], "input"),
+        (["jacobian", "--a", "0.3", "--tau", "1", "--r", "0.1", "--h", "nan"], "input"),
+        (["jacobian", "--a", "0.3", "--tau", "1", "--r", "0.1", "--h", "inf"], "input"),
+        (["jacobian", "--a", "nan", "--tau", "1", "--r", "0.1"], "input"),
+        (["match", "--y-target", "2.6", "--r", "0.1", "--on-locus", "--tau-min", "nan"], "input"),
+        (["match", "--y-target", "nan", "--r", "0.1"], "input"),
+        (["match", "--y-target", "1.8", "--r", "0.1", "--bracket", "nan,0.5"], "input"),
+        (["locus", "--r", "0.1", "--n", "3", "--a-min", "nan", "--no-refine"], "input"),
+        (["locus", "--r", "0.1", "--n", "0"], "input"),
+        (["locus", "--r", "0.1", "--n=-3"], "input"),
+        (["spin", "--state", "+,-", "--tau", "nan"], "input"),
+        (["charvar", "residual", "--coords", "nan,1,1", "--weight", "1/10"], "input"),
+        (["charvar", "classify", "--coords", "nan,1,1", "--weight", "1/10"], "input"),
     ],
 )
 def test_parameter_errors_are_typed(capsys, argv, kind):
-    code, _, err = run(capsys, *argv)
-    assert err.startswith(f"E:{kind}:")
+    code, out, err = run(capsys, *argv)
+    assert err.startswith(f"E:{kind}:") and len(err.splitlines()) == 1
     assert code == (2 if kind == "input" else 1)
+    assert out == ""
 
 
 @pytest.mark.parametrize("removed", [["--format", "svg"], ["--threads", "2"]])
@@ -274,8 +296,10 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
     assert len(lines) >= 10
     monkeypatch.chdir(tmp_path)
     for line in lines:
-        code, _, err = run(capsys, *shlex.split(line)[1:])
+        code, out, err = run(capsys, *shlex.split(line)[1:])
         assert code == 0, f"{line}: {err}"
+        if line.startswith("fricke charvar lift"):
+            assert json.loads(out)["count"] == 4, line
 
 
 MONODROMY = ["monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.1", "--tau", "1"]
