@@ -45,7 +45,7 @@ class AbelMonoError(ValueError):
 
 
 class ParameterOutOfRange(AbelMonoError):
-    """An input (a, chi, r, tau, a section sign, a step, a count) lies outside its domain."""
+    """An input (a, chi, r, tau, a step, a count) lies outside its domain."""
 
 
 class NonGenericChi(AbelMonoError):
@@ -72,6 +72,12 @@ class SlicePreconditionError(AbelMonoError):
     pass
 
 
+def check_tau(tau) -> None:
+    """Raise ParameterOutOfRange unless TAU_MIN <= tau <= TAU_MAX (so also for nan)."""
+    if not TAU_MIN <= tau <= TAU_MAX:
+        raise ParameterOutOfRange(f"tau must lie in [{TAU_MIN:g}, {TAU_MAX:g}], got {tau}")
+
+
 # ---------------------------------------------------------------------------
 # Elliptic machinery
 
@@ -87,8 +93,7 @@ class RectangularLattice:
     """
 
     def __init__(self, tau: float):
-        if not TAU_MIN <= tau <= TAU_MAX:
-            raise ParameterOutOfRange(f"tau must lie in [{TAU_MIN:g}, {TAU_MAX:g}], got {tau}")
+        check_tau(tau)
         self.tau = float(tau)
         self._odd, self._coef, self._theta1_d0, self.eta1 = _theta_series(self.tau)
         self.eta2 = self.eta1 * (1j * tau) - TWO_PI_I
@@ -101,8 +106,8 @@ class RectangularLattice:
             )
 
     def theta1(self, v):
-        v = np.asarray(v, dtype=complex)
-        return np.sin(np.multiply.outer(v, self._odd)) @ self._coef
+        args = np.multiply.outer(np.asarray(v, dtype=complex), self._odd)
+        return np.sin(args, out=args) @ self._coef  # in place: this array is the call's peak memory
 
     def sigma(self, w):
         w = np.asarray(w, dtype=complex)
@@ -155,73 +160,45 @@ class ConnectionParams:
     tau: float
 
     def __post_init__(self):
+        check_tau(self.tau)
         if not (cmath.isfinite(self.a) and cmath.isfinite(self.chi)):
             raise ParameterOutOfRange("a and chi must be finite")
         if not 0.0 < self.r < 0.5:
             raise ParameterOutOfRange("r must lie in (0, 1/2)")
-        if not 0.0 < self.tau < math.inf:
-            raise ParameterOutOfRange("tau must be positive and finite")
-
-
-class BakerSection:
-    """Doubly periodic off-diagonal entry with a simple pole at the origin.
-
-    psi(w) = scale * exp(beta w) * sigma(w - p)/sigma(w) * exp(-lam wbar)
-    with lam = -2 chi for the + section and +2 chi for the - section.  The
-    multiplier equations exp(beta omega_i - eta_i p) = exp(lam conj(omega_i))
-    are solved exactly (k = 0 branch), which makes psi literally periodic;
-    the residue at the origin is r for either sign, so the quadratic
-    residue of the product is r^2.
-    """
-
-    def __init__(self, sign: int, chi: complex, r: float, tau: float):
-        if sign not in (+1, -1):
-            raise ParameterOutOfRange("sign must be +1 or -1")
-        lat = lattice(tau)
-        lam = -2.0 * complex(chi) if sign == +1 else 2.0 * complex(chi)
-        p = -tau * lam / math.pi
-        if lat.lattice_distance(p) < 1e-8:
-            raise NonGenericChi(
-                f"chi = {chi} is (numerically) a half-lattice point of the Jacobian"
-            )
-        self.lam = lam
-        self.p = p
-        self.beta = -lam * (lat.eta2 + 1j * tau * lat.eta1) / TWO_PI_I
-        self._lat = lat
-        self.scale = -r / lat.sigma(p)
-
-    def __call__(self, w, sigma_w=None):
-        """psi at w (any array shape); sigma_w = sigma(w) if the caller has it."""
-        w = np.asarray(w, dtype=complex)
-        if sigma_w is None:
-            sigma_w = self._lat.sigma(w)
-        return (
-            self.scale
-            * np.exp(self.beta * w - self.lam * w.conj())
-            * self._lat.sigma(w - self.p)
-            / sigma_w
-        )
 
 
 class ConnectionForm:
     """The matrix-valued 1-form A_w dw + A_wbar dwbar of the family.
 
-    A_w = [[a, psi_minus],[psi_plus, -a]] has a simple pole at lattice
-    points; A_wbar = diag(chi, -chi) is constant.  diagonal_only drops the
-    off-diagonal entries (scalar test hook).  Both take w of any array
-    shape and return matrices of shape w.shape + (2, 2).
+    A_w = [[a, psi_-],[psi_+, -a]] has a simple pole at lattice points;
+    A_wbar = diag(chi, -chi) is constant.  The off-diagonal entries are one
+    doubly periodic Baker-type section taken at chi and at -chi:
+    psi_+(w) = scale exp(phi) sigma(w - p)/sigma(w) and
+    psi_-(w) = -scale exp(-phi) sigma(w + p)/sigma(w), with
+    phi = beta w - lam wbar, lam = -2 chi, p = -tau lam/pi and
+    scale = -r/sigma(p); lam, p, beta and scale all change sign with chi.
+    The multiplier equations exp(beta omega_i - eta_i p) = exp(lam conj(omega_i))
+    are solved exactly (k = 0 branch), which makes psi_+ and psi_- literally
+    periodic; both residues at the origin are r, so the quadratic residue of
+    the product is r^2.  diagonal_only drops the off-diagonal entries
+    (scalar test hook).  Both take w of any array shape and return matrices
+    of shape w.shape + (2, 2).
     """
 
     def __init__(self, params: ConnectionParams, diagonal_only: bool = False):
         self.params = params
-        self.lat = lattice(params.tau)
+        self.lat = lat = lattice(params.tau)
         self.diagonal_only = diagonal_only
-        if diagonal_only:
-            self.psi_plus = None
-            self.psi_minus = None
-        else:
-            self.psi_plus = BakerSection(+1, params.chi, params.r, params.tau)
-            self.psi_minus = BakerSection(-1, params.chi, params.r, params.tau)
+        if not diagonal_only:
+            tau = params.tau
+            self.lam = -2.0 * complex(params.chi)
+            self.p = -tau * self.lam / math.pi
+            if lat.lattice_distance(self.p) < 1e-8:
+                raise NonGenericChi(
+                    f"chi = {params.chi} is (numerically) a half-lattice point of the Jacobian"
+                )
+            self.beta = -self.lam * (lat.eta2 + 1j * tau * lat.eta1) / TWO_PI_I
+            self.scale = -params.r / lat.sigma(self.p)
         self.a_wbar = np.array([[params.chi, 0.0], [0.0, -params.chi]], dtype=complex)
 
     def a_w(self, w):
@@ -230,9 +207,12 @@ class ConnectionForm:
         out[..., 0, 0] = self.params.a
         out[..., 1, 1] = -self.params.a
         if not self.diagonal_only:
-            sigma_w = self.lat.sigma(w)
-            out[..., 0, 1] = self.psi_minus(w, sigma_w)
-            out[..., 1, 0] = self.psi_plus(w, sigma_w)
+            sigma_w, sigma_minus, sigma_plus = self.lat.sigma(
+                np.stack([w, w - self.p, w + self.p])
+            )
+            phi = self.beta * w - self.lam * w.conj()
+            out[..., 1, 0] = self.scale * np.exp(phi) * sigma_minus / sigma_w
+            out[..., 0, 1] = -self.scale * np.exp(-phi) * sigma_plus / sigma_w
         return out
 
     def coefficient(self, w, wdot):
@@ -539,6 +519,7 @@ def real_locus_sweep(
     the point is inserted as a refined row; a crossing that 48 evaluations
     do not close adds no row.
     """
+    check_tau(tau)
     if n < 1:
         raise ParameterOutOfRange(f"a sweep needs n >= 1 samples, got {n}")
     line = _slice_parametrization(chi0, tau)
@@ -612,6 +593,7 @@ def match_y(
     Safeguarded secant (Illinois) inside a straddling bracket; the
     returned monodromy satisfies |Re y - y_target| <= tol_root.
     """
+    check_tau(tau)
     _require_finite(y_target, *bracket)
     line = _slice_parametrization(chi0, tau)
     evals = 0
@@ -698,7 +680,9 @@ def match_on_locus(
     max_evals; exhausting it or a singular Jacobian raises MaxIterations.
     The dodecahedral solve takes 21 evaluations.
     """
-    _require_finite(y_target, *tau_bracket)
+    for end in tau_bracket:
+        check_tau(end)
+    _require_finite(y_target)
     evals = 0
 
     def ev(a, tau):
@@ -755,6 +739,7 @@ def jacobian_rank(
     Rank 2 is declared when the smaller singular value exceeds RANK_FLOOR.
     The excluded center a0 = -pi/(4 tau) must be at distance >= 0.05.
     """
+    check_tau(tau)
     if not 0.0 < h < math.inf:
         raise ParameterOutOfRange("finite-difference step h must be positive and finite")
     if abs(a - (-math.pi / (4.0 * tau))) < 0.05:

@@ -155,8 +155,7 @@ def warn(code: str, message: str):
 def cmd_verify(args, config: RunConfig) -> int:
     if args.target != "dodeca":
         raise CliInputError(f"unknown verification target {args.target!r}")
-    tol = args.tol if args.tol is not None else config.tol_alg
-    checks = dodeca.verify_theorem91(tol)
+    checks = dodeca.verify_theorem91(config.tol_alg)
     passed = dodeca.theorem91_passed(checks)
     if args.json or config.format != "text":
         payload = {
@@ -165,7 +164,7 @@ def cmd_verify(args, config: RunConfig) -> int:
             "residuals": {name: res for name, (res, _bound) in checks.items()},
             "bounds": {name: bound for name, (_res, bound) in checks.items()},
         }
-        write_json(payload, config, tol=tol)
+        write_json(payload, config, tol=config.tol_alg)
     else:
         for name, (res, bound) in checks.items():
             state = "ok" if res <= bound else "FAIL"
@@ -318,6 +317,7 @@ def cmd_monodromy(args, config: RunConfig) -> int:
 
 
 def _chi0_value(text: str, tau: float) -> complex:
+    abelmono.check_tau(tau)
     if text == "pi/(4tau)":
         return complex(math.pi / (4.0 * tau), 0.0)
     if text == "ipi/4":
@@ -573,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a bundled verification suite")
     p.add_argument("target", choices=("dodeca",))
-    p.add_argument("--tol", type=finite_float)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -76,23 +76,112 @@ def test_lattice_builds_or_fails_fast(tau):
     assert peak < 10e6
 
 
+def _mp_lattice(mp, tau):
+    """eta1 and sigma of Z + i tau Z at mp's precision, without theta series.
+
+    eta1 = (pi^2/3) (1 - 24 sum_n n q^2n / (1 - q^2n)) is the Eisenstein
+    series G2, and sigma(w) = exp(eta1 w^2/2) sin(pi w)/pi
+    prod_n (1 - 2 q^2n cos(2 pi w) + q^4n) / (1 - q^2n)^2 is its product
+    formula (DLMF 23.8.7), in the nome q = exp(-pi tau).
+    """
+    q2 = mp.exp(-2 * mp.pi * tau)
+    eps = mp.mpf(10) ** (-mp.dps - 5)
+    total, n = mp.mpf(0), 1
+    while n * q2**n > eps:
+        total += n * q2**n / (1 - q2**n)
+        n += 1
+    eta1 = mp.pi**2 / 3 * (1 - 24 * total)
+
+    def sigma(w):
+        cos_w, growth = mp.cos(2 * mp.pi * w), mp.exp(2 * mp.pi * abs(w.imag))
+        prod, n = mp.mpf(1), 1
+        while q2**n * growth > eps:
+            prod *= (1 - 2 * q2**n * cos_w + q2 ** (2 * n)) / (1 - q2**n) ** 2
+            n += 1
+        return mp.exp(eta1 * w * w / 2) * mp.sin(mp.pi * w) / mp.pi * prod
+
+    return eta1, sigma
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.2, 1.0, 5.0, 10.0])
+def test_lattice_and_connection_match_mpmath(tau):
+    """Oracle at 30 digits: eta1, sigma and both off-diagonal entries of A_w.
+
+    lam, p, beta and scale are recomputed in mpmath from the oracle's own
+    eta1 and sigma; every relative error must stay below 1e-11.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+
+    def rel(got, expected):
+        return float(abs(mp.mpc(complex(got)) - expected) / abs(expected))
+
+    lat = am.lattice(tau)
+    form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, tau))
+    rng = np.random.default_rng(3)
+    cell = [complex(x, tau * y) for x, y in rng.uniform(0.1, 0.9, (8, 2))]
+    base = am.basepoint(tau)
+    loops = [base + s for s in (0.0, 0.3, 0.7)] + [base + 1j * tau * s for s in (0.3, 0.7)]
+    with mpmath.workdps(30):
+        eta1, sigma = _mp_lattice(mp, mp.mpf(tau))
+        assert rel(lat.eta1, eta1) <= 1e-11
+        for w in cell:
+            assert rel(lat.sigma(w), sigma(mp.mpc(w))) <= 1e-11
+        lam = -2 * mp.mpc(CHI)
+        p = -tau * lam / mp.pi
+        eta2 = eta1 * 1j * tau - 2j * mp.pi
+        beta = -lam * (eta2 + 1j * tau * eta1) / (2j * mp.pi)
+        scale = -R / sigma(p)
+        for w in loops:
+            w_mp = mp.mpc(w)
+            phi = beta * w_mp - lam * mp.conj(w_mp)
+            psi_plus = scale * mp.exp(phi) * sigma(w_mp - p) / sigma(w_mp)
+            psi_minus = -scale * mp.exp(-phi) * sigma(w_mp + p) / sigma(w_mp)
+            a_w = form.a_w(w)
+            assert rel(a_w[1, 0], psi_plus) <= 1e-11
+            assert rel(a_w[0, 1], psi_minus) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: am.RectangularLattice(0.0),
+        lambda: am.ConnectionParams(0.2, CHI, R, 0.0),
+        lambda: am.ConnectionParams(0.2, CHI, R, 1e-320),
+        lambda: am.real_locus_sweep(R, 0.0, 0.3 + 0.1j),
+        lambda: am.match_y(1.8, R, 0.0, 0.3 + 0.1j, (0.05, 0.7)),
+        lambda: am.jacobian_rank(0.3, 0.0, R),
+        lambda: am.match_on_locus(YSTAR, R, tau_bracket=(-1.0, 1.0)),
+    ],
+    ids=["lattice", "params", "params_subnormal", "sweep", "match_y", "jacobian", "on_locus"],
+)
+def test_tau_out_of_range_raises_first(call):
+    """tau outside [TAU_MIN, TAU_MAX] is ParameterOutOfRange before anything divides by it."""
+    with pytest.raises(am.ParameterOutOfRange, match="^tau "):
+        call()
+
+
 # ---------------------------------------------------------------------------
-# baker sections
+# baker sections: psi_+ = A_w[1, 0] (lam = -2 chi) and psi_- = A_w[0, 1] (-lam)
+
+FORM = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
+
+
+def _psi(sign):
+    i, j = (1, 0) if sign == +1 else (0, 1)
+    return lambda w: FORM.a_w(w)[..., i, j]
 
 
 def test_baker_rejects_half_lattice_chi():
-    with pytest.raises(am.NonGenericChi):
-        am.BakerSection(+1, 0.0, R, TAU)
-    with pytest.raises(am.NonGenericChi):
-        am.BakerSection(+1, 0.5j * math.pi, R, TAU)
-    with pytest.raises(am.NonGenericChi):
-        am.BakerSection(-1, math.pi / (2 * TAU), R, TAU)
+    for chi in (0.0, 0.5j * math.pi, math.pi / (2 * TAU), -math.pi / (2 * TAU)):
+        with pytest.raises(am.NonGenericChi):
+            am.ConnectionForm(am.ConnectionParams(0.2, chi, R, TAU))
 
 
 def test_baker_double_periodicity():
     rng = np.random.default_rng(2)
     for sign in (+1, -1):
-        psi = am.BakerSection(sign, CHI, R, TAU)
+        psi = _psi(sign)
         for _ in range(20):
             w = complex(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9) * TAU)
             base = psi(w)
@@ -105,7 +194,7 @@ def test_baker_residue_product():
     h = 1e-5
     prod = 1.0
     for sign in (+1, -1):
-        psi = am.BakerSection(sign, CHI, R, TAU)
+        psi = _psi(sign)
         # even part of w*psi(w) kills the O(w) regular term
         res = 0.5 * (h * psi(h) + (-h) * psi(-h))
         assert abs(res - R) <= 1e-9
@@ -114,15 +203,30 @@ def test_baker_residue_product():
 
 
 def test_baker_dbar_equation():
-    """Finite-difference check of dbar psi + lam psi = 0 off the pole."""
+    """Finite-difference check of dbar psi_+- +- lam psi_+- = 0 off the pole."""
     h = 1e-6
     for sign in (+1, -1):
-        psi = am.BakerSection(sign, CHI, R, TAU)
+        psi = _psi(sign)
         for w0 in (0.31 + 0.27j, 0.62 + 0.55j):
             dbar = (
                 (psi(w0 + h) - psi(w0 - h)) + 1j * (psi(w0 + 1j * h) - psi(w0 - 1j * h))
             ) / (4.0 * h)
-            assert abs(dbar + psi.lam * psi(w0)) <= 1e-7
+            assert abs(dbar + sign * FORM.lam * psi(w0)) <= 1e-7
+
+
+def test_coefficient_makes_one_sigma_call(monkeypatch):
+    """sigma at w, w - p and w + p is one stacked call per coefficient evaluation."""
+    calls = []
+    sigma = am.RectangularLattice.sigma
+
+    def spy(self, w):
+        calls.append(np.shape(w))
+        return sigma(self, w)
+
+    monkeypatch.setattr(am.RectangularLattice, "sigma", spy)
+    w = np.array([[0.3 + 0.2j, 0.35 + 0.2j], [0.7 + 0.6j, 0.75 + 0.6j]])
+    FORM.coefficient(w, 1.0)
+    assert calls == [(3, 2, 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,21 @@ def test_verify_dodeca_exit_zero(capsys):
     assert max(payload["residuals"].values()) <= 1e-8
 
 
+def test_verify_reads_tol_alg(capsys):
+    """The global --tol-alg is verify's tolerance: every bound, and tolerances.tol."""
+    code, out, _ = run(capsys, "--tol-alg", "1e-30", "verify", "dodeca", "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["passed"] is False
+    assert payload["tolerances"]["tol"] == payload["tolerances"]["tol_alg"] == 1e-30
+    assert payload["bounds"]["tr_J1"] == 1e-30
+
+
+def test_verify_tol_flag_removed(capsys):
+    code, out, err = run(capsys, "verify", "dodeca", "--tol", "1e-9")
+    assert (code, out) == (2, "")
+    assert err.startswith("E:input:") and len(err.splitlines()) == 1
+
+
 def test_charvar_residual_torus(capsys):
     code, out, _ = run(
         capsys, "charvar", "residual", "--surface", "torus",
@@ -266,6 +281,23 @@ def test_parameter_errors_are_typed(capsys, argv, kind):
     assert err.startswith(f"E:{kind}:") and len(err.splitlines()) == 1
     assert code == (2 if kind == "input" else 1)
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["locus", "--r", "0.1", "--tau", "0"],
+        ["locus", "--r", "0.1", "--tau", "1e-320"],
+        ["match", "--y-target", "1.8", "--r", "0.1", "--tau", "0"],
+        ["jacobian", "--a", "0.3", "--tau", "0", "--r", "0.1"],
+        ["match", "--y-target", "2.6", "--r", "0.1", "--on-locus", "--tau-min", "0",
+         "--tau-max", "0"],
+    ],
+)
+def test_tau_out_of_range_names_tau(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("E:input:tau ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("removed", [["--format", "svg"], ["--threads", "2"]])
