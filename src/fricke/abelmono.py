@@ -18,6 +18,7 @@ keeps everything real-coefficient and well-conditioned for tau in [0.2, 5].
 from __future__ import annotations
 
 import cmath
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ RANK_FLOOR = 1e3 * TOL_MONO  # jacobian_rank's floor on the smaller singular val
 TRANSPORT_RTOL = 1e-10
 TRANSPORT_ATOL = 1e-13
 DEFAULT_STEP_BUDGET = 10_000
+BATCH_CHUNK = 8  # a values transported in one array by monodromy_batch
 TAU_MIN, TAU_MAX = 1e-3, 1e3  # the moduli a RectangularLattice is built for
 
 TWO_PI_I = 2j * math.pi
@@ -183,9 +185,20 @@ class ConnectionForm:
     the product is r^2.  diagonal_only drops the off-diagonal entries
     (scalar test hook).  Both take w of any array shape and return matrices
     of shape w.shape + (2, 2).
+
+    params may also be a list of ConnectionParams that share (chi, r, tau):
+    a stack along a.  a holds the a values of the members; with more than
+    one, the matrices gain a leading member axis, and psi_+- are evaluated
+    once for all members, whose matrices differ only on the diagonal.
     """
 
-    def __init__(self, params: ConnectionParams, diagonal_only: bool = False):
+    def __init__(self, params: ConnectionParams | list, diagonal_only: bool = False):
+        self.stacked = isinstance(params, list)
+        stack = params if self.stacked else [params]
+        params = stack[0]
+        if any((p.chi, p.r, p.tau) != (params.chi, params.r, params.tau) for p in stack):
+            raise ParameterOutOfRange("a stack of connections must share chi, r and tau")
+        self.a = tuple(p.a for p in stack)
         self.params = params
         self.lat = lat = lattice(params.tau)
         self.diagonal_only = diagonal_only
@@ -201,24 +214,40 @@ class ConnectionForm:
             self.scale = -params.r / lat.sigma(self.p)
         self.a_wbar = np.array([[params.chi, 0.0], [0.0, -params.chi]], dtype=complex)
 
+    def members(self, index):
+        """The stack over the members a[i], i in index."""
+        form = copy.copy(self)
+        form.a = tuple(self.a[i] for i in index)
+        form.stacked = True
+        return form
+
     def a_w(self, w):
         w = np.asarray(w, dtype=complex)
-        out = np.zeros(w.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = self.params.a
-        out[..., 1, 1] = -self.params.a
+        psi_plus = psi_minus = 0.0  # before the stacked array: sigma's temporaries peak first
         if not self.diagonal_only:
             sigma_w, sigma_minus, sigma_plus = self.lat.sigma(
                 np.stack([w, w - self.p, w + self.p])
             )
             phi = self.beta * w - self.lam * w.conj()
-            out[..., 1, 0] = self.scale * np.exp(phi) * sigma_minus / sigma_w
-            out[..., 0, 1] = -self.scale * np.exp(-phi) * sigma_plus / sigma_w
+            psi_plus = self.scale * np.exp(phi) * sigma_minus / sigma_w
+            psi_minus = -self.scale * np.exp(-phi) * sigma_plus / sigma_w
+        count = len(self.a)
+        out = np.zeros(((count,) if count > 1 else ()) + w.shape + (2, 2), dtype=complex)
+        out[..., 1, 0] = psi_plus
+        out[..., 0, 1] = psi_minus
+        each = out.reshape((count,) + w.shape + (2, 2))  # a view, one slice per member
+        for i, a in enumerate(self.a):
+            each[i, ..., 0, 0] = a
+            each[i, ..., 1, 1] = -a
         return out
 
     def coefficient(self, w, wdot):
         """-(A_w wdot + A_wbar conj(wdot)), the right-hand side matrix of the ODE."""
         wdot = np.asarray(wdot, dtype=complex)[..., None, None]
-        return -(self.a_w(w) * wdot + self.a_wbar * wdot.conj())
+        out = self.a_w(w)  # in place from here: a stack's array sets its memory peak
+        out *= wdot
+        out += self.a_wbar * wdot.conj()
+        return np.negative(out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +337,10 @@ def _magnus_product(form: ConnectionForm, path: TorusPath, n: int) -> np.ndarray
     exp Omega = cosh d I + (sinh d / d) Omega with d^2 = Omega00^2 + Omega01 Omega10
     (sinh d / d is sinc(d / (i pi)), which is 1 at d = 0).
     The panel factors are multiplied pairwise, later panels on the left.
+    A form over a stack gives one product per member, shape (len(a), 2, 2).
     """
     h = 1.0 / n
-    s = (np.arange(n)[:, None] + _GAUSS_NODES) * h
+    s = (np.arange(n) + _GAUSS_NODES[:, None]) * h  # each node set contiguous for a1, a2
     w = path.point(s)
     dist = form.lat.lattice_distance(w)
     if np.min(dist) < path.delta:
@@ -318,19 +348,25 @@ def _magnus_product(form: ConnectionForm, path: TorusPath, n: int) -> np.ndarray
             f"{path.label}: point {w.flat[np.argmin(dist)]} within {path.delta} of the lattice"
         )
     coef = form.coefficient(w, path.velocity(s))
-    a1, a2 = coef[:, 0], coef[:, 1]
-    omega = 0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
-    d = np.sqrt(omega[:, 0, 0] ** 2 + omega[:, 0, 1] * omega[:, 1, 0])
-    factors = np.sinc(d / (1j * math.pi))[:, None, None] * omega
-    factors[:, [0, 1], [0, 1]] += np.cosh(d)[:, None]
-    while len(factors) > 1:
-        factors = factors[1::2] @ factors[0::2]
-    return factors[0]
+    a1, a2 = coef[..., 0, :, :, :], coef[..., 1, :, :, :]
+    omega = a1 + a2  # in place from here, like coefficient
+    omega *= 0.5 * h
+    commutator = a2 @ a1
+    commutator -= a1 @ a2
+    commutator *= (math.sqrt(3.0) / 12.0) * h * h
+    omega += commutator
+    del coef, a1, a2, commutator
+    d = np.sqrt(omega[..., 0, 0] ** 2 + omega[..., 0, 1] * omega[..., 1, 0])
+    factors = np.sinc(d / (1j * math.pi))[..., None, None] * omega
+    factors[..., [0, 1], [0, 1]] += np.cosh(d)[..., None]
+    while factors.shape[-3] > 1:
+        factors = factors[..., 1::2, :, :] @ factors[..., 0::2, :, :]
+    return factors[..., 0, :, :]
 
 
 def parallel_transport(
     form: ConnectionForm, path: TorusPath, steps: int = DEFAULT_STEP_BUDGET
-) -> TransportResult:
+) -> TransportResult | list:
     """Solve Psi' = -(A_w wdot + A_wbar conj(wdot)) Psi, Psi(0) = Id, over the path.
 
     The 4th-order Magnus product on N panels is compared with the one on 2N
@@ -339,19 +375,40 @@ def parallel_transport(
     the panel count, and a non-finite product fails at once.  No
     renormalization is applied; the determinant drift of the result is
     reported.
+
+    A form over a stack of a values is transported in one array per panel
+    level.  Each member keeps its own test and retires at its own level, so
+    its entry of the returned list equals the result for a form over that
+    member alone; a member whose transport fails holds the StepLimitExceeded
+    that the lone form would raise.
     """
+    out = [None] * len(form.a)
+    active, sub = list(range(len(out))), form
     n, coarse = _FIRST_PANELS, None
     with np.errstate(all="ignore"):
-        while n <= steps:
-            fine = _magnus_product(form, path, n)
-            if not np.all(np.isfinite(fine)):
-                raise StepLimitExceeded(f"{path.label}: non-finite panel product at {n} panels")
-            if coarse is not None:
-                err = float(np.max(np.abs(fine - coarse))) / 15.0
-                if err <= TRANSPORT_ATOL + TRANSPORT_RTOL * float(np.max(np.abs(fine))):
-                    return TransportResult(fine, abs(algebra.det(fine) - 1.0), n, err)
-            n, coarse = 2 * n, fine
-    raise StepLimitExceeded(f"{path.label}: budget of {steps} panels")
+        while active and n <= steps:
+            fine = _magnus_product(sub, path, n).reshape(-1, 2, 2)
+            for k, i in enumerate(active):
+                if not np.all(np.isfinite(fine[k])):
+                    out[i] = StepLimitExceeded(
+                        f"{path.label}: non-finite panel product at {n} panels"
+                    )
+                elif coarse is not None:
+                    err = float(np.max(np.abs(fine[k] - coarse[k]))) / 15.0
+                    if err <= TRANSPORT_ATOL + TRANSPORT_RTOL * float(np.max(np.abs(fine[k]))):
+                        out[i] = TransportResult(fine[k], abs(algebra.det(fine[k]) - 1.0), n, err)
+            keep = [k for k, i in enumerate(active) if out[i] is None]
+            if 0 < len(keep) < len(active):
+                sub = form.members([active[k] for k in keep])
+            active = [active[k] for k in keep]
+            n, coarse = 2 * n, fine[keep]
+    for i in active:
+        out[i] = StepLimitExceeded(f"{path.label}: budget of {steps} panels")
+    if form.stacked:
+        return out
+    if isinstance(out[0], AbelMonoError):
+        raise out[0]
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +426,8 @@ class MonodromyResult:
     char_residual: float
     commutator_residual: float
     det_drift: float
+    panels: tuple  # transport panel counts along (gamma_x, gamma_y)
+    error_estimate: tuple  # transport error estimates along (gamma_x, gamma_y)
 
 
 def monodromies(params: ConnectionParams, steps: int = DEFAULT_STEP_BUDGET) -> MonodromyResult:
@@ -378,10 +437,36 @@ def monodromies(params: ConnectionParams, steps: int = DEFAULT_STEP_BUDGET) -> M
     right-to-left); its trace must equal 2 cos(2 pi r), and (x, y, z) must
     satisfy the character equation.  NonGenericChi is raised when the
     condition number max|entry|^2 of X or Y times eps exceeds TOL_MONO.
+    This is monodromy_batch on a batch of one.
     """
-    form = ConnectionForm(params)
-    tx = parallel_transport(form, gamma_x(params.tau), steps)
-    ty = parallel_transport(form, gamma_y(params.tau), steps)
+    return monodromy_batch([params], steps)[0]
+
+
+def monodromy_batch(stack: list, steps: int = DEFAULT_STEP_BUDGET) -> list:
+    """monodromies for every ConnectionParams of stack; all share (chi, r, tau).
+
+    BATCH_CHUNK members at a time go through one stacked ConnectionForm, so
+    the Baker sections are evaluated once per panel level for the chunk.
+    Every member's result, panel counts included, equals its batch of one;
+    the error raised is the one the first failing member raises alone.
+    """
+    results = []
+    for start in range(0, len(stack), BATCH_CHUNK):
+        chunk = stack[start : start + BATCH_CHUNK]
+        tau = chunk[0].tau
+        form = ConnectionForm(chunk)
+        tx = parallel_transport(form, gamma_x(tau), steps)
+        moved = [i for i, t in enumerate(tx) if isinstance(t, TransportResult)]
+        ty = dict(zip(moved, parallel_transport(form.members(moved), gamma_y(tau), steps)))
+        for i, params in enumerate(chunk):
+            for t in (tx[i], ty.get(i)):
+                if isinstance(t, AbelMonoError):
+                    raise t
+            results.append(_monodromy_result(params, tx[i], ty[i]))
+    return results
+
+
+def _monodromy_result(params, tx: TransportResult, ty: TransportResult) -> MonodromyResult:
     X, Y = tx.matrix, ty.matrix
     kappa = max(algebra.norm_inf(X), algebra.norm_inf(Y)) ** 2
     if kappa * np.finfo(float).eps > TOL_MONO:
@@ -395,7 +480,8 @@ def monodromies(params: ConnectionParams, steps: int = DEFAULT_STEP_BUDGET) -> M
     char_res = abs(charvar.fricke_torus_residual(x, y, z, params.r))
     comm_res = abs(algebra.trace(K) - 2.0 * math.cos(2.0 * math.pi * params.r))
     return MonodromyResult(
-        X, Y, K, x, y, z, char_res, comm_res, max(tx.det_drift, ty.det_drift)
+        X, Y, K, x, y, z, char_res, comm_res, max(tx.det_drift, ty.det_drift),
+        (tx.panels, ty.panels), (tx.error_estimate, ty.error_estimate),
     )
 
 
@@ -524,8 +610,10 @@ def real_locus_sweep(
         raise ParameterOutOfRange(f"a sweep needs n >= 1 samples, got {n}")
     line = _slice_parametrization(chi0, tau)
 
-    def evaluate(t):
-        res = monodromies(ConnectionParams(line(t), chi0, r, tau), steps)
+    def params(t):
+        return ConnectionParams(line(t), chi0, r, tau)
+
+    def sweep_row(t, res):
         return SweepRow(
             t,
             line(t),
@@ -544,7 +632,7 @@ def real_locus_sweep(
             evals += 1
             if evals > 48:
                 raise MaxIterations("crossing not closed in 48 evaluations")
-            row = evaluate(t)
+            row = sweep_row(t, monodromies(params(t), steps))
             return complex(row.z).imag, row
 
         try:
@@ -554,7 +642,9 @@ def real_locus_sweep(
         row.refined = True
         return row
 
-    rows = [evaluate(t) for t in np.linspace(a_range[0], a_range[1], n)]
+    grid = np.linspace(a_range[0], a_range[1], n)
+    results = monodromy_batch([params(t) for t in grid], steps)
+    rows = [sweep_row(t, res) for t, res in zip(grid, results)]
     if refine:
         crossings = [
             crossing_row(lo, hi)
@@ -629,9 +719,9 @@ class LocusMatchResult:
     evaluations: int
 
 
-def _on_slice(a, tau, r, steps) -> MonodromyResult:
-    """Monodromies at a on the trivializing slice chi0 = pi/(4 tau)."""
-    return monodromies(ConnectionParams(a, math.pi / (4.0 * tau), r, tau), steps)
+def _on_slice(a, tau, r) -> ConnectionParams:
+    """The connection at a on the trivializing slice chi0 = pi/(4 tau)."""
+    return ConnectionParams(a, math.pi / (4.0 * tau), r, tau)
 
 
 def _graze_point(ev, a_scan, n_scan):
@@ -690,7 +780,7 @@ def match_on_locus(
         if evals >= max_evals:
             raise MaxIterations(f"budget of {max_evals} monodromy evaluations")
         evals += 1
-        m = _on_slice(a, tau, r, steps)
+        m = monodromies(_on_slice(a, tau, r), steps)
         return complex(m.z).imag, m
 
     def residual(m):
@@ -747,12 +837,15 @@ def jacobian_rank(
             "a is within 0.05 of the excluded point -pi/(4 tau)"
         )
 
-    def xy(a_val, tau_val):
-        res = _on_slice(a_val, tau_val, r, steps)
+    def xy(res):
         return np.array([complex(res.x).real, complex(res.y).real])
 
-    col_a = (xy(a + h, tau) - xy(a - h, tau)) / (2.0 * h)
-    col_tau = (xy(a, tau + h) - xy(a, tau - h)) / (2.0 * h)
+    plus, minus = monodromy_batch([_on_slice(a + h, tau, r), _on_slice(a - h, tau, r)], steps)
+    col_a = (xy(plus) - xy(minus)) / (2.0 * h)
+    col_tau = (
+        xy(monodromies(_on_slice(a, tau + h, r), steps))
+        - xy(monodromies(_on_slice(a, tau - h, r), steps))
+    ) / (2.0 * h)
     jac = np.column_stack([col_a, col_tau])
     svals = np.linalg.svd(jac, compute_uv=False)
     rank = int(np.sum(svals > RANK_FLOOR))

@@ -551,7 +551,13 @@ INPUT_ERRORS = (
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as CliInputError, i.e. one ``E:input`` line."""
+    """Reports a usage error as CliInputError, i.e. one ``E:input`` line.
+
+    Flags must be spelled out: a prefix of a flag is an unknown flag.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise CliInputError(message)

@@ -304,7 +304,7 @@ def test_transport_det_drift_small():
 
 
 def test_transport_evaluates_each_panel_level_at_once(monkeypatch):
-    """One coefficient call per panel level: N = 32, 64, ..., panels."""
+    """One coefficient call per panel level (N = 32, 64, ...), first Gauss nodes, then second."""
     calls = []
     coefficient = am.ConnectionForm.coefficient
 
@@ -316,7 +316,7 @@ def test_transport_evaluates_each_panel_level_at_once(monkeypatch):
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
     res = am.parallel_transport(form, am.gamma_x(TAU))
     assert len(calls) == math.log2(res.panels / 32) + 1
-    assert calls[-1] == (res.panels, 2)
+    assert calls[-1] == (2, res.panels)
 
 
 @pytest.mark.parametrize("tau", [0.2, 1.0, 5.0])
@@ -416,6 +416,84 @@ def test_reducible_anchor_point():
     assert abs(m.z) <= 1e-6
 
 
+def test_monodromy_keeps_transport_data():
+    """Panel counts and error estimates of both loops, as parallel_transport reports them."""
+    params = am.ConnectionParams(0.2, CHI, R, TAU)
+    m = am.monodromies(params)
+    form = am.ConnectionForm(params)
+    for path, panels, err in zip((am.gamma_x(TAU), am.gamma_y(TAU)), m.panels, m.error_estimate):
+        res = am.parallel_transport(form, path)
+        assert (panels, err) == (res.panels, res.error_estimate)
+
+
+# ---------------------------------------------------------------------------
+# batches along a
+
+
+def _slice_stack(r, tau, n, a_range=(0.05, 1.6)):
+    chi0 = math.pi / (4.0 * tau)
+    return [am.ConnectionParams(complex(t, 0.0), chi0, r, tau) for t in np.linspace(*a_range, n)]
+
+
+def test_batch_members_equal_batches_of_one():
+    """Members retire at their own panel level and equal a lone evaluation bit for bit."""
+    stack = _slice_stack(0.4, 1.2, 60)
+    batch = am.monodromy_batch(stack)
+    assert {res.panels[1] for res in batch} == {256, 512}
+    for params, res in zip(stack, batch):
+        alone = am.monodromies(params)
+        assert res.X.tobytes() == alone.X.tobytes()
+        assert res.Y.tobytes() == alone.Y.tobytes()
+        assert (res.panels, res.error_estimate) == (alone.panels, alone.error_estimate)
+
+
+@pytest.mark.parametrize("members", [1, 3, 8, 20])
+def test_batch_evaluates_each_panel_level_once_per_chunk(monkeypatch, members):
+    """One coefficient call per panel level and loop for a whole chunk of members."""
+    calls = []
+    coefficient = am.ConnectionForm.coefficient
+
+    def spy(self, w, wdot):
+        calls.append(len(self.a))
+        return coefficient(self, w, wdot)
+
+    monkeypatch.setattr(am.ConnectionForm, "coefficient", spy)
+    batch = am.monodromy_batch(_slice_stack(R, TAU, members, (0.3, 0.5)))
+    levels = 0
+    for start in range(0, members, am.BATCH_CHUNK):
+        chunk = batch[start : start + am.BATCH_CHUNK]
+        for loop in (0, 1):
+            levels += int(math.log2(max(res.panels[loop] for res in chunk) / 32)) + 1
+    assert len(calls) == levels
+    assert max(calls) == min(members, am.BATCH_CHUNK)
+
+
+def test_batch_requires_shared_chi_r_tau():
+    stack = [am.ConnectionParams(0.2, CHI, R, TAU), am.ConnectionParams(0.2, CHI, R, 1.1)]
+    with pytest.raises(am.ParameterOutOfRange):
+        am.monodromy_batch(stack)
+
+
+def test_batch_raises_the_first_failing_members_error():
+    """A batch fails as its members would one after another: on the first failure."""
+    stack = _slice_stack(R, TAU, 3, (0.3, 0.5))
+    with pytest.raises(am.StepLimitExceeded, match="gamma_x: budget of 100 panels"):
+        am.monodromy_batch(stack, steps=100)
+
+
+def test_sweep_memory_peak():
+    """A 60-point sweep goes through the transport BATCH_CHUNK members at a time."""
+    chi0 = math.pi / (4.0 * TAU)
+    am.real_locus_sweep(R, TAU, chi0, (0.05, 1.6), 2)
+    tracemalloc.start()
+    try:
+        am.real_locus_sweep(R, TAU, chi0, (0.05, 1.6), 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+
+
 # ---------------------------------------------------------------------------
 # eta cases
 
@@ -468,14 +546,15 @@ def test_sweep_rows_sorted_and_eta_column(sweep):
 
 
 def _count_monodromies(monkeypatch):
+    """Records the a of every member evaluation; monodromies is a batch of one."""
     calls = []
-    monodromies = am.monodromies
+    monodromy_batch = am.monodromy_batch
 
-    def spy(*args, **kwargs):
-        calls.append(args[0].a)
-        return monodromies(*args, **kwargs)
+    def spy(stack, *args, **kwargs):
+        calls.extend(params.a for params in stack)
+        return monodromy_batch(stack, *args, **kwargs)
 
-    monkeypatch.setattr(am, "monodromies", spy)
+    monkeypatch.setattr(am, "monodromy_batch", spy)
     return calls
 
 

@@ -374,3 +374,25 @@ def test_format_config_line_the_verb_cannot_write_rejected(tmp_path, capsys):
     )
     assert (code, out) == (2, "")
     assert err.startswith("E:input:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--tol-m", "1e-4", "lorentz", "angles"],
+        ["--st", "500", "lorentz", "angles"],
+        ["locus", "--r", "0.1", "--n", "2", "--no-ref"],
+    ],
+)
+def test_flag_prefixes_rejected(capsys, argv):
+    """A flag is matched only when spelled out, on the parser and on every verb."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("E:input:") and len(err.splitlines()) == 1
+
+
+def test_locus_sweep_receives_step_budget(capsys):
+    """The sweep's batched grid runs under --steps: 100 panels cannot close gamma_x."""
+    code, out, err = run(capsys, "--steps", "100", "locus", "--r", "0.1", "--n", "8")
+    assert (code, out) == (1, "")
+    assert err == "E:check:gamma_x: budget of 100 panels\n"
