@@ -37,6 +37,7 @@ TRANSPORT_RTOL = 1e-10
 TRANSPORT_ATOL = 1e-13
 DEFAULT_STEP_BUDGET = 10_000
 BATCH_CHUNK = 8  # a values transported in one array by monodromy_batch
+GRAZE_SCAN, GRAZE_POINTS = (0.02, 1.8), 30  # match_on_locus's graze-point scan over a
 TAU_MIN, TAU_MAX = 1e-3, 1e3  # the moduli a RectangularLattice is built for
 
 TWO_PI_I = 2j * math.pi
@@ -183,23 +184,21 @@ class ConnectionForm:
     are solved exactly (k = 0 branch), which makes psi_+ and psi_- literally
     periodic; both residues at the origin are r, so the quadratic residue of
     the product is r^2.  diagonal_only drops the off-diagonal entries
-    (scalar test hook).  Both take w of any array shape and return matrices
-    of shape w.shape + (2, 2).
+    (scalar test hook).
 
     params may also be a list of ConnectionParams that share (chi, r, tau):
-    a stack along a.  a holds the a values of the members; with more than
-    one, the matrices gain a leading member axis, and psi_+- are evaluated
-    once for all members, whose matrices differ only on the diagonal.
+    a stack along a.  The ndarray a is 0-d for one ConnectionParams and 1-D
+    for a list; a_w and coefficient take w of any shape and return shape
+    a.shape + w.shape + (2, 2), with psi_+- evaluated once for all members.
     """
 
     def __init__(self, params: ConnectionParams | list, diagonal_only: bool = False):
-        self.stacked = isinstance(params, list)
-        stack = params if self.stacked else [params]
+        stacked = isinstance(params, list)
+        stack = params if stacked else [params]
         params = stack[0]
         if any((p.chi, p.r, p.tau) != (params.chi, params.r, params.tau) for p in stack):
             raise ParameterOutOfRange("a stack of connections must share chi, r and tau")
-        self.a = tuple(p.a for p in stack)
-        self.params = params
+        self.a = np.array([p.a for p in stack] if stacked else params.a, dtype=complex)
         self.lat = lat = lattice(params.tau)
         self.diagonal_only = diagonal_only
         if not diagonal_only:
@@ -217,8 +216,7 @@ class ConnectionForm:
     def members(self, index):
         """The stack over the members a[i], i in index."""
         form = copy.copy(self)
-        form.a = tuple(self.a[i] for i in index)
-        form.stacked = True
+        form.a = self.a[index]
         return form
 
     def a_w(self, w):
@@ -231,14 +229,12 @@ class ConnectionForm:
             phi = self.beta * w - self.lam * w.conj()
             psi_plus = self.scale * np.exp(phi) * sigma_minus / sigma_w
             psi_minus = -self.scale * np.exp(-phi) * sigma_plus / sigma_w
-        count = len(self.a)
-        out = np.zeros(((count,) if count > 1 else ()) + w.shape + (2, 2), dtype=complex)
+        a = self.a.reshape(self.a.shape + (1,) * w.ndim)
+        out = np.zeros(self.a.shape + w.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = a
+        out[..., 1, 1] = -a
         out[..., 1, 0] = psi_plus
         out[..., 0, 1] = psi_minus
-        each = out.reshape((count,) + w.shape + (2, 2))  # a view, one slice per member
-        for i, a in enumerate(self.a):
-            each[i, ..., 0, 0] = a
-            each[i, ..., 1, 1] = -a
         return out
 
     def coefficient(self, w, wdot):
@@ -265,7 +261,7 @@ class TorusPath:
     point: object  # callable s -> w
     velocity: object  # callable s -> dw/ds
     tau: float
-    label: str = "path"
+    label: str
 
     @property
     def delta(self):
@@ -294,7 +290,7 @@ def gamma_y(tau: float) -> TorusPath:
     return TorusPath(lambda s: p0 + 1j * tau * s, lambda s: 1j * tau, tau, "gamma_y")
 
 
-def gamma_x_wiggled(tau: float, amplitude: float = 0.05, cycles: int = 2) -> TorusPath:
+def gamma_x_wiggled(tau: float, amplitude: float, cycles: int) -> TorusPath:
     """A homotopic deformation of gamma_x with the same endpoints."""
     p0 = basepoint(tau)
     k = 2.0 * math.pi * cycles
@@ -308,7 +304,7 @@ def gamma_x_wiggled(tau: float, amplitude: float = 0.05, cycles: int = 2) -> Tor
     return TorusPath(pt, vel, tau, "gamma_x~")
 
 
-def segment(z0: complex, z1: complex, tau: float, label: str = "segment") -> TorusPath:
+def segment(z0: complex, z1: complex, tau: float, label: str) -> TorusPath:
     return TorusPath(
         lambda s: z0 + s * (z1 - z0), lambda s: z1 - z0, tau, label
     )
@@ -337,7 +333,7 @@ def _magnus_product(form: ConnectionForm, path: TorusPath, n: int) -> np.ndarray
     exp Omega = cosh d I + (sinh d / d) Omega with d^2 = Omega00^2 + Omega01 Omega10
     (sinh d / d is sinc(d / (i pi)), which is 1 at d = 0).
     The panel factors are multiplied pairwise, later panels on the left.
-    A form over a stack gives one product per member, shape (len(a), 2, 2).
+    The result has shape form.a.shape + (2, 2): one product per member.
     """
     h = 1.0 / n
     s = (np.arange(n) + _GAUSS_NODES[:, None]) * h  # each node set contiguous for a1, a2
@@ -376,13 +372,13 @@ def parallel_transport(
     renormalization is applied; the determinant drift of the result is
     reported.
 
-    A form over a stack of a values is transported in one array per panel
-    level.  Each member keeps its own test and retires at its own level, so
-    its entry of the returned list equals the result for a form over that
-    member alone; a member whose transport fails holds the StepLimitExceeded
-    that the lone form would raise.
+    A form over a stack (1-D form.a) is transported in one array per panel
+    level and gives a list, one entry per member.  Each member keeps its own
+    test and retires at its own level, so its entry equals the result for a
+    form over that member alone; a member whose transport fails holds the
+    StepLimitExceeded that the lone form would raise.
     """
-    out = [None] * len(form.a)
+    out = [None] * form.a.size
     active, sub = list(range(len(out))), form
     n, coarse = _FIRST_PANELS, None
     with np.errstate(all="ignore"):
@@ -404,7 +400,7 @@ def parallel_transport(
             n, coarse = 2 * n, fine[keep]
     for i in active:
         out[i] = StepLimitExceeded(f"{path.label}: budget of {steps} panels")
-    if form.stacked:
+    if form.a.ndim:
         return out
     if isinstance(out[0], AbelMonoError):
         raise out[0]
@@ -724,16 +720,16 @@ def _on_slice(a, tau, r) -> ConnectionParams:
     return ConnectionParams(a, math.pi / (4.0 * tau), r, tau)
 
 
-def _graze_point(ev, a_scan, n_scan):
+def _graze_point(ev):
     """Locate the isolated real point (Im z sign change) on a fixed-tau slice.
 
-    ev(t) returns (Im z, monodromy) at a = t.  n_scan points of a_scan are
-    scanned from its start; points where y <= 1 neither end a bracket nor
-    count as real.  Illinois closes the first bracket to |Im z| <= TOL_IM.
-    Returns (t, monodromy).
+    ev(t) returns (Im z, monodromy) at a = t.  GRAZE_POINTS points of
+    GRAZE_SCAN are scanned from its start; points where y <= 1 neither end a
+    bracket nor count as real.  Illinois closes the first bracket to
+    |Im z| <= TOL_IM.  Returns (t, monodromy).
     """
     t0 = f0 = None
-    for t in np.linspace(a_scan[0], a_scan[1], n_scan):
+    for t in np.linspace(GRAZE_SCAN[0], GRAZE_SCAN[1], GRAZE_POINTS):
         f, m = ev(t)
         if complex(m.y).real > 1.0:
             if abs(f) <= TOL_IM:
@@ -741,15 +737,13 @@ def _graze_point(ev, a_scan, n_scan):
             if f0 is not None and f0 * f < 0:
                 return _illinois(ev, t0, f0, t, f, TOL_IM)
         t0, f0 = t, f
-    raise BracketDoesNotStraddle(f"no real point found on the slice over a in {a_scan}")
+    raise BracketDoesNotStraddle(f"no real point found on the slice over a in {GRAZE_SCAN}")
 
 
 def match_on_locus(
     y_target: float,
     r: float,
     tau_bracket=(2.0, 3.5),
-    a_scan=(0.02, 1.8),
-    n_scan: int = 30,
     tol_root: float = TOL_ROOT,
     max_evals: int = 60,
     steps: int = DEFAULT_STEP_BUDGET,
@@ -762,10 +756,10 @@ def match_on_locus(
     The dodecahedral representation is recovered at y_target =
     sqrt(3 + sqrt 5) with r = 1/10.
 
-    Newton on (a, tau) starts from the graze point that a scan of a_scan
+    Newton on (a, tau) starts from the graze point that a scan of GRAZE_SCAN
     finds at the midpoint of tau_bracket (which does not confine tau).  Its
     Jacobian takes forward differences with step 1e-6; each step is halved
-    until a lies in a_scan, tau >= 0.1, Re y > 1 and |F| decreases.  Every
+    until a lies in GRAZE_SCAN, tau >= 0.1, Re y > 1 and |F| decreases.  Every
     monodromy evaluation, stencil points included, counts against
     max_evals; exhausting it or a singular Jacobian raises MaxIterations.
     The dodecahedral solve takes 21 evaluations.
@@ -787,7 +781,7 @@ def match_on_locus(
         return np.array([complex(m.z).imag, complex(m.y).real - y_target])
 
     tau = 0.5 * (float(tau_bracket[0]) + float(tau_bracket[1]))
-    a, m = _graze_point(lambda t: ev(t, tau), a_scan, n_scan)
+    a, m = _graze_point(lambda t: ev(t, tau))
     f, h = residual(m), 1e-6
     while abs(f[0]) > TOL_IM or abs(f[1]) > tol_root:
         stencil = [residual(ev(a + h, tau)[1]), residual(ev(a, tau + h)[1])]
@@ -798,7 +792,7 @@ def match_on_locus(
             raise MaxIterations("singular finite-difference Jacobian") from None
         for halvings in range(64):
             a_new, tau_new = (a, tau) + step / 2**halvings
-            if a_scan[0] <= a_new <= a_scan[1] and tau_new >= 0.1:
+            if GRAZE_SCAN[0] <= a_new <= GRAZE_SCAN[1] and tau_new >= 0.1:
                 m_new = ev(a_new, tau_new)[1]
                 f_new = residual(m_new)
                 if complex(m_new.y).real > 1.0 and np.linalg.norm(f_new) < np.linalg.norm(f):

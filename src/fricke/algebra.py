@@ -68,7 +68,7 @@ def power(m, n):
     return out
 
 
-def order_of(m, max_order=64, tol=TOL_ALG):
+def order_of(m, max_order, tol=TOL_ALG):
     """Smallest n <= max_order with m^n = Id (entrywise within tol), else None."""
     if max_order < 1:
         raise AlgebraError("max_order must be >= 1")
@@ -96,20 +96,20 @@ def evaluate_word(word, alphabet):
     return out
 
 
-def classify(m, tol=TOL_ALG):
+def classify(m):
     """Conjugacy type of a unimodular matrix.
 
     Returns one of 'central', 'elliptic', 'parabolic', 'hyperbolic',
     'loxodromic'.  Central means +-Id; the rest follow the trace:
     real in (-2,2) elliptic, +-2 parabolic, real with |tr|>2 hyperbolic,
-    non-real loxodromic.
+    non-real loxodromic.  Comparisons are within TOL_ALG.
     """
-    if norm_inf(m - IDENTITY) <= tol or norm_inf(m + IDENTITY) <= tol:
+    if norm_inf(m - IDENTITY) <= TOL_ALG or norm_inf(m + IDENTITY) <= TOL_ALG:
         return "central"
     t = trace(m)
-    if abs(t.imag) <= tol:
+    if abs(t.imag) <= TOL_ALG:
         tr = t.real
-        if abs(abs(tr) - 2.0) <= tol:
+        if abs(abs(tr) - 2.0) <= TOL_ALG:
             return "parabolic"
         if abs(tr) < 2.0:
             return "elliptic"

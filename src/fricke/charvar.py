@@ -35,6 +35,14 @@ class OffVariety(CharVarError):
     """Trace coordinates do not satisfy the character equation."""
 
 
+def _fraction(value) -> Fraction:
+    """A string exactly, a number to denominator <= 10^6; malformed input is CharVarError."""
+    try:
+        return Fraction(value) if isinstance(value, str) else Fraction(value).limit_denominator(10**6)
+    except (ValueError, ArithmeticError) as exc:
+        raise CharVarError(f"malformed weight {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class Weight:
     """Parabolic weight rt = l/k at the punctures, with derived quantities.
@@ -60,11 +68,10 @@ class Weight:
 
     @classmethod
     def parse(cls, text, normalize=False):
-        """Parse 'l/k' (or a float) into a Weight; optionally fold into (1/4,1/2)."""
-        if isinstance(text, str) and "/" in text:
-            frac = Fraction(text)
-        else:
-            frac = Fraction(text).limit_denominator(10**6)
+        """Parse 'l/k' exactly, a decimal to denominator <= 10^6; optionally fold."""
+        frac = _fraction(text)
+        if isinstance(text, str) and "/" not in text:
+            frac = frac.limit_denominator(10**6)
         if normalize and 0 < frac < Fraction(1, 4):
             frac = Fraction(1, 2) - frac
         return cls(frac.numerator, frac.denominator)
@@ -72,7 +79,7 @@ class Weight:
     @classmethod
     def from_torus(cls, text):
         """Build from the torus-side weight r = l/k in (0,1/2) via rt = (1+2r)/4."""
-        frac = Fraction(text) if isinstance(text, str) else Fraction(text).limit_denominator(10**6)
+        frac = _fraction(text)
         if not 0 < frac < Fraction(1, 2):
             raise CharVarError(f"torus weight r = {frac} outside (0,1/2)")
         rt = (1 + 2 * frac) / 4
@@ -235,15 +242,15 @@ def classify_real(t: TraceCoords, w: Weight, tol=TOL_CHAR):
     return ("SL2R", pattern)
 
 
-def reconstruct_rep(t: TraceCoords, tol=algebra.TOL_ALG):
+def reconstruct_rep(t: TraceCoords):
     """Matrices (X, Y) with the given traces, X diagonal with |lambda| >= 1.
 
     X = diag(lam, 1/lam) with lam + 1/lam = x, Y = [[alpha,1],[gamma,delta]]
     solving alpha+delta = y, lam*alpha + delta/lam = z, alpha*delta - gamma = 1.
-    Raises DegenerateTrace at x = +-2.
+    Raises DegenerateTrace at x = +-2 (within algebra.TOL_ALG).
     """
     x, y, z = (complex(v) for v in t.astuple())
-    if abs(x - 2.0) <= tol or abs(x + 2.0) <= tol:
+    if abs(x - 2.0) <= algebra.TOL_ALG or abs(x + 2.0) <= algebra.TOL_ALG:
         raise DegenerateTrace("x = +-2 has no diagonal normal form")
     disc = complex(np.sqrt(x * x - 4.0))
     lam = (x + disc) / 2.0

@@ -53,10 +53,11 @@ class SignChoice:
 
     @classmethod
     def parse(cls, text):
-        parts = [int(p) for p in text.split(",")]
-        if len(parts) != 3:
-            raise CoveringError("expected three comma-separated signs")
-        return cls(*parts)
+        try:
+            s2, s3, s4 = (int(p) for p in text.split(","))
+        except ValueError as exc:
+            raise CoveringError("expected three comma-separated signs") from exc
+        return cls(s2, s3, s4)
 
 
 DEFAULT_SIGNS = SignChoice(1, -1, -1)
@@ -90,7 +91,7 @@ class CoveringSpec:
         return genus_of_weight(self.weight) + 1
 
 
-def fuchsian_local_monodromies(w: Weight, signs: SignChoice = DEFAULT_SIGNS):
+def fuchsian_local_monodromies(w: Weight, signs: SignChoice):
     """Local monodromies M_j = diag(e^{-2 pi i rt s_j}, e^{+2 pi i rt s_j})."""
     out = []
     for s in signs.sigma:
@@ -209,7 +210,7 @@ def covering_triviality_check(w: Weight, signs: SignChoice = DEFAULT_SIGNS, tol=
     )
 
 
-def admissible_weights(max_k=12):
+def admissible_weights(max_k):
     """All weights l/k with k <= max_k, gcd(l,k)=1 and l/k in (1/4,1/2)."""
     out = []
     for k in range(2, max_k + 1):
@@ -219,22 +220,16 @@ def admissible_weights(max_k=12):
     return out
 
 
-def higgs_det(z, pts: PuncturePoints, signs: SignChoice = DEFAULT_SIGNS):
+def higgs_det(z, pts: PuncturePoints):
     """det of the off-diagonal Higgs field as the coefficient of dz^2.
 
-    The field pairs the two +1 punctures in the upper-right entry and the
-    two -1 punctures in the lower-left, giving
-    -(1/(z-p_a) - 1/(z-p_b)) * (1/(z-p_c) - 1/(z-p_d)) with simple poles
+    The field pairs p1, p2 (the +1 punctures of DEFAULT_SIGNS) in the
+    upper-right entry and p3, p4 in the lower-left, giving
+    -(1/(z-p1) - 1/(z-p2)) * (1/(z-p3) - 1/(z-p4)) with simple poles
     at each puncture.
     """
-    p = pts.points
-    sigma = signs.sigma
-    plus = [p[j] for j in range(4) if sigma[j] == 1]
-    minus = [p[j] for j in range(4) if sigma[j] == -1]
+    p1, p2, p3, p4 = pts.points
     z = complex(z)
-    for pj in p:
-        if abs(z - pj) < 1e-12:
-            raise EvaluationAtPuncture(f"z = {z} is a puncture")
-    f = 1.0 / (z - plus[0]) - 1.0 / (z - plus[1])
-    g = 1.0 / (z - minus[0]) - 1.0 / (z - minus[1])
-    return -f * g
+    if min(abs(z - pj) for pj in pts.points) < 1e-12:
+        raise EvaluationAtPuncture(f"z = {z} is a puncture")
+    return -(1.0 / (z - p1) - 1.0 / (z - p2)) * (1.0 / (z - p3) - 1.0 / (z - p4))

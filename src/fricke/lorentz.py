@@ -17,6 +17,7 @@ import numpy as np
 from . import algebra
 
 SQRT5 = math.sqrt(5.0)
+TOL_LORENTZ = 1e-9  # reflect's unit-normal test and from_hermitian's Hermitian test
 
 
 class LorentzError(ValueError):
@@ -39,17 +40,17 @@ def lorentz_inner(u, v):
     return float(-u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3])
 
 
-def is_point(v, tol=1e-9):
+def is_point(v, tol):
     return abs(lorentz_inner(v, v) + 1.0) <= tol and v[0] > 0
 
 
-def is_unit_spacelike(v, tol=1e-9):
+def is_unit_spacelike(v, tol):
     return abs(lorentz_inner(v, v) - 1.0) <= tol
 
 
-def reflect(v, normal, tol=1e-9):
+def reflect(v, normal):
     """Lorentz reflection v - 2 <v,L> L across the hyperplane with unit normal L."""
-    if not is_unit_spacelike(normal, tol):
+    if not is_unit_spacelike(normal, TOL_LORENTZ):
         raise NotUnitNormal(f"<L,L> = {lorentz_inner(normal, normal):.6f} != 1")
     return v - 2.0 * lorentz_inner(v, normal) * normal
 
@@ -61,8 +62,8 @@ def to_hermitian(v):
     )
 
 
-def from_hermitian(h, tol=1e-9):
-    if algebra.norm_inf(h - np.conj(h).T) > tol:
+def from_hermitian(h):
+    if algebra.norm_inf(h - np.conj(h).T) > TOL_LORENTZ:
         raise NotHermitian("matrix is not Hermitian")
     x0 = 0.5 * (h[0, 0] + h[1, 1]).real
     x1 = 0.5 * (h[0, 0] - h[1, 1]).real

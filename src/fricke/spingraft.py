@@ -104,13 +104,13 @@ def line_holonomies(chi: complex, tau: float):
     return holonomy(1.0 + 0.0j), holonomy(1j * tau)
 
 
-def verify_spin_dictionary(tau: float, tol: float = 1e-10):
-    """Worst deviation of the line-bundle holonomies from (eps_x, eps_y)."""
+def verify_spin_dictionary(tau: float):
+    """Worst deviation of the line-bundle holonomies from (eps_x, eps_y); raises above 1e-10."""
     worst = 0.0
     for s in ALL_SPIN_CLASSES:
         hx, hy = line_holonomies(spin_to_chi(s, tau), tau)
         worst = max(worst, abs(hx - s.eps_x), abs(hy - s.eps_y))
-    if worst > tol:
+    if worst > 1e-10:
         raise SpinGraftError(f"spin dictionary holonomy deviation {worst:.2e}")
     return worst
 

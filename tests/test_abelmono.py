@@ -468,6 +468,26 @@ def test_batch_evaluates_each_panel_level_once_per_chunk(monkeypatch, members):
     assert max(calls) == min(members, am.BATCH_CHUNK)
 
 
+@pytest.mark.parametrize("members", [None, 1, 8])
+def test_stack_shape_contract(members):
+    """a is 0-d for one ConnectionParams and 1-D for a list; transport returns a list for 1-D."""
+    stack = _slice_stack(R, TAU, members or 1, (0.3, 0.5))
+    form = am.ConnectionForm(stack if members else stack[0])
+    shape = (members,) if members else ()
+    w = am.basepoint(TAU) + np.linspace(0.0, 0.5, 6).reshape(2, 3)
+    assert form.a.shape == shape
+    assert form.a_w(w).shape == form.coefficient(w, 1.0).shape == shape + (2, 3, 2, 2)
+    res = am.parallel_transport(form, am.gamma_x(TAU))
+    if members:
+        assert isinstance(res, list) and len(res) == members
+    else:
+        assert isinstance(res, am.TransportResult)
+        res = [res]
+    for params, got in zip(stack, res):
+        alone = am.parallel_transport(am.ConnectionForm(params), am.gamma_x(TAU))
+        assert got.matrix.tobytes() == alone.matrix.tobytes()
+
+
 def test_batch_requires_shared_chi_r_tau():
     stack = [am.ConnectionParams(0.2, CHI, R, TAU), am.ConnectionParams(0.2, CHI, R, 1.1)]
     with pytest.raises(am.ParameterOutOfRange):
@@ -644,10 +664,12 @@ def test_dodecahedral_point_on_trivializing_slice():
     assert 2.9 < res.tau < 3.0
 
 
-def test_match_on_locus_slice_without_graze_point():
-    """a_scan past the graze point (a ~ 0.45 at tau = 2) holds no real point."""
+def test_match_on_locus_slice_without_graze_point(monkeypatch):
+    """A scan past the graze point (a ~ 0.45 at tau = 2) holds no real point."""
+    monkeypatch.setattr(am, "GRAZE_SCAN", (1.0, 1.8))
+    monkeypatch.setattr(am, "GRAZE_POINTS", 5)
     with pytest.raises(am.BracketDoesNotStraddle):
-        am.match_on_locus(YSTAR, R, a_scan=(1.0, 1.8), n_scan=5)
+        am.match_on_locus(YSTAR, R)
 
 
 def test_match_on_locus_stage_budget():

@@ -283,6 +283,32 @@ def test_parameter_errors_are_typed(capsys, argv, kind):
     assert out == ""
 
 
+@pytest.mark.parametrize("surface", ["torus", "sphere"])
+@pytest.mark.parametrize("weight", ["abc", "nan", "inf", "1/0", ""])
+def test_malformed_weight_is_input_error(capsys, surface, weight):
+    code, out, err = run(
+        capsys, "charvar", "residual", "--surface", surface, "--coords", "2,2,2",
+        f"--weight={weight}",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("E:input:malformed weight ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["covering", "check", "--weight", "3/10", "--signs", "a,b,c"],
+        ["covering", "check", "--weight", "3/10", "--signs", "1,-1,-1.0"],
+        ["covering", "check", "--weight", "abc"],
+        ["covering", "check", "--weight", "1/0"],
+    ],
+)
+def test_malformed_covering_input_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("E:input:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -43,7 +43,7 @@ def test_local_monodromies_product_identity():
 
 def test_local_monodromies_traces_and_commutativity():
     w = Weight(3, 10)
-    mats = covering.fuchsian_local_monodromies(w)
+    mats = covering.fuchsian_local_monodromies(w, covering.DEFAULT_SIGNS)
     for m in mats:
         assert abs(algebra.trace(m) - 2 * math.cos(2 * math.pi * w.rt)) <= 1e-14
     for a in mats:
@@ -53,7 +53,7 @@ def test_local_monodromies_traces_and_commutativity():
 
 def test_local_monodromy_power_identity_odd_k():
     w = Weight(2, 5)
-    m1 = covering.fuchsian_local_monodromies(w)[0]
+    m1 = covering.fuchsian_local_monodromies(w, covering.DEFAULT_SIGNS)[0]
     assert algebra.order_of(m1, 16) == 5
 
 

@@ -56,7 +56,7 @@ def test_spin_to_chi_dictionary():
 @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
 def test_spin_holonomies_match(tau):
     """Oracle: line integral of the unitary connection along both loops."""
-    assert sg.verify_spin_dictionary(tau, tol=1e-10) <= 1e-10
+    assert sg.verify_spin_dictionary(tau) <= 1e-10
     s = sg.SpinClass(-1, 1)
     hx, hy = sg.line_holonomies(sg.spin_to_chi(s, tau), tau)
     assert abs(hx + 1.0) <= 1e-12 and abs(hy - 1.0) <= 1e-12
