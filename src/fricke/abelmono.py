@@ -304,12 +304,6 @@ def gamma_x_wiggled(tau: float, amplitude: float, cycles: int) -> TorusPath:
     return TorusPath(pt, vel, tau, "gamma_x~")
 
 
-def segment(z0: complex, z1: complex, tau: float, label: str) -> TorusPath:
-    return TorusPath(
-        lambda s: z0 + s * (z1 - z0), lambda s: z1 - z0, tau, label
-    )
-
-
 # ---------------------------------------------------------------------------
 # Parallel transport (4th-order Magnus on Gauss-Legendre panels)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 TOL_ALG = 1e-9
+MAX_ORDER = 64  # the largest finite order order_of looks for
 
 IDENTITY = np.eye(2, dtype=complex)
 
@@ -68,12 +69,10 @@ def power(m, n):
     return out
 
 
-def order_of(m, max_order, tol=TOL_ALG):
-    """Smallest n <= max_order with m^n = Id (entrywise within tol), else None."""
-    if max_order < 1:
-        raise AlgebraError("max_order must be >= 1")
+def order_of(m, tol=TOL_ALG):
+    """Smallest n <= MAX_ORDER with m^n = Id (entrywise within tol), else None."""
     acc = m
-    for n in range(1, max_order + 1):
+    for n in range(1, MAX_ORDER + 1):
         if norm_inf(acc - IDENTITY) <= tol:
             return n
         acc = acc @ m

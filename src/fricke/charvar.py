@@ -36,9 +36,9 @@ class OffVariety(CharVarError):
 
 
 def _fraction(value) -> Fraction:
-    """A string exactly, a number to denominator <= 10^6; malformed input is CharVarError."""
+    """Fraction(value) exactly; malformed input is CharVarError."""
     try:
-        return Fraction(value) if isinstance(value, str) else Fraction(value).limit_denominator(10**6)
+        return Fraction(value)
     except (ValueError, ArithmeticError) as exc:
         raise CharVarError(f"malformed weight {value!r}") from exc
 
@@ -68,9 +68,9 @@ class Weight:
 
     @classmethod
     def parse(cls, text, normalize=False):
-        """Parse 'l/k' exactly, a decimal to denominator <= 10^6; optionally fold."""
+        """Parse 'l/k' exactly, a number or decimal to denominator <= 10^6; optionally fold."""
         frac = _fraction(text)
-        if isinstance(text, str) and "/" not in text:
+        if not (isinstance(text, str) and "/" in text):
             frac = frac.limit_denominator(10**6)
         if normalize and 0 < frac < Fraction(1, 4):
             frac = Fraction(1, 2) - frac
@@ -78,8 +78,13 @@ class Weight:
 
     @classmethod
     def from_torus(cls, text):
-        """Build from the torus-side weight r = l/k in (0,1/2) via rt = (1+2r)/4."""
+        """Build from the torus-side weight r in (0,1/2) via rt = (1+2r)/4.
+
+        A string (l/k or decimal) is read exactly, a number to denominator <= 10^6.
+        """
         frac = _fraction(text)
+        if not isinstance(text, str):
+            frac = frac.limit_denominator(10**6)
         if not 0 < frac < Fraction(1, 2):
             raise CharVarError(f"torus weight r = {frac} outside (0,1/2)")
         rt = (1 + 2 * frac) / 4

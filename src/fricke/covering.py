@@ -63,6 +63,7 @@ class SignChoice:
 DEFAULT_SIGNS = SignChoice(1, -1, -1)
 COHERENCE_SAMPLES = 25  # random generator products the sign coherence test checks
 COHERENCE_SEED = 7
+MAX_K = 12  # the largest denominator admissible_weights lists
 
 
 @dataclass(frozen=True)
@@ -210,10 +211,10 @@ def covering_triviality_check(w: Weight, signs: SignChoice = DEFAULT_SIGNS, tol=
     )
 
 
-def admissible_weights(max_k):
-    """All weights l/k with k <= max_k, gcd(l,k)=1 and l/k in (1/4,1/2)."""
+def admissible_weights():
+    """All weights l/k with k <= MAX_K, gcd(l,k)=1 and l/k in (1/4,1/2)."""
     out = []
-    for k in range(2, max_k + 1):
+    for k in range(2, MAX_K + 1):
         for l in range(1, k):
             if math.gcd(l, k) == 1 and 0.25 < l / k < 0.5:
                 out.append(Weight(l, k))

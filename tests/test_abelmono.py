@@ -291,7 +291,7 @@ def test_transport_step_budget():
 
 def test_transport_path_too_close_to_pole():
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
-    bad = am.segment(0.001 + 0.001j, 1.001 + 0.001j, TAU, "bad")
+    bad = am.TorusPath(lambda s: 0.001 + 0.001j + s, lambda s: 1.0 + 0.0j, TAU, "bad")
     with pytest.raises(am.PathTooCloseToPole):
         am.parallel_transport(form, bad)
 

@@ -176,7 +176,7 @@ def test_criterion_6_covering():
     t0 = time.time()
     all_pass = True
     odd_all_positive = True
-    for w in covering.admissible_weights(12):
+    for w in covering.admissible_weights():
         rep = covering.covering_triviality_check(w)
         all_pass = all_pass and rep.passed
         if w.k % 2 == 1:

@@ -55,22 +55,22 @@ def test_order_of(name, expected):
         "g02": gens[(0, 2)],
         "id": algebra.IDENTITY,
     }
-    assert algebra.order_of(mats[name], 64) == expected
+    assert algebra.order_of(mats[name]) == expected
 
 
 def test_order_of_powers_divide():
     gens = lorentz.generators()
     j0 = gens[(1, 2)] @ gens[(1, 3)]
-    n = algebra.order_of(j0, 64)
+    n = algebra.order_of(j0)
     rng = np.random.default_rng(3)
     for k in rng.integers(1, 12, size=6):
-        nk = algebra.order_of(algebra.power(j0, int(k)), 64)
+        nk = algebra.order_of(algebra.power(j0, int(k)))
         assert nk is not None and n % nk == 0
 
 
 def test_order_of_none_for_infinite_order():
     hyp = algebra.make(2.0, 0.0, 0.0, 0.5)
-    assert algebra.order_of(hyp, 64) is None
+    assert algebra.order_of(hyp) is None
 
 
 def test_evaluate_word_right_to_left():

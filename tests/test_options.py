@@ -3,6 +3,11 @@
 An option is a default in a def line: each entry of args.defaults and each
 keyword-only default that is not None.  The budget only goes down: a new
 option needs two callers outside the tests that pass different values.
+
+Only defaults are counted.  A required parameter is a value callers can
+still set, so turning a default into a required parameter lowers this
+count without removing the knob; such a parameter needs a caller outside
+the tests that passes it.
 """
 
 import ast
