@@ -30,7 +30,6 @@ from . import algebra, charvar
 TOL_MONO = 1e-6
 TOL_ROOT = 1e-6
 TOL_IM = 1e-10  # |Im z| below which match_on_locus takes a point as real
-TOL_ETA = 1e-12  # eta_case's tolerance on real and imaginary parts
 TOL_SLICE = 1e-9  # how far chi0 may lie from an eta-admissible line
 RANK_FLOOR = 1e3 * TOL_MONO  # jacobian_rank's floor on the smaller singular value
 TRANSPORT_RTOL = 1e-10
@@ -475,42 +474,13 @@ def _monodromy_result(params, tx: TransportResult, ty: TransportResult) -> Monod
     )
 
 
-def eta_case(a, chi, tau: float):
-    """Which eta-invariance condition (a, chi) satisfies, as (case, k), or None.
-
-    Case 1: chi, a real.  Case 2: chi + k pi i/2 and a - k pi i/2 real.
-    Case 3: chi, a imaginary.  Case 4: chi + k pi/(2 tau) and
-    a - k pi/(2 tau) imaginary.
-    """
-    a = complex(a)
-    chi = complex(chi)
-    if abs(chi.imag) <= TOL_ETA and abs(a.imag) <= TOL_ETA:
-        return (1, 0)
-    k = round(-2.0 * chi.imag / math.pi)
-    if (
-        k != 0
-        and abs(chi.imag + k * math.pi / 2.0) <= TOL_ETA
-        and abs(a.imag - k * math.pi / 2.0) <= TOL_ETA
-    ):
-        return (2, k)
-    if abs(chi.real) <= TOL_ETA and abs(a.real) <= TOL_ETA:
-        return (3, 0)
-    k = round(-2.0 * tau * chi.real / math.pi)
-    if (
-        k != 0
-        and abs(chi.real + k * math.pi / (2.0 * tau)) <= TOL_ETA
-        and abs(a.real - k * math.pi / (2.0 * tau)) <= TOL_ETA
-    ):
-        return (4, k)
-    return None
-
-
 def _slice_parametrization(chi0: complex, tau: float):
     """Map t in R to the admissible a-line paired with chi0, or raise.
 
     For chi0 with Im chi0 in (pi/2) Z the line is a(t) = t - i Im chi0
-    (cases 1/2); for Re chi0 in (pi/(2 tau)) Z it is a(t) = -Re chi0 + i t
-    (cases 3/4).
+    (eta cases 1/2: chi0 and a real after a shift by k pi i/2); for
+    Re chi0 in (pi/(2 tau)) Z it is a(t) = -Re chi0 + i t (cases 3/4:
+    imaginary after a shift by k pi/(2 tau)).
     """
     chi0 = complex(chi0)
     k_im = round(2.0 * chi0.imag / math.pi)

@@ -48,27 +48,6 @@ def norm_inf(m):
     return float(np.max(np.abs(m)))
 
 
-def normalize(m):
-    """Rescale so det = 1; raises if the determinant vanishes."""
-    d = det(m)
-    if abs(d) < 1e-30:
-        raise AlgebraError("matrix is singular, cannot normalize to SL(2,C)")
-    return np.asarray(m, dtype=complex) / np.sqrt(d)
-
-
-def power(m, n):
-    if n < 0:
-        return power(inverse(m), -n)
-    out = IDENTITY.copy()
-    base = m
-    while n:
-        if n & 1:
-            out = out @ base
-        base = base @ base
-        n >>= 1
-    return out
-
-
 def order_of(m, tol=TOL_ALG):
     """Smallest n <= MAX_ORDER with m^n = Id (entrywise within tol), else None."""
     acc = m
@@ -95,27 +74,6 @@ def evaluate_word(word, alphabet):
     return out
 
 
-def classify(m):
-    """Conjugacy type of a unimodular matrix.
-
-    Returns one of 'central', 'elliptic', 'parabolic', 'hyperbolic',
-    'loxodromic'.  Central means +-Id; the rest follow the trace:
-    real in (-2,2) elliptic, +-2 parabolic, real with |tr|>2 hyperbolic,
-    non-real loxodromic.  Comparisons are within TOL_ALG.
-    """
-    if norm_inf(m - IDENTITY) <= TOL_ALG or norm_inf(m + IDENTITY) <= TOL_ALG:
-        return "central"
-    t = trace(m)
-    if abs(t.imag) <= TOL_ALG:
-        tr = t.real
-        if abs(abs(tr) - 2.0) <= TOL_ALG:
-            return "parabolic"
-        if abs(tr) < 2.0:
-            return "elliptic"
-        return "hyperbolic"
-    return "loxodromic"
-
-
 def commutator(a, b):
     """b^-1 a^-1 b a, the monodromy of a commutator loop (a's loop first)."""
     return inverse(b) @ inverse(a) @ b @ a
@@ -125,9 +83,3 @@ def to_json_entries(m):
     """Row-major [[re,im],...] encoding used by the CLI."""
     return [[float(np.real(x)), float(np.imag(x))] for x in np.asarray(m).reshape(-1)]
 
-
-def from_json_entries(entries):
-    if len(entries) != 4:
-        raise AlgebraError("matrix JSON must have 4 [re,im] pairs")
-    vals = [complex(re, im) for re, im in entries]
-    return make(*vals)

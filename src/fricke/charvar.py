@@ -274,14 +274,6 @@ def traces_of_pair(X, Y):
     return TraceCoords(algebra.trace(X), algebra.trace(Y), algebra.trace(Y @ X))
 
 
-def sphere_traces(M1, M2, M3):
-    """(tr M2M1, tr M3M2, tr M3M1) of a 4-punctured-sphere representation."""
-    xt = algebra.trace(M2 @ M1)
-    yt = algebra.trace(M3 @ M2)
-    zt = algebra.trace(M3 @ M1)
-    return xt, yt, zt
-
-
 def genus_for_order(k: int) -> int:
     """k-1 for odd local order k, k/2-1 for even k."""
     if k < 1:

@@ -153,8 +153,8 @@ def warn(code: str, message: str):
 
 
 def cmd_verify(args, config: RunConfig) -> int:
-    if args.target != "dodeca":
-        raise CliInputError(f"unknown verification target {args.target!r}")
+    if args.json and args.format == "text":
+        raise CliInputError("--json and --format text conflict")
     checks = dodeca.verify_theorem91(config.tol_alg)
     passed = dodeca.theorem91_passed(checks)
     if args.json or config.format != "text":
@@ -232,21 +232,17 @@ def cmd_charvar(args, config: RunConfig) -> int:
         }
         write_json(payload, config)
         return 0
-    if args.action == "classify":
-        x, y, z = _parse_coords(args.coords)
-        verdict = charvar.classify_real(charvar.TraceCoords(x, y, z), w, config.tol_char)
-        if isinstance(verdict, tuple):
-            payload = {"class": verdict[0], "component": verdict[1]}
-        else:
-            payload = {"class": verdict}
-        write_json(payload, config)
-        return 0
-    raise CliInputError(f"unknown charvar action {args.action!r}")
+    x, y, z = _parse_coords(args.coords)  # classify
+    verdict = charvar.classify_real(charvar.TraceCoords(x, y, z), w, config.tol_char)
+    if isinstance(verdict, tuple):
+        payload = {"class": verdict[0], "component": verdict[1]}
+    else:
+        payload = {"class": verdict}
+    write_json(payload, config)
+    return 0
 
 
 def cmd_lorentz(args, config: RunConfig) -> int:
-    if args.action != "angles":
-        raise CliInputError(f"unknown lorentz action {args.action!r}")
     tet = lorentz.canonical_tetrahedron()
     data = lorentz.dihedral_data(tet)
     gens = lorentz.generators()
@@ -270,8 +266,6 @@ def cmd_lorentz(args, config: RunConfig) -> int:
 
 
 def cmd_covering(args, config: RunConfig) -> int:
-    if args.action != "check":
-        raise CliInputError(f"unknown covering action {args.action!r}")
     w = charvar.Weight.parse(args.weight, normalize=args.normalize_weight)
     signs = covering.SignChoice.parse(args.signs)
     report = covering.covering_triviality_check(w, signs, config.tol_alg)

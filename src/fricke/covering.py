@@ -29,10 +29,6 @@ class BadSheetCount(CoveringError):
     pass
 
 
-class EvaluationAtPuncture(CoveringError):
-    pass
-
-
 @dataclass(frozen=True)
 class SignChoice:
     """Signs (s2, s3, s4) with 1 + s2 + s3 + s4 = 0 (exactly one +1)."""
@@ -64,32 +60,6 @@ DEFAULT_SIGNS = SignChoice(1, -1, -1)
 COHERENCE_SAMPLES = 25  # random generator products the sign coherence test checks
 COHERENCE_SEED = 7
 MAX_K = 12  # the largest denominator admissible_weights lists
-
-
-@dataclass(frozen=True)
-class PuncturePoints:
-    """p1 = e^{i phi}, p2 = -e^{-i phi}, p3 = -e^{i phi}, p4 = e^{-i phi}."""
-
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 < self.phi < math.pi / 2.0:
-            raise CoveringError("phi must lie in (0, pi/2)")
-
-    @property
-    def points(self):
-        e = cmath.exp(1j * self.phi)
-        ec = cmath.exp(-1j * self.phi)
-        return (e, -ec, -e, ec)
-
-
-@dataclass(frozen=True)
-class CoveringSpec:
-    weight: Weight
-
-    @property
-    def sheets(self):
-        return genus_of_weight(self.weight) + 1
 
 
 def fuchsian_local_monodromies(w: Weight, signs: SignChoice):
@@ -220,17 +190,3 @@ def admissible_weights():
                 out.append(Weight(l, k))
     return out
 
-
-def higgs_det(z, pts: PuncturePoints):
-    """det of the off-diagonal Higgs field as the coefficient of dz^2.
-
-    The field pairs p1, p2 (the +1 punctures of DEFAULT_SIGNS) in the
-    upper-right entry and p3, p4 in the lower-left, giving
-    -(1/(z-p1) - 1/(z-p2)) * (1/(z-p3) - 1/(z-p4)) with simple poles
-    at each puncture.
-    """
-    p1, p2, p3, p4 = pts.points
-    z = complex(z)
-    if min(abs(z - pj) for pj in pts.points) < 1e-12:
-        raise EvaluationAtPuncture(f"z = {z} is a puncture")
-    return -(1.0 / (z - p1) - 1.0 / (z - p2)) * (1.0 / (z - p3) - 1.0 / (z - p4))

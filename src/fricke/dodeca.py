@@ -22,20 +22,6 @@ class DodecaData:
     J: tuple  # (J1, J2, J3, J4)
 
 
-@dataclass
-class RSRReport:
-    is_real: bool
-    trace_values: dict
-    is_symmetric: bool
-    is_rectangular: bool
-    order_k: int | None
-    genus: int | None
-    product_is_identity: bool
-
-    def all_flags(self):
-        return self.is_real and self.is_symmetric and self.is_rectangular and self.product_is_identity
-
-
 def build_dodeca() -> DodecaData:
     gens = lorentz.generators()
     j0 = gens[(1, 2)] @ gens[(1, 3)]
@@ -45,34 +31,6 @@ def build_dodeca() -> DodecaData:
     for _ in range(3):
         Js.append(j0 @ Js[-1] @ j0_inv)
     return DodecaData(gens, j0, tuple(Js))
-
-
-def rsr_check(M1, M2, M3, M4, w: charvar.Weight, tol=algebra.TOL_ALG) -> RSRReport:
-    """Check the Real / Symmetric / Rectangular conditions on four monodromies."""
-    mats = (M1, M2, M3, M4)
-    xt, yt, zt = charvar.sphere_traces(M1, M2, M3)
-    traces = {
-        "tr_M": [algebra.trace(M) for M in mats],
-        "xt": xt,
-        "yt": yt,
-        "zt": zt,
-        "tr_M1M3": algebra.trace(M1 @ M3),
-        "tr_M2M4": algebra.trace(M2 @ M4),
-    }
-    entries_real = all(float(np.max(np.abs(M.imag))) <= tol for M in mats)
-    products_below = all(
-        abs(v.imag) <= tol and v.real < -2.0 for v in (xt, yt, zt)
-    )
-    is_real = entries_real and products_below
-    mu = w.mu
-    is_symmetric = all(abs(algebra.trace(M) - mu) <= tol for M in mats)
-    is_rectangular = abs(traces["tr_M1M3"] - traces["tr_M2M4"]) <= tol
-    order_k = algebra.order_of(M1, tol)
-    genus = None if order_k is None else charvar.genus_for_order(order_k)
-    prod = M4 @ M3 @ M2 @ M1
-    product_is_identity = algebra.norm_inf(prod - algebra.IDENTITY) <= tol
-    return RSRReport(is_real, traces, is_symmetric, is_rectangular,
-                     order_k, genus, product_is_identity)
 
 
 def verify_theorem91(tol=algebra.TOL_ALG):

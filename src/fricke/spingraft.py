@@ -33,14 +33,6 @@ class SpinClass:
         if self.eps_x not in (1, -1) or self.eps_y not in (1, -1):
             raise SpinGraftError("spin holonomies must be +-1")
 
-    def quadratic_form(self, m: int, n: int) -> int:
-        """Value of the spin quadratic form on m gamma_x + n gamma_y in Z2.
-
-        q(gamma_x) = eps_x, q(gamma_y) = eps_y, and the intersection-form
-        correction contributes (-1)^{mn}.
-        """
-        return (self.eps_x**m) * (self.eps_y**n) * ((-1) ** (m * n))
-
     @classmethod
     def parse(cls, text):
         parts = text.split(",")
@@ -134,24 +126,3 @@ def graft_modulus(tau: float, ell: float) -> float:
         raise NonPositiveInput("tau must be positive and finite")
     return 1.0 / (1.0 / tau + 1.0 / hopf_modulus(ell))
 
-
-@dataclass(frozen=True)
-class GraftState:
-    """Modulus, spin class and graft counts accumulated by a graft sequence."""
-
-    tau: float
-    spin: SpinClass
-    n_x: int = 0
-    n_y: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.tau < math.inf:
-            raise NonPositiveInput("tau must be positive and finite")
-
-    def graft(self, curve: str, ell: float) -> "GraftState":
-        return GraftState(
-            graft_modulus(self.tau, ell),
-            graft_spin(self.spin, curve),
-            self.n_x + (curve == "x"),
-            self.n_y + (curve == "y"),
-        )

@@ -519,13 +519,17 @@ def test_sweep_memory_peak():
 
 
 def test_eta_case_examples():
-    assert am.eta_case(0.2, 0.3, TAU) == (1, 0)
-    assert am.eta_case(0.1 - 0.5j * math.pi, 0.4 + 0.5j * math.pi, TAU) == (2, -1)
-    assert am.eta_case(0.2j, 0.3j, TAU) == (3, 0)
-    chi = 0.25j - math.pi / (2 * TAU)
-    a = 0.1j - math.pi / (2 * TAU) * (-1)
-    assert am.eta_case(a, chi, TAU) == (4, 1)
-    assert am.eta_case(1 + 1j, 2 + 3j, TAU) is None
+    """chi of each eta case is paired with the a-line through the case's a."""
+    cases = [  # (a, chi, t with a = line(t))
+        (0.2, 0.3, 0.2),  # case 1: chi, a real
+        (0.1 - 0.5j * math.pi, 0.4 + 0.5j * math.pi, 0.1),  # case 2, k = -1
+        (0.2j, 0.3j, 0.2),  # case 3: chi, a imaginary
+        (0.1j + math.pi / (2 * TAU), 0.25j - math.pi / (2 * TAU), 0.1),  # case 4, k = 1
+    ]
+    for a, chi, t in cases:
+        assert abs(am._slice_parametrization(chi, TAU)(t) - a) <= 1e-15
+    with pytest.raises(am.SlicePreconditionError):
+        am._slice_parametrization(2 + 3j, TAU)
 
 
 # ---------------------------------------------------------------------------

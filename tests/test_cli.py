@@ -44,6 +44,19 @@ def test_verify_reads_tol_alg(capsys):
     assert payload["bounds"]["tr_J1"] == 1e-30
 
 
+def test_verify_text_and_json_flags_conflict(capsys):
+    code, out, err = run(capsys, "--format", "text", "verify", "dodeca", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("E:input:") and len(err.splitlines()) == 1
+
+
+def test_verify_json_flag_wins_over_text_config_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=text\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "verify", "dodeca", "--json")
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
 def test_verify_tol_flag_removed(capsys):
     code, out, err = run(capsys, "verify", "dodeca", "--tol", "1e-9")
     assert (code, out) == (2, "")

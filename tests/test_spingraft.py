@@ -36,13 +36,6 @@ def test_graft_spin_generates_klein_four_group():
         )
 
 
-def test_quadratic_form_intersection_correction():
-    s = sg.SpinClass(1, 1)
-    assert s.quadratic_form(1, 0) == 1
-    assert s.quadratic_form(0, 1) == 1
-    assert s.quadratic_form(1, 1) == -1
-
-
 def test_spin_to_chi_dictionary():
     tau = 2.0
     assert sg.spin_to_chi(sg.SpinClass(1, 1), tau) == 0
@@ -106,14 +99,6 @@ def test_graft_modulus_injective_on_grid():
     images = [sg.graft_modulus(t, ell) for t in grid]
     assert all(b > a for a, b in zip(images, images[1:]))
     assert len({round(v, 12) for v in images}) == len(images)
-
-
-def test_graft_state_accumulates():
-    state = sg.GraftState(2.0, sg.SpinClass(1, 1))
-    state = state.graft("y", 1.0).graft("x", 1.0)
-    assert state.n_x == 1 and state.n_y == 1
-    assert state.spin == sg.SpinClass(-1, -1)
-    assert state.tau < 2.0
 
 
 def test_spin_parse():
