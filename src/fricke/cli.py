@@ -4,7 +4,8 @@ Exit codes: 0 all checks passed / output produced, 1 a verification
 failed (report still emitted), 2 invalid input.  Errors go to stderr as
 single-line records ``E:<code>:<message>``; warnings as ``W:<code>:...``.
 Identical argv + config produce byte-identical JSON/CSV output (SVG is
-identical up to the version comment line).
+identical up to the version comment line).  ``dispatch`` is the only writer
+of stdout: it adds the ``tolerances`` block to a verb's JSON payload.
 """
 
 from __future__ import annotations
@@ -134,12 +135,6 @@ def apply_flag_overrides(config: RunConfig, args) -> RunConfig:
     return replace(config, **updates) if updates else config
 
 
-def write_json(payload, config: RunConfig, **tolerances):
-    """Print payload as sorted-key JSON with its tolerances block (config, then extras)."""
-    payload = {**payload, "tolerances": {**config.tolerances(), **tolerances}}
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def error(code: str, message: str):
     print(f"E:{code}:{message}", file=sys.stderr)
 
@@ -149,28 +144,34 @@ def warn(code: str, message: str):
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: each returns (output, ok) and writes nothing to stdout.  output is a
+# JSON payload (dict), text to print, or None; ok False exits CHECK_EXIT.
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def _pair(z) -> list:
+    """A complex number as its JSON pair [re, im]."""
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def cmd_verify(args, config: RunConfig):
     if args.json and args.format == "text":
         raise CliInputError("--json and --format text conflict")
     checks = dodeca.verify_theorem91(config.tol_alg)
     passed = dodeca.theorem91_passed(checks)
     if args.json or config.format != "text":
-        payload = {
+        return {
             "target": "dodeca",
             "passed": passed,
             "residuals": {name: res for name, (res, _bound) in checks.items()},
             "bounds": {name: bound for name, (_res, bound) in checks.items()},
-        }
-        write_json(payload, config, tol=config.tol_alg)
-    else:
-        for name, (res, bound) in checks.items():
-            state = "ok" if res <= bound else "FAIL"
-            print(f"{state:4s} {name:24s} {res:.3e} <= {bound:.1e}")
-        print("passed" if passed else "failed")
-    return 0 if passed else CHECK_EXIT
+            "tolerances": {"tol": config.tol_alg},
+        }, passed
+    lines = [
+        f"{'ok' if res <= bound else 'FAIL':4s} {name:24s} {res:.3e} <= {bound:.1e}"
+        for name, (res, bound) in checks.items()
+    ]
+    return "\n".join([*lines, "passed" if passed else "failed"]) + "\n", passed
 
 
 def _parse_coords(text: str):
@@ -180,7 +181,7 @@ def _parse_coords(text: str):
     return tuple(parse_complex(p) for p in parts)
 
 
-def cmd_charvar(args, config: RunConfig) -> int:
+def cmd_charvar(args, config: RunConfig):
     # torus-side actions read --weight as r in (0,1/2); sphere-side as rt in (1/4,1/2)
     torus_side = args.action in ("abelianize", "classify") or (
         args.action == "residual" and args.surface == "torus"
@@ -189,103 +190,78 @@ def cmd_charvar(args, config: RunConfig) -> int:
         w = charvar.Weight.from_torus(args.weight)
     else:
         w = charvar.Weight.parse(args.weight, normalize=args.normalize_weight)
+    x, y, z = _parse_coords(args.coords)
     if args.action == "residual":
-        x, y, z = _parse_coords(args.coords)
         if args.surface == "torus":
             res = charvar.fricke_torus_residual(x, y, z, w.r)
         else:
-            res = charvar.fricke_sphere_residual(
-                charvar.SphereTraceCoords(x, y, z, w.mu)
-            )
-        payload = {"surface": args.surface, "weight": str(w), "residual": [res.real, res.imag]}
-        write_json(payload, config)
-        return 0
+            res = charvar.fricke_sphere_residual(charvar.SphereTraceCoords(x, y, z, w.mu))
+        return {"surface": args.surface, "weight": str(w), "residual": _pair(res)}, True
     if args.action == "abelianize":
-        x, y, z = _parse_coords(args.coords)
         s = charvar.abelianize(charvar.TraceCoords(x, y, z), w)
-        payload = {
+        return {
             "weight": str(w),
             "mu": s.mu,
-            "xt": [s.xt.real, s.xt.imag],
-            "yt": [s.yt.real, s.yt.imag],
-            "zt": [s.zt.real, s.zt.imag],
+            "xt": _pair(s.xt),
+            "yt": _pair(s.yt),
+            "zt": _pair(s.zt),
             "residual": abs(charvar.fricke_sphere_residual(s)),
-        }
-        write_json(payload, config)
-        return 0
+        }, True
     if args.action == "lift":
-        xt, yt, zt = _parse_coords(args.coords)
-        s = charvar.SphereTraceCoords(xt, yt, zt, w.mu)
-        lifts = charvar.lift_traces(s, w, config.tol_char)
-        payload = {
+        lifts = charvar.lift_traces(charvar.SphereTraceCoords(x, y, z, w.mu), w, config.tol_char)
+        return {
             "weight": str(w),
             "count": len(lifts),
             "lifts": [
                 {
-                    "x": [t.x.real, t.x.imag],
-                    "y": [t.y.real, t.y.imag],
-                    "z": [t.z.real, t.z.imag],
+                    "x": _pair(t.x),
+                    "y": _pair(t.y),
+                    "z": _pair(t.z),
                     "residual": abs(charvar.fricke_torus_residual(*t.astuple(), w.r)),
                 }
                 for t in lifts
             ],
-        }
-        write_json(payload, config)
-        return 0
-    x, y, z = _parse_coords(args.coords)  # classify
+        }, True
     verdict = charvar.classify_real(charvar.TraceCoords(x, y, z), w, config.tol_char)
     if isinstance(verdict, tuple):
-        payload = {"class": verdict[0], "component": verdict[1]}
-    else:
-        payload = {"class": verdict}
-    write_json(payload, config)
-    return 0
+        return {"class": verdict[0], "component": verdict[1]}, True
+    return {"class": verdict}, True
 
 
-def cmd_lorentz(args, config: RunConfig) -> int:
+def cmd_lorentz(args, config: RunConfig):
     tet = lorentz.canonical_tetrahedron()
     data = lorentz.dihedral_data(tet)
-    gens = lorentz.generators()
     lifts = {}
-    for (m, n), g in gens.items():
+    for (m, n), g in lorentz.generators().items():
         ref = lorentz.compose_reflections([tet.normals[m], tet.normals[n]])
         lifts[f"g{m}{n}"] = lorentz.lift_check(g, ref)
-    payload = {
-        "dihedral_cosines": data,
-        "expected": sorted(
-            [0.0, 0.0, 0.0, math.cos(math.pi / 5), math.cos(math.pi / 3), math.cos(math.pi / 4)]
-        ),
-        "residuals": lifts,
-    }
-    write_json(payload, config)
-    worst_angle = max(
-        abs(a - b) for a, b in zip(payload["dihedral_cosines"], payload["expected"])
+    expected = sorted(
+        [0.0, 0.0, 0.0, math.cos(math.pi / 5), math.cos(math.pi / 3), math.cos(math.pi / 4)]
     )
+    worst_angle = max(abs(a - b) for a, b in zip(data, expected))
     ok = worst_angle <= 1e-9 and all(v <= 1e-8 for v in lifts.values())
-    return 0 if ok else CHECK_EXIT
+    return {"dihedral_cosines": data, "expected": expected, "residuals": lifts}, ok
 
 
-def cmd_covering(args, config: RunConfig) -> int:
+def cmd_covering(args, config: RunConfig):
     w = charvar.Weight.parse(args.weight, normalize=args.normalize_weight)
     signs = covering.SignChoice.parse(args.signs)
     report = covering.covering_triviality_check(w, signs, config.tol_alg)
-    payload = {
+    return {
         "weight": str(w),
         "sheets": report.sheets,
         "passed": report.passed,
         "all_positive": report.all_positive,
         "signs": report.signs,
         "residuals": {"worst": report.worst_residual},
-    }
-    write_json(payload, config)
-    return 0 if report.passed else CHECK_EXIT
+    }, report.passed
 
 
 def _monodromy_payload(res: abelmono.MonodromyResult):
     return {
-        "x": [complex(res.x).real, complex(res.x).imag],
-        "y": [complex(res.y).real, complex(res.y).imag],
-        "z": [complex(res.z).real, complex(res.z).imag],
+        "x": _pair(res.x),
+        "y": _pair(res.y),
+        "z": _pair(res.z),
         "X": algebra.to_json_entries(res.X),
         "Y": algebra.to_json_entries(res.Y),
         "K": algebra.to_json_entries(res.K),
@@ -297,17 +273,13 @@ def _monodromy_payload(res: abelmono.MonodromyResult):
     }
 
 
-def cmd_monodromy(args, config: RunConfig) -> int:
+def cmd_monodromy(args, config: RunConfig):
     params = abelmono.ConnectionParams(
         parse_complex(args.a), parse_complex(args.chi), args.r, args.tau
     )
     res = abelmono.monodromies(params, steps=config.steps)
-    write_json(_monodromy_payload(res), config)
-    ok = (
-        res.char_residual <= config.tol_mono
-        and res.commutator_residual <= config.tol_mono
-    )
-    return 0 if ok else CHECK_EXIT
+    ok = res.char_residual <= config.tol_mono and res.commutator_residual <= config.tol_mono
+    return _monodromy_payload(res), ok
 
 
 def _chi0_value(text: str, tau: float) -> complex:
@@ -424,7 +396,7 @@ def emit_locus_svg(result: abelmono.SweepResult) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_locus(args, config: RunConfig) -> int:
+def cmd_locus(args, config: RunConfig):
     chi0 = _chi0_value(args.chi0, args.tau)
     result = abelmono.real_locus_sweep(
         args.r,
@@ -443,12 +415,11 @@ def cmd_locus(args, config: RunConfig) -> int:
         Path(args.svg).write_text(emit_locus_svg(result))
     if not result.flagged_real():
         warn("locus", "no flagged-real rows; overlay only")
-    if config.format == "csv" or not (args.csv or args.svg):
-        sys.stdout.write(csv_text)
-    return 0
+    printed = config.format == "csv" or not (args.csv or args.svg)
+    return (csv_text if printed else None), True
 
 
-def cmd_match(args, config: RunConfig) -> int:
+def cmd_match(args, config: RunConfig):
     if args.on_locus:
         res = abelmono.match_on_locus(
             args.y_target,
@@ -457,13 +428,7 @@ def cmd_match(args, config: RunConfig) -> int:
             tol_root=config.tol_root,
             steps=config.steps,
         )
-        payload = {
-            "mode": "on-locus",
-            "tau": res.tau,
-            "a": [res.a.real, res.a.imag],
-            "evaluations": res.evaluations,
-            **_monodromy_payload(res.result),
-        }
+        mode = {"mode": "on-locus", "tau": res.tau}
     else:
         res = abelmono.match_y(
             args.y_target,
@@ -474,33 +439,26 @@ def cmd_match(args, config: RunConfig) -> int:
             tol_root=config.tol_root,
             steps=config.steps,
         )
-        payload = {
-            "mode": "fixed-tau",
-            "a": [res.a.real, res.a.imag],
-            "t": res.t,
-            "evaluations": res.evaluations,
-            **_monodromy_payload(res.result),
-        }
+        mode = {"mode": "fixed-tau", "t": res.t}
+    payload = {**mode, "a": _pair(res.a), "evaluations": res.evaluations,
+               **_monodromy_payload(res.result)}
     mismatch = abs(complex(res.result.y).real - args.y_target)
     payload["residuals"]["y_mismatch"] = mismatch
-    write_json(payload, config)
-    return 0 if mismatch <= config.tol_root else CHECK_EXIT
+    return payload, mismatch <= config.tol_root
 
 
-def cmd_jacobian(args, config: RunConfig) -> int:
+def cmd_jacobian(args, config: RunConfig):
     res = abelmono.jacobian_rank(args.a, args.tau, args.r, args.h, steps=config.steps)
-    payload = {
+    return {
         "jacobian": [[float(v) for v in row] for row in res.jacobian],
         "singular_values": list(res.singular_values),
         "rank": res.rank,
         "step": res.step,
         "residuals": {"smallest_singular_value": res.singular_values[1]},
-    }
-    write_json(payload, config)
-    return 0 if res.rank == 2 else CHECK_EXIT
+    }, res.rank == 2
 
 
-def cmd_spin(args, config: RunConfig) -> int:
+def cmd_spin(args, config: RunConfig):
     state = spingraft.SpinClass.parse(args.state)
     sequence = args.graft or ""
     if any(c not in "xy" for c in sequence):
@@ -511,20 +469,18 @@ def cmd_spin(args, config: RunConfig) -> int:
         trace.append(str(state))
     chi = spingraft.spin_to_chi(state, args.tau)
     hx, hy = spingraft.line_holonomies(chi, args.tau)
-    payload = {
+    return {
         "initial": trace[0],
         "sequence": sequence,
         "trace": trace,
         "final": str(state),
-        "chi": [chi.real, chi.imag],
+        "chi": _pair(chi),
         "tau": args.tau,
         "residuals": {
             "holonomy_x": abs(hx - state.eps_x),
             "holonomy_y": abs(hy - state.eps_y),
         },
-    }
-    write_json(payload, config)
-    return 0
+    }, True
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +606,7 @@ def dispatch(argv) -> int:
         config = apply_flag_overrides(load_config(args.config), args)
         if config.format not in (None, *VERB_FORMATS.get(args.verb, ("json",))):
             raise CliInputError(f"{args.verb} cannot write format {config.format!r}")
-        return args.func(args, config)
+        output, ok = args.func(args, config)
     except SystemExit as exc:  # --help
         return USAGE_EXIT if exc.code not in (0, None) else 0
     except INPUT_ERRORS as exc:
@@ -659,6 +615,12 @@ def dispatch(argv) -> int:
     except abelmono.AbelMonoError as exc:
         error("check", str(exc))
         return CHECK_EXIT
+    if isinstance(output, dict):
+        output["tolerances"] = {**config.tolerances(), **output.get("tolerances", {})}
+        output = json.dumps(output, sort_keys=True, indent=2) + "\n"
+    if output:
+        sys.stdout.write(output)
+    return 0 if ok else CHECK_EXIT
 
 
 def main():
