@@ -510,8 +510,6 @@ class SweepRow:
 class SweepResult:
     rows: list
     r: float
-    tau: float
-    chi0: complex
 
     def flagged_real(self):
         return [row for row in self.rows if row.is_real]
@@ -612,7 +610,7 @@ def real_locus_sweep(
             if not (lo.is_real or hi.is_real) and complex(lo.z).imag * complex(hi.z).imag < 0
         ]
         rows = sorted(rows + [row for row in crossings if row], key=lambda row: row.t)
-    return SweepResult(rows, r, tau, chi0)
+    return SweepResult(rows, r)
 
 
 def _require_finite(*values):

@@ -182,21 +182,25 @@ def _parse_coords(text: str):
 
 
 def cmd_charvar(args, config: RunConfig):
+    if args.surface and args.action != "residual":
+        raise CliInputError(f"charvar {args.action} does not read --surface")
+    surface = args.surface or "torus"
     # torus-side actions read --weight as r in (0,1/2); sphere-side as rt in (1/4,1/2)
-    torus_side = args.action in ("abelianize", "classify") or (
-        args.action == "residual" and args.surface == "torus"
-    )
-    if torus_side:
+    if args.action != "lift" and surface == "torus":
+        if args.normalize_weight:
+            raise CliInputError(
+                f"torus-side charvar {args.action} does not read --normalize-weight"
+            )
         w = charvar.Weight.from_torus(args.weight)
     else:
         w = charvar.Weight.parse(args.weight, normalize=args.normalize_weight)
     x, y, z = _parse_coords(args.coords)
     if args.action == "residual":
-        if args.surface == "torus":
+        if surface == "torus":
             res = charvar.fricke_torus_residual(x, y, z, w.r)
         else:
             res = charvar.fricke_sphere_residual(charvar.SphereTraceCoords(x, y, z, w.mu))
-        return {"surface": args.surface, "weight": str(w), "residual": _pair(res)}, True
+        return {"surface": surface, "weight": str(w), "residual": _pair(res)}, True
     if args.action == "abelianize":
         s = charvar.abelianize(charvar.TraceCoords(x, y, z), w)
         return {
@@ -396,6 +400,13 @@ def emit_locus_svg(result: abelmono.SweepResult) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _write_file(path: str, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_locus(args, config: RunConfig):
     chi0 = _chi0_value(args.chi0, args.tau)
     result = abelmono.real_locus_sweep(
@@ -410,16 +421,31 @@ def cmd_locus(args, config: RunConfig):
     )
     csv_text = locus_rows_to_csv(result)
     if args.csv:
-        Path(args.csv).write_text(csv_text)
+        _write_file(args.csv, csv_text)
     if args.svg:
-        Path(args.svg).write_text(emit_locus_svg(result))
+        _write_file(args.svg, emit_locus_svg(result))
     if not result.flagged_real():
         warn("locus", "no flagged-real rows; overlay only")
     printed = config.format == "csv" or not (args.csv or args.svg)
     return (csv_text if printed else None), True
 
 
+# The flags only one mode of match reads, with their defaults, keyed by --on-locus.
+MATCH_MODE_FLAGS = {
+    True: {"tau_min": 2.0, "tau_max": 3.5},
+    False: {"tau": 1.0, "chi0": "pi/(4tau)", "bracket": "0.05,1.5"},
+}
+
+
 def cmd_match(args, config: RunConfig):
+    for name in MATCH_MODE_FLAGS[not args.on_locus]:
+        if getattr(args, name) is not None:
+            without = "" if args.on_locus else "out"
+            flag = "--" + name.replace("_", "-")
+            raise CliInputError(f"match with{without} --on-locus does not read {flag}")
+    for name, default in MATCH_MODE_FLAGS[args.on_locus].items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.on_locus:
         res = abelmono.match_on_locus(
             args.y_target,
@@ -534,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("charvar", help="trace-coordinate computations")
     p.add_argument("action", choices=("residual", "abelianize", "lift", "classify"))
-    p.add_argument("--surface", choices=("torus", "sphere"), default="torus")
+    p.add_argument("--surface", choices=("torus", "sphere"), help="residual only; default torus")
     p.add_argument("--coords", required=True, help="x,y,z (complex entries RE+IMi)")
     p.add_argument("--weight", required=True, help="parabolic weight l/k")
     p.add_argument("--normalize-weight", action="store_true",
@@ -575,13 +601,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="root-find a monodromy trace target")
     p.add_argument("--y-target", dest="y_target", type=finite_float, required=True)
     p.add_argument("--r", type=finite_float, required=True)
-    p.add_argument("--tau", type=finite_float, default=1.0)
-    p.add_argument("--chi0", default="pi/(4tau)")
-    p.add_argument("--bracket", default="0.05,1.5", help="t_lo,t_hi along the slice")
+    # the defaults of --tau ... --tau-max are in MATCH_MODE_FLAGS
+    p.add_argument("--tau", type=finite_float)
+    p.add_argument("--chi0")
+    p.add_argument("--bracket", help="t_lo,t_hi along the slice")
     p.add_argument("--on-locus", action="store_true",
                    help="match along the real locus by moving tau")
-    p.add_argument("--tau-min", dest="tau_min", type=finite_float, default=2.0)
-    p.add_argument("--tau-max", dest="tau_max", type=finite_float, default=3.5)
+    p.add_argument("--tau-min", dest="tau_min", type=finite_float)
+    p.add_argument("--tau-max", dest="tau_max", type=finite_float)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("jacobian", help="finite-difference rank check on the real slice")

@@ -113,7 +113,6 @@ def word_character_value(word, n):
 
 @dataclass
 class TrivialityReport:
-    weight: Weight
     sheets: int
     values_central: bool  # every kernel generator maps to +-Id
     signs: list  # +1 / -1 per kernel generator
@@ -171,7 +170,6 @@ def covering_triviality_check(w: Weight, signs: SignChoice = DEFAULT_SIGNS, tol=
                 break
 
     return TrivialityReport(
-        weight=w,
         sheets=n,
         values_central=central,
         signs=sign_list,

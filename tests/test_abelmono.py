@@ -383,6 +383,75 @@ def test_monodromy_homotopy_invariance():
     assert np.max(np.abs(straight.matrix - wiggly.matrix)) <= 1e-6
 
 
+SCATTER_POINTS = 32
+REL_BOUND = 1e-7
+
+
+def _scatter_point(rng, i):
+    """The i-th of SCATTER_POINTS draws over the benchmark's scatter domain.
+
+    tau is log-stratified in [0.2, 5]; a and chi are uniform in [-1, 1]^2,
+    chi redrawn until it lies at least 0.1 from every half-lattice point in
+    p = 2 tau chi / pi; r is uniform in [0.05, 0.45].
+    """
+    lo, hi = math.log(0.2), math.log(5.0)
+    tau = math.exp(lo + (hi - lo) * (i + rng.uniform()) / SCATTER_POINTS)
+    a = complex(*rng.uniform(-1.0, 1.0, 2))
+    while True:
+        chi = complex(*rng.uniform(-1.0, 1.0, 2))
+        p = 2.0 * tau * chi / math.pi
+        dx, dy = p.real - round(p.real), p.imag - tau * round(p.imag / tau)
+        if math.hypot(dx, dy) >= 0.1:
+            break
+    return am.ConnectionParams(a, chi, rng.uniform(0.05, 0.45), tau)
+
+
+def _scale(m):
+    return max(1.0, float(np.max(np.abs(m))))
+
+
+def _det_residual(m):
+    return abs(np.linalg.det(m) - 1.0) / _scale(m) ** 2
+
+
+def test_scatter_domain_meets_benchmark_bounds():
+    """Over the scatter domain, every scale-normalised residual is <= 1e-7.
+
+    With c = 2 cos(2 pi r), traces recomputed from X and Y (z = tr YX) and
+    s(M) = max(1, max|M_ij|):
+    - character: |x^2 + y^2 + z^2 - xyz - 2 - c| / (|x|^2 + |y|^2 + |z|^2 + |xyz| + 2 + |c|);
+    - commutator: |tr(Y^-1 X^-1 Y X) - c| / (s(X)^2 s(Y)^2);
+    - det: |det M - 1| / s(M)^2 for M = X and Y;
+    - homotopy: max|P - P~| / s(P), with P along gamma_x and P~ along
+      gamma_x_wiggled(tau, 0.05 min(1, tau), 2).
+    """
+    rng = np.random.default_rng(2024)
+    worst = {"character": 0.0, "commutator": 0.0, "det": 0.0, "homotopy": 0.0}
+    for i in range(SCATTER_POINTS):
+        params = _scatter_point(rng, i)
+        m = am.monodromies(params)
+        X, Y = m.X, m.Y
+        c = 2.0 * math.cos(2.0 * math.pi * params.r)
+        x, y, z = np.trace(X), np.trace(Y), np.trace(Y @ X)
+        terms = abs(x) ** 2 + abs(y) ** 2 + abs(z) ** 2 + abs(x * y * z) + 2.0 + abs(c)
+        residuals = {
+            "character": abs(x * x + y * y + z * z - x * y * z - 2.0 - c) / terms,
+            "commutator": abs(np.trace(np.linalg.inv(Y) @ np.linalg.inv(X) @ Y @ X) - c)
+            / (_scale(X) ** 2 * _scale(Y) ** 2),
+            "det": max(_det_residual(X), _det_residual(Y)),
+        }
+        form = am.ConnectionForm(params)
+        tau = params.tau
+        straight = am.parallel_transport(form, am.gamma_x(tau)).matrix
+        wiggled = am.parallel_transport(
+            form, am.gamma_x_wiggled(tau, 0.05 * min(1.0, tau), 2)
+        ).matrix
+        residuals["homotopy"] = float(np.max(np.abs(straight - wiggled))) / _scale(straight)
+        for name, value in residuals.items():
+            worst[name] = max(worst[name], value)
+    assert max(worst.values()) <= REL_BOUND, worst
+
+
 def test_monodromy_eta_case_real():
     w = charvar.Weight.from_torus("1/10")
     m = am.monodromies(am.ConnectionParams(0.2, 0.3, R, TAU))

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+import os
 import re
 import shlex
 from pathlib import Path
@@ -287,6 +289,9 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         (["spin", "--state", "+,-", "--tau", "nan"], "input"),
         (["charvar", "residual", "--coords", "nan,1,1", "--weight", "1/10"], "input"),
         (["charvar", "classify", "--coords", "nan,1,1", "--weight", "1/10"], "input"),
+        # an output file that cannot be written: its directory is a file
+        (["locus", "--r", "0.1", "--n", "2", "--no-refine", f"--csv={os.devnull}/x.csv"], "input"),
+        (["locus", "--r", "0.1", "--n", "2", "--no-refine", f"--svg={os.devnull}/x.svg"], "input"),
     ],
 )
 def test_parameter_errors_are_typed(capsys, argv, kind):
@@ -294,6 +299,40 @@ def test_parameter_errors_are_typed(capsys, argv, kind):
     assert err.startswith(f"E:{kind}:") and len(err.splitlines()) == 1
     assert code == (2 if kind == "input" else 1)
     assert out == ""
+
+
+TORUS_POINT = ["--coords", "2,2,2", "--weight", "1/10"]
+DODECA_TORUS = ["--coords=2.288245611270737,2.288245611270737,2.618033988749895",
+                "--weight", "1/10"]
+ON_LOCUS = ["match", "--y-target", "2.2882456", "--r", "0.1", "--on-locus"]
+FIXED_TAU = ["match", "--y-target", "1.8", "--r", "0.1", "--bracket", "0.05,0.7"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["charvar", "abelianize", "--surface", "torus", *TORUS_POINT], "--surface"),
+        (["charvar", "classify", "--surface", "torus", *DODECA_TORUS], "--surface"),
+        (["charvar", "lift", "--surface", "sphere", "--coords", "1,1,1", "--weight", "3/10"],
+         "--surface"),
+        (["charvar", "abelianize", "--normalize-weight", *TORUS_POINT], "--normalize-weight"),
+        (["charvar", "classify", "--normalize-weight", *DODECA_TORUS], "--normalize-weight"),
+        (["charvar", "residual", "--normalize-weight", *TORUS_POINT], "--normalize-weight"),
+        (["charvar", "residual", "--surface", "torus", "--normalize-weight", *TORUS_POINT],
+         "--normalize-weight"),
+        ([*ON_LOCUS, "--tau", "1"], "--tau"),
+        ([*ON_LOCUS, "--chi0", "ipi/4"], "--chi0"),
+        ([*ON_LOCUS, "--bracket", "0.05,0.7"], "--bracket"),
+        ([*FIXED_TAU, "--tau-min", "2"], "--tau-min"),
+        ([*FIXED_TAU, "--tau-max", "3"], "--tau-max"),
+    ],
+)
+def test_flag_the_mode_does_not_read_rejected(capsys, argv, flag):
+    """A flag that the chosen action or mode does not read is E:input, not dropped."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("E:input:") and err.endswith(f" does not read {flag}\n")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("surface", ["torus", "sphere"])
@@ -435,3 +474,26 @@ def test_locus_sweep_receives_step_budget(capsys):
     code, out, err = run(capsys, "--steps", "100", "locus", "--r", "0.1", "--n", "8")
     assert (code, out) == (1, "")
     assert err == "E:check:gamma_x: budget of 100 panels\n"
+
+
+def _stdout_writes(node):
+    """The calls under node that write stdout: print, sys.stdout.write and write_json."""
+    for call in ast.walk(node):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        if isinstance(func, ast.Name) and func.id in ("print", "write_json"):
+            yield func.id
+        elif isinstance(func, ast.Attribute) and func.attr == "write_json":
+            yield func.attr
+        elif ast.unparse(func) == "sys.stdout.write":
+            yield "sys.stdout.write"
+
+
+def test_verbs_do_not_write_stdout():
+    """dispatch is the one writer of stdout; a verb returns its output (warn to stderr is fine)."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    verbs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("cmd_")]
+    assert verbs
+    writes = {verb.name: list(_stdout_writes(verb)) for verb in verbs}
+    assert not any(writes.values()), writes
