@@ -182,8 +182,7 @@ class ConnectionForm:
     The multiplier equations exp(beta omega_i - eta_i p) = exp(lam conj(omega_i))
     are solved exactly (k = 0 branch), which makes psi_+ and psi_- literally
     periodic; both residues at the origin are r, so the quadratic residue of
-    the product is r^2.  diagonal_only drops the off-diagonal entries
-    (scalar test hook).
+    the product is r^2.
 
     params may also be a list of ConnectionParams that share (chi, r, tau):
     a stack along a.  The ndarray a is 0-d for one ConnectionParams and 1-D
@@ -191,7 +190,7 @@ class ConnectionForm:
     a.shape + w.shape + (2, 2), with psi_+- evaluated once for all members.
     """
 
-    def __init__(self, params: ConnectionParams | list, diagonal_only: bool = False):
+    def __init__(self, params: ConnectionParams | list):
         stacked = isinstance(params, list)
         stack = params if stacked else [params]
         params = stack[0]
@@ -199,17 +198,14 @@ class ConnectionForm:
             raise ParameterOutOfRange("a stack of connections must share chi, r and tau")
         self.a = np.array([p.a for p in stack] if stacked else params.a, dtype=complex)
         self.lat = lat = lattice(params.tau)
-        self.diagonal_only = diagonal_only
-        if not diagonal_only:
-            tau = params.tau
-            self.lam = -2.0 * complex(params.chi)
-            self.p = -tau * self.lam / math.pi
-            if lat.lattice_distance(self.p) < 1e-8:
-                raise NonGenericChi(
-                    f"chi = {params.chi} is (numerically) a half-lattice point of the Jacobian"
-                )
-            self.beta = -self.lam * (lat.eta2 + 1j * tau * lat.eta1) / TWO_PI_I
-            self.scale = -params.r / lat.sigma(self.p)
+        self.lam = -2.0 * complex(params.chi)
+        self.p = -params.tau * self.lam / math.pi
+        if lat.lattice_distance(self.p) < 1e-8:
+            raise NonGenericChi(
+                f"chi = {params.chi} is (numerically) a half-lattice point of the Jacobian"
+            )
+        self.beta = -self.lam * (lat.eta2 + 1j * params.tau * lat.eta1) / TWO_PI_I
+        self.scale = -params.r / lat.sigma(self.p)
         self.a_wbar = np.array([[params.chi, 0.0], [0.0, -params.chi]], dtype=complex)
 
     def members(self, index):
@@ -220,14 +216,11 @@ class ConnectionForm:
 
     def a_w(self, w):
         w = np.asarray(w, dtype=complex)
-        psi_plus = psi_minus = 0.0  # before the stacked array: sigma's temporaries peak first
-        if not self.diagonal_only:
-            sigma_w, sigma_minus, sigma_plus = self.lat.sigma(
-                np.stack([w, w - self.p, w + self.p])
-            )
-            phi = self.beta * w - self.lam * w.conj()
-            psi_plus = self.scale * np.exp(phi) * sigma_minus / sigma_w
-            psi_minus = -self.scale * np.exp(-phi) * sigma_plus / sigma_w
+        # before the stacked array: sigma's temporaries peak first
+        sigma_w, sigma_minus, sigma_plus = self.lat.sigma(np.stack([w, w - self.p, w + self.p]))
+        phi = self.beta * w - self.lam * w.conj()
+        psi_plus = self.scale * np.exp(phi) * sigma_minus / sigma_w
+        psi_minus = -self.scale * np.exp(-phi) * sigma_plus / sigma_w
         a = self.a.reshape(self.a.shape + (1,) * w.ndim)
         out = np.zeros(self.a.shape + w.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = a
@@ -265,14 +258,6 @@ class TorusPath:
     @property
     def delta(self):
         return 0.05 * min(1.0, self.tau)
-
-    def reversed(self):
-        return TorusPath(
-            lambda s: self.point(1.0 - s),
-            lambda s: -self.velocity(1.0 - s),
-            self.tau,
-            self.label + "^-1",
-        )
 
 
 def basepoint(tau: float) -> complex:
@@ -784,10 +769,13 @@ def jacobian_rank(
 
     Rank 2 is declared when the smaller singular value exceeds RANK_FLOOR.
     The excluded center a0 = -pi/(4 tau) must be at distance >= 0.05.
+    h must be finite and >= 1e-8 max(1, |a|, tau); below that rounding swamps
+    the differences (at h = 1e-16, tau + h == tau and a column vanishes).
     """
     check_tau(tau)
-    if not 0.0 < h < math.inf:
-        raise ParameterOutOfRange("finite-difference step h must be positive and finite")
+    h_min = 1e-8 * max(1.0, abs(a), tau)
+    if not h_min <= h < math.inf:
+        raise ParameterOutOfRange(f"finite-difference step h must be finite and >= {h_min:.1e}")
     if abs(a - (-math.pi / (4.0 * tau))) < 0.05:
         raise SlicePreconditionError(
             "a is within 0.05 of the excluded point -pi/(4 tau)"

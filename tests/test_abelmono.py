@@ -255,17 +255,31 @@ def test_connection_form_simple_pole():
     assert abs(maxima[1] - R) <= 0.05  # residue magnitude dominates
 
 
+class _DiagonalForm(am.ConnectionForm):
+    """The connection with its off-diagonal Baker sections dropped: a scalar test double."""
+
+    def __init__(self, params):
+        self.a = np.array(params.a, dtype=complex)
+        self.lat = am.lattice(params.tau)
+        self.a_wbar = np.array([[params.chi, 0.0], [0.0, -params.chi]], dtype=complex)
+
+    def a_w(self, w):
+        w = np.asarray(w, dtype=complex)
+        out = np.zeros(self.a.shape + w.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = self.a
+        out[..., 1, 1] = -self.a
+        return out
+
+
 def test_transport_zero_form_is_identity():
-    zero_form = am.ConnectionForm(
-        am.ConnectionParams(0.0, 0.0, R, TAU), diagonal_only=True
-    )
+    zero_form = _DiagonalForm(am.ConnectionParams(0.0, 0.0, R, TAU))
     res = am.parallel_transport(zero_form, am.gamma_x(TAU))
     assert np.max(np.abs(res.matrix - np.eye(2))) <= 1e-12
 
 
 def test_transport_diagonal_truncation_closed_form():
     a = 0.2
-    form = am.ConnectionForm(am.ConnectionParams(a, CHI, R, TAU), diagonal_only=True)
+    form = _DiagonalForm(am.ConnectionParams(a, CHI, R, TAU))
     rx = am.parallel_transport(form, am.gamma_x(TAU))
     expected_x = np.diag([cmath.exp(-(a + CHI)), cmath.exp(a + CHI)])
     assert np.max(np.abs(rx.matrix - expected_x)) <= 1e-8
@@ -278,8 +292,12 @@ def test_transport_diagonal_truncation_closed_form():
 
 def test_transport_reversed_path_inverts():
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
-    fwd = am.parallel_transport(form, am.gamma_x(TAU))
-    bwd = am.parallel_transport(form, am.gamma_x(TAU).reversed())
+    path = am.gamma_x(TAU)
+    reversed_path = am.TorusPath(
+        lambda s: path.point(1.0 - s), lambda s: -path.velocity(1.0 - s), TAU, "gamma_x^-1"
+    )
+    fwd = am.parallel_transport(form, path)
+    bwd = am.parallel_transport(form, reversed_path)
     assert np.max(np.abs(fwd.matrix @ bwd.matrix - np.eye(2))) <= 1e-8
 
 
@@ -808,6 +826,20 @@ def test_jacobian_rank_two():
 def test_jacobian_rejects_nonpositive_step(h):
     with pytest.raises(am.ParameterOutOfRange):
         am.jacobian_rank(0.3, 1.0, R, h=h)
+
+
+@pytest.mark.parametrize("a, tau, h", [(0.3, 1.0, 1e-16), (0.3, 1.0, 9e-9), (0.3, 4.0, 3e-8)])
+def test_jacobian_rejects_step_below_floor(a, tau, h):
+    """h below 1e-8 max(1, |a|, tau) is rejected: at h = 1e-16, tau + h rounds to tau."""
+    with pytest.raises(am.ParameterOutOfRange):
+        am.jacobian_rank(a, tau, R, h=h)
+
+
+def test_jacobian_smallest_step_agrees_with_default():
+    """At the floor h = 1e-8 the Jacobian still agrees with h = 1e-4."""
+    fine = am.jacobian_rank(0.3, 1.0, R, h=1e-8)
+    coarse = am.jacobian_rank(0.3, 1.0, R, h=1e-4)
+    assert np.max(np.abs(fine.jacobian - coarse.jacobian) / np.abs(coarse.jacobian)) < 1e-5
 
 
 def test_jacobian_step_halving_stability():

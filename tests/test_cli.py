@@ -118,6 +118,13 @@ def test_covering_check(capsys):
     assert payload["passed"] and payload["all_positive"]
 
 
+def test_covering_check_failure_exits_one(capsys):
+    code, out, err = run(capsys, "covering", "check", "--weight", "3/10", "--signs=-1,1,-1")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["passed"] is False and payload["signs"].count(0) == 10
+
+
 def test_monodromy_verb(capsys):
     code, out, _ = run(
         capsys, "monodromy", "--a", "0.2", "--chi", "0.3+0.2i",
@@ -292,6 +299,8 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         # an output file that cannot be written: its directory is a file
         (["locus", "--r", "0.1", "--n", "2", "--no-refine", f"--csv={os.devnull}/x.csv"], "input"),
         (["locus", "--r", "0.1", "--n", "2", "--no-refine", f"--svg={os.devnull}/x.svg"], "input"),
+        # below the step floor 1e-8 max(1, |a|, tau): tau + h rounds to tau
+        (["jacobian", "--a", "0.3", "--tau", "1", "--r", "0.1", "--h", "1e-16"], "input"),
     ],
 )
 def test_parameter_errors_are_typed(capsys, argv, kind):

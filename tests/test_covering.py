@@ -78,6 +78,20 @@ def test_triviality_all_admissible_weights():
             assert not rep.all_positive, str(w)
 
 
+def test_triviality_check_fails_for_mismatched_signs():
+    """Signs (-1, 1, -1) do not match the covering character: 10 of 11 values leave {+-Id}.
+
+    The one central value is the lifted puncture word gamma_1^5, whose image
+    has eigenvalues exp(+-3 pi i) = -1.  The others have eigenvalue phases
+    +-pi/5 or +-4 pi/5, at distance 2 sin(pi/10) from +Id or -Id.
+    """
+    rep = covering.covering_triviality_check(Weight(3, 10), covering.SignChoice(-1, 1, -1))
+    assert not rep.passed and not rep.all_positive
+    assert rep.signs.count(0) == 10 and rep.signs.count(-1) == 1
+    assert covering.kernel_generators(5)[rep.signs.index(-1)] == [(0, 1)] * 5
+    assert abs(rep.worst_residual - 2.0 * math.sin(math.pi / 10.0)) <= 1e-12
+
+
 def test_triviality_fails_for_irrational_weight():
     """Perturbed exponent breaks finiteness: values leave {+-Id}."""
     rt = 0.3 + 1e-3

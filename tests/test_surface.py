@@ -27,7 +27,6 @@ KEEP = {
     "spingraft.verify_spin_dictionary": "acceptance criterion 10 checks the spin dictionary",
     "spingraft.graft_modulus": "acceptance criterion 10 checks the grafted modulus",
     "covering.word_character_value": "tests check kernel_generators against it",
-    "abelmono.TorusPath.reversed": "tests check transport inversion along the reversed loop",
 }
 
 
