@@ -34,7 +34,8 @@ TOL_SLICE = 1e-9  # how far chi0 may lie from an eta-admissible line
 RANK_FLOOR = 1e3 * TOL_MONO  # jacobian_rank's floor on the smaller singular value
 TRANSPORT_RTOL = 1e-10
 TRANSPORT_ATOL = 1e-13
-DEFAULT_STEP_BUDGET = 10_000
+PANEL_BUDGET = 10_000  # panels per loop past which parallel_transport gives up
+MAX_EVALS = 60  # monodromy evaluations per trace-matching solve
 BATCH_CHUNK = 8  # a values transported in one array by monodromy_batch
 GRAZE_SCAN, GRAZE_POINTS = (0.02, 1.8), 30  # match_on_locus's graze-point scan over a
 TAU_MIN, TAU_MAX = 1e-3, 1e3  # the moduli a RectangularLattice is built for
@@ -205,7 +206,8 @@ class ConnectionForm:
                 f"chi = {params.chi} is (numerically) a half-lattice point of the Jacobian"
             )
         self.beta = -self.lam * (lat.eta2 + 1j * params.tau * lat.eta1) / TWO_PI_I
-        self.scale = -params.r / lat.sigma(self.p)
+        with np.errstate(all="ignore"):  # an overflowing sigma(p) fails in the transport
+            self.scale = -params.r / lat.sigma(self.p)
         self.a_wbar = np.array([[params.chi, 0.0], [0.0, -params.chi]], dtype=complex)
 
     def members(self, index):
@@ -338,15 +340,13 @@ def _magnus_product(form: ConnectionForm, path: TorusPath, n: int) -> np.ndarray
     return factors[..., 0, :, :]
 
 
-def parallel_transport(
-    form: ConnectionForm, path: TorusPath, steps: int = DEFAULT_STEP_BUDGET
-) -> TransportResult | list:
+def parallel_transport(form: ConnectionForm, path: TorusPath) -> TransportResult | list:
     """Solve Psi' = -(A_w wdot + A_wbar conj(wdot)) Psi, Psi(0) = Id, over the path.
 
     The 4th-order Magnus product on N panels is compared with the one on 2N
     panels, from N = 32 on, doubling N until max|P_2N - P_N| / 15 <=
-    TRANSPORT_ATOL + TRANSPORT_RTOL max|P_2N|; P_2N is returned.  steps caps
-    the panel count, and a non-finite product fails at once.  No
+    TRANSPORT_ATOL + TRANSPORT_RTOL max|P_2N|; P_2N is returned.  PANEL_BUDGET
+    caps the panel count, and a non-finite product fails at once.  No
     renormalization is applied; the determinant drift of the result is
     reported.
 
@@ -360,7 +360,7 @@ def parallel_transport(
     active, sub = list(range(len(out))), form
     n, coarse = _FIRST_PANELS, None
     with np.errstate(all="ignore"):
-        while active and n <= steps:
+        while active and n <= PANEL_BUDGET:
             fine = _magnus_product(sub, path, n).reshape(-1, 2, 2)
             for k, i in enumerate(active):
                 if not np.all(np.isfinite(fine[k])):
@@ -377,7 +377,7 @@ def parallel_transport(
             active = [active[k] for k in keep]
             n, coarse = 2 * n, fine[keep]
     for i in active:
-        out[i] = StepLimitExceeded(f"{path.label}: budget of {steps} panels")
+        out[i] = StepLimitExceeded(f"{path.label}: budget of {PANEL_BUDGET} panels")
     if form.a.ndim:
         return out
     if isinstance(out[0], AbelMonoError):
@@ -404,7 +404,7 @@ class MonodromyResult:
     error_estimate: tuple  # transport error estimates along (gamma_x, gamma_y)
 
 
-def monodromies(params: ConnectionParams, steps: int = DEFAULT_STEP_BUDGET) -> MonodromyResult:
+def monodromies(params: ConnectionParams) -> MonodromyResult:
     """Monodromy matrices X, Y along gamma_x, gamma_y and their residuals.
 
     K = Y^-1 X^-1 Y X is the commutator-loop monodromy (loops composed
@@ -413,10 +413,10 @@ def monodromies(params: ConnectionParams, steps: int = DEFAULT_STEP_BUDGET) -> M
     condition number max|entry|^2 of X or Y times eps exceeds TOL_MONO.
     This is monodromy_batch on a batch of one.
     """
-    return monodromy_batch([params], steps)[0]
+    return monodromy_batch([params])[0]
 
 
-def monodromy_batch(stack: list, steps: int = DEFAULT_STEP_BUDGET) -> list:
+def monodromy_batch(stack: list) -> list:
     """monodromies for every ConnectionParams of stack; all share (chi, r, tau).
 
     BATCH_CHUNK members at a time go through one stacked ConnectionForm, so
@@ -429,9 +429,9 @@ def monodromy_batch(stack: list, steps: int = DEFAULT_STEP_BUDGET) -> list:
         chunk = stack[start : start + BATCH_CHUNK]
         tau = chunk[0].tau
         form = ConnectionForm(chunk)
-        tx = parallel_transport(form, gamma_x(tau), steps)
+        tx = parallel_transport(form, gamma_x(tau))
         moved = [i for i, t in enumerate(tx) if isinstance(t, TransportResult)]
-        ty = dict(zip(moved, parallel_transport(form.members(moved), gamma_y(tau), steps)))
+        ty = dict(zip(moved, parallel_transport(form.members(moved), gamma_y(tau))))
         for i, params in enumerate(chunk):
             for t in (tx[i], ty.get(i)):
                 if isinstance(t, AbelMonoError):
@@ -537,7 +537,6 @@ def real_locus_sweep(
     n: int = 60,
     tol: float = TOL_MONO,
     refine: bool = True,
-    steps: int = DEFAULT_STEP_BUDGET,
 ) -> SweepResult:
     """Sweep a along the admissible line through chi0, flagging real points.
 
@@ -575,7 +574,7 @@ def real_locus_sweep(
             evals += 1
             if evals > 48:
                 raise MaxIterations("crossing not closed in 48 evaluations")
-            row = sweep_row(t, monodromies(params(t), steps))
+            row = sweep_row(t, monodromies(params(t)))
             return complex(row.z).imag, row
 
         try:
@@ -586,7 +585,7 @@ def real_locus_sweep(
         return row
 
     grid = np.linspace(a_range[0], a_range[1], n)
-    results = monodromy_batch([params(t) for t in grid], steps)
+    results = monodromy_batch([params(t) for t in grid])
     rows = [sweep_row(t, res) for t, res in zip(grid, results)]
     if refine:
         crossings = [
@@ -618,8 +617,7 @@ def match_y(
     chi0: complex,
     bracket,
     tol_root: float = TOL_ROOT,
-    max_evals: int = 60,
-    steps: int = DEFAULT_STEP_BUDGET,
+    max_evals: int = MAX_EVALS,
 ) -> MatchResult:
     """Root-find a on the admissible slice so that tr Y matches y_target.
 
@@ -636,7 +634,7 @@ def match_y(
         if evals >= max_evals:
             raise MaxIterations(f"budget of {max_evals} monodromy evaluations")
         evals += 1
-        res = monodromies(ConnectionParams(line(t), chi0, r, tau), steps)
+        res = monodromies(ConnectionParams(line(t), chi0, r, tau))
         return complex(res.y).real - y_target, res
 
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
@@ -692,8 +690,6 @@ def match_on_locus(
     r: float,
     tau_bracket=(2.0, 3.5),
     tol_root: float = TOL_ROOT,
-    max_evals: int = 60,
-    steps: int = DEFAULT_STEP_BUDGET,
 ) -> LocusMatchResult:
     """Match tr Y on the real locus itself by moving the modulus tau.
 
@@ -708,7 +704,7 @@ def match_on_locus(
     Jacobian takes forward differences with step 1e-6; each step is halved
     until a lies in GRAZE_SCAN, tau >= 0.1, Re y > 1 and |F| decreases.  Every
     monodromy evaluation, stencil points included, counts against
-    max_evals; exhausting it or a singular Jacobian raises MaxIterations.
+    MAX_EVALS; exhausting it or a singular Jacobian raises MaxIterations.
     The dodecahedral solve takes 21 evaluations.
     """
     for end in tau_bracket:
@@ -718,10 +714,10 @@ def match_on_locus(
 
     def ev(a, tau):
         nonlocal evals
-        if evals >= max_evals:
-            raise MaxIterations(f"budget of {max_evals} monodromy evaluations")
+        if evals >= MAX_EVALS:
+            raise MaxIterations(f"budget of {MAX_EVALS} monodromy evaluations")
         evals += 1
-        m = monodromies(_on_slice(a, tau, r), steps)
+        m = monodromies(_on_slice(a, tau, r))
         return complex(m.z).imag, m
 
     def residual(m):
@@ -758,13 +754,7 @@ class JacobianResult:
     step: float
 
 
-def jacobian_rank(
-    a: float,
-    tau: float,
-    r: float,
-    h: float = 1e-4,
-    steps: int = DEFAULT_STEP_BUDGET,
-) -> JacobianResult:
+def jacobian_rank(a: float, tau: float, r: float, h: float = 1e-4) -> JacobianResult:
     """Finite-difference Jacobian of (a, tau) -> (x, y) on the slice chi0 = pi/(4 tau).
 
     Rank 2 is declared when the smaller singular value exceeds RANK_FLOOR.
@@ -784,11 +774,11 @@ def jacobian_rank(
     def xy(res):
         return np.array([complex(res.x).real, complex(res.y).real])
 
-    plus, minus = monodromy_batch([_on_slice(a + h, tau, r), _on_slice(a - h, tau, r)], steps)
+    plus, minus = monodromy_batch([_on_slice(a + h, tau, r), _on_slice(a - h, tau, r)])
     col_a = (xy(plus) - xy(minus)) / (2.0 * h)
     col_tau = (
-        xy(monodromies(_on_slice(a, tau + h, r), steps))
-        - xy(monodromies(_on_slice(a, tau - h, r), steps))
+        xy(monodromies(_on_slice(a, tau + h, r)))
+        - xy(monodromies(_on_slice(a, tau - h, r)))
     ) / (2.0 * h)
     jac = np.column_stack([col_a, col_tau])
     svals = np.linalg.svd(jac, compute_uv=False)

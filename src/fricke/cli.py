@@ -28,6 +28,11 @@ CHECK_EXIT = 1
 FORMATS = ("json", "csv", "text")
 # The formats each verb can write; a verb not listed writes json only.
 VERB_FORMATS = {"verify": ("json", "text"), "locus": ("csv",)}
+# The tolerance each verb (charvar: each action) reads; an explicit flag for
+# another is E:input.  Config lines set any of them, as a file serves every verb.
+VERB_TOLERANCE = {"verify": "tol_alg", "covering": "tol_alg", "charvar lift": "tol_char",
+                  "charvar classify": "tol_char", "monodromy": "tol_mono", "locus": "tol_mono",
+                  "match": "tol_root"}
 SVG_WIDTH, SVG_HEIGHT = 640, 480
 
 
@@ -41,15 +46,12 @@ class RunConfig:
     tol_char: float = charvar.TOL_CHAR
     tol_mono: float = abelmono.TOL_MONO
     tol_root: float = abelmono.TOL_ROOT
-    steps: int = abelmono.DEFAULT_STEP_BUDGET
     format: str | None = None  # None: the verb's own default
 
     def __post_init__(self):
         for name, value in self.tolerances().items():
             if not (math.isfinite(value) and value > 0):
                 raise CliInputError(f"{name} must be positive and finite")
-        if self.steps < 100:
-            raise CliInputError("panel budget (steps) must be >= 100")
         if self.format is not None and self.format not in FORMATS:
             raise CliInputError(f"unknown output format {self.format!r}")
 
@@ -281,7 +283,7 @@ def cmd_monodromy(args, config: RunConfig):
     params = abelmono.ConnectionParams(
         parse_complex(args.a), parse_complex(args.chi), args.r, args.tau
     )
-    res = abelmono.monodromies(params, steps=config.steps)
+    res = abelmono.monodromies(params)
     ok = res.char_residual <= config.tol_mono and res.commutator_residual <= config.tol_mono
     return _monodromy_payload(res), ok
 
@@ -417,7 +419,6 @@ def cmd_locus(args, config: RunConfig):
         args.n,
         tol=config.tol_mono,
         refine=not args.no_refine,
-        steps=config.steps,
     )
     csv_text = locus_rows_to_csv(result)
     if args.csv:
@@ -452,7 +453,6 @@ def cmd_match(args, config: RunConfig):
             args.r,
             tau_bracket=(args.tau_min, args.tau_max),
             tol_root=config.tol_root,
-            steps=config.steps,
         )
         mode = {"mode": "on-locus", "tau": res.tau}
     else:
@@ -463,7 +463,6 @@ def cmd_match(args, config: RunConfig):
             _chi0_value(args.chi0, args.tau),
             _parse_bracket(args.bracket),
             tol_root=config.tol_root,
-            steps=config.steps,
         )
         mode = {"mode": "fixed-tau", "t": res.t}
     payload = {**mode, "a": _pair(res.a), "evaluations": res.evaluations,
@@ -474,7 +473,7 @@ def cmd_match(args, config: RunConfig):
 
 
 def cmd_jacobian(args, config: RunConfig):
-    res = abelmono.jacobian_rank(args.a, args.tau, args.r, args.h, steps=config.steps)
+    res = abelmono.jacobian_rank(args.a, args.tau, args.r, args.h)
     return {
         "jacobian": [[float(v) for v in row] for row in res.jacobian],
         "singular_values": list(res.singular_values),
@@ -549,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-char", dest="tol_char", type=finite_float)
     parser.add_argument("--tol-mono", dest="tol_mono", type=finite_float)
     parser.add_argument("--tol-root", dest="tol_root", type=finite_float)
-    parser.add_argument("--steps", type=int, help="panel budget per transport")
     parser.add_argument("--format", choices=FORMATS)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -631,6 +629,10 @@ def dispatch(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = apply_flag_overrides(load_config(args.config), args)
+        mode = args.verb + (f" {args.action}" if args.verb == "charvar" else "")
+        for name in config.tolerances():
+            if getattr(args, name) is not None and name != VERB_TOLERANCE.get(mode):
+                raise CliInputError(f"{mode} does not read --{name.replace('_', '-')}")
         if config.format not in (None, *VERB_FORMATS.get(args.verb, ("json",))):
             raise CliInputError(f"{args.verb} cannot write format {config.format!r}")
         output, ok = args.func(args, config)

@@ -301,10 +301,11 @@ def test_transport_reversed_path_inverts():
     assert np.max(np.abs(fwd.matrix @ bwd.matrix - np.eye(2))) <= 1e-8
 
 
-def test_transport_step_budget():
+def test_transport_step_budget(monkeypatch):
+    monkeypatch.setattr(am, "PANEL_BUDGET", 3)
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
     with pytest.raises(am.StepLimitExceeded):
-        am.parallel_transport(form, am.gamma_x(TAU), steps=3)
+        am.parallel_transport(form, am.gamma_x(TAU))
 
 
 def test_transport_path_too_close_to_pole():
@@ -581,11 +582,12 @@ def test_batch_requires_shared_chi_r_tau():
         am.monodromy_batch(stack)
 
 
-def test_batch_raises_the_first_failing_members_error():
+def test_batch_raises_the_first_failing_members_error(monkeypatch):
     """A batch fails as its members would one after another: on the first failure."""
+    monkeypatch.setattr(am, "PANEL_BUDGET", 100)
     stack = _slice_stack(R, TAU, 3, (0.3, 0.5))
     with pytest.raises(am.StepLimitExceeded, match="gamma_x: budget of 100 panels"):
-        am.monodromy_batch(stack, steps=100)
+        am.monodromy_batch(stack)
 
 
 def test_sweep_memory_peak():
@@ -763,10 +765,11 @@ def test_match_on_locus_slice_without_graze_point(monkeypatch):
         am.match_on_locus(YSTAR, R)
 
 
-def test_match_on_locus_stage_budget():
-    """One max_evals budget covers every stage of the solve, the first scan included."""
+def test_match_on_locus_stage_budget(monkeypatch):
+    """One MAX_EVALS budget covers every stage of the solve, the first scan included."""
+    monkeypatch.setattr(am, "MAX_EVALS", 5)
     with pytest.raises(am.MaxIterations):
-        am.match_on_locus(YSTAR, R, max_evals=5)
+        am.match_on_locus(YSTAR, R)
 
 
 @pytest.mark.parametrize(

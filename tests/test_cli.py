@@ -160,7 +160,7 @@ def test_unknown_flag_rejected(capsys):
 
 def test_config_file_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("tol_mono=1e-5\nsteps=2000\n# comment\n")
+    cfg.write_text("tol_mono=1e-5\n# comment\n")
     code, out, _ = run(
         capsys, "--config", str(cfg), "--tol-mono", "1e-4",
         "monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.1", "--tau", "1",
@@ -176,13 +176,6 @@ def test_config_rejects_bad_key(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "lorentz", "angles")
     assert code == 2
     assert err.startswith("E:input:")
-
-
-def test_config_validates_budget(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("steps=10\n")
-    code, _, err = run(capsys, "--config", str(cfg), "lorentz", "angles")
-    assert code == 2
 
 
 def test_locus_csv_svg_deterministic(tmp_path, capsys):
@@ -217,25 +210,6 @@ def test_match_fixed_tau(capsys):
     assert payload["evaluations"] <= 60
 
 
-def test_match_on_locus_forwards_step_budget(monkeypatch, capsys):
-    budgets = []
-    transport = abelmono.monodromies
-
-    def spy(params, steps=abelmono.DEFAULT_STEP_BUDGET, *args, **kwargs):
-        budgets.append(steps)
-        return transport(params, steps, *args, **kwargs)
-
-    monkeypatch.setattr(abelmono, "monodromies", spy)
-    code, out, _ = run(
-        capsys, "--steps", "4321", "match", "--y-target", "2.2882456",
-        "--r", "0.1", "--on-locus",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["residuals"]["y_mismatch"] <= 1e-6
-    assert payload["evaluations"] <= 60
-    assert budgets and set(budgets) == {4321}
-    assert len(budgets) == payload["evaluations"]
 
 
 def test_match_reports_straddle_failure(capsys):
@@ -301,6 +275,8 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         (["locus", "--r", "0.1", "--n", "2", "--no-refine", f"--svg={os.devnull}/x.svg"], "input"),
         # below the step floor 1e-8 max(1, |a|, tau): tau + h rounds to tau
         (["jacobian", "--a", "0.3", "--tau", "1", "--r", "0.1", "--h", "1e-16"], "input"),
+        # sigma(p) overflows far from the lattice: the panel product is not finite
+        (["monodromy", "--a", "0.2", "--chi", "40", "--r", "0.1", "--tau", "1"], "check"),
     ],
 )
 def test_parameter_errors_are_typed(capsys, argv, kind):
@@ -334,6 +310,10 @@ FIXED_TAU = ["match", "--y-target", "1.8", "--r", "0.1", "--bracket", "0.05,0.7"
         ([*ON_LOCUS, "--bracket", "0.05,0.7"], "--bracket"),
         ([*FIXED_TAU, "--tau-min", "2"], "--tau-min"),
         ([*FIXED_TAU, "--tau-max", "3"], "--tau-max"),
+        (["--tol-mono", "1", "spin", "--state", "+,+", "--graft", "yx"], "--tol-mono"),
+        (["--tol-alg", "1", "lorentz", "angles"], "--tol-alg"),
+        (["--tol-char", "5", "charvar", "residual", *TORUS_POINT], "--tol-char"),
+        (["--tol-root", "1", "jacobian", "--a", "0.3", "--tau", "1", "--r", "0.1"], "--tol-root"),
     ],
 )
 def test_flag_the_mode_does_not_read_rejected(capsys, argv, flag):
@@ -387,7 +367,9 @@ def test_tau_out_of_range_names_tau(capsys, argv):
     assert err.startswith("E:input:tau ") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("removed", [["--format", "svg"], ["--threads", "2"]])
+@pytest.mark.parametrize(
+    "removed", [["--format", "svg"], ["--threads", "2"], ["--steps", "100"]]
+)
 def test_removed_options_rejected(capsys, removed):
     code, _, err = run(capsys, *removed, "lorentz", "angles")
     assert code == 2
@@ -467,7 +449,7 @@ def test_format_config_line_the_verb_cannot_write_rejected(tmp_path, capsys):
     "argv",
     [
         ["--tol-m", "1e-4", "lorentz", "angles"],
-        ["--st", "500", "lorentz", "angles"],
+        ["--form", "json", "lorentz", "angles"],
         ["locus", "--r", "0.1", "--n", "2", "--no-ref"],
     ],
 )
@@ -478,9 +460,10 @@ def test_flag_prefixes_rejected(capsys, argv):
     assert err.startswith("E:input:") and len(err.splitlines()) == 1
 
 
-def test_locus_sweep_receives_step_budget(capsys):
-    """The sweep's batched grid runs under --steps: 100 panels cannot close gamma_x."""
-    code, out, err = run(capsys, "--steps", "100", "locus", "--r", "0.1", "--n", "8")
+def test_locus_sweep_receives_step_budget(monkeypatch, capsys):
+    """The sweep's batched grid runs under PANEL_BUDGET: 100 panels cannot close gamma_x."""
+    monkeypatch.setattr(abelmono, "PANEL_BUDGET", 100)
+    code, out, err = run(capsys, "locus", "--r", "0.1", "--n", "8")
     assert (code, out) == (1, "")
     assert err == "E:check:gamma_x: budget of 100 panels\n"
 
