@@ -68,23 +68,16 @@ class Weight:
 
     @classmethod
     def parse(cls, text, normalize=False):
-        """Parse 'l/k' exactly, a number or decimal to denominator <= 10^6; optionally fold."""
+        """Parse the string 'l/k' or a decimal exactly; optionally fold."""
         frac = _fraction(text)
-        if not (isinstance(text, str) and "/" in text):
-            frac = frac.limit_denominator(10**6)
         if normalize and 0 < frac < Fraction(1, 4):
             frac = Fraction(1, 2) - frac
         return cls(frac.numerator, frac.denominator)
 
     @classmethod
     def from_torus(cls, text):
-        """Build from the torus-side weight r in (0,1/2) via rt = (1+2r)/4.
-
-        A string (l/k or decimal) is read exactly, a number to denominator <= 10^6.
-        """
+        """Build from the torus-side weight r in (0,1/2), read exactly, via rt = (1+2r)/4."""
         frac = _fraction(text)
-        if not isinstance(text, str):
-            frac = frac.limit_denominator(10**6)
         if not 0 < frac < Fraction(1, 2):
             raise CharVarError(f"torus weight r = {frac} outside (0,1/2)")
         rt = (1 + 2 * frac) / 4

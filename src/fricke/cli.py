@@ -3,9 +3,9 @@
 Exit codes: 0 all checks passed / output produced, 1 a verification
 failed (report still emitted), 2 invalid input.  Errors go to stderr as
 single-line records ``E:<code>:<message>``; warnings as ``W:<code>:...``.
-Identical argv + config produce byte-identical JSON/CSV output (SVG is
-identical up to the version comment line).  ``dispatch`` is the only writer
-of stdout: it adds the ``tolerances`` block to a verb's JSON payload.
+Identical argv produce byte-identical JSON/CSV output (SVG is identical up
+to the version comment line).  ``dispatch`` is the only writer of stdout:
+it adds the ``tolerances`` block to a verb's JSON payload.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,7 @@ CHECK_EXIT = 1
 FORMATS = ("json", "csv", "text")
 # The formats each verb can write; a verb not listed writes json only.
 VERB_FORMATS = {"verify": ("json", "text"), "locus": ("csv",)}
-# The tolerance each verb (charvar: each action) reads; an explicit flag for
-# another is E:input.  Config lines set any of them, as a file serves every verb.
+# The tolerance each verb (charvar: each action) reads; a flag for another is E:input.
 VERB_TOLERANCE = {"verify": "tol_alg", "covering": "tol_alg", "charvar lift": "tol_char",
                   "charvar classify": "tol_char", "monodromy": "tol_mono", "locus": "tol_mono",
                   "match": "tol_root"}
@@ -52,8 +51,6 @@ class RunConfig:
         for name, value in self.tolerances().items():
             if not (math.isfinite(value) and value > 0):
                 raise CliInputError(f"{name} must be positive and finite")
-        if self.format is not None and self.format not in FORMATS:
-            raise CliInputError(f"unknown output format {self.format!r}")
 
     def tolerances(self):
         return {
@@ -103,40 +100,6 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    types = {f.name: str if f.default is None else type(f.default) for f in fields(RunConfig)}
-    values = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliInputError(f"cannot read config file {path}: {exc}") from exc
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliInputError(f"bad config line {line!r}")
-        key, _, raw = (part.strip() for part in line.partition("="))
-        if key not in types:
-            raise CliInputError(f"unknown config key {key!r}")
-        try:
-            values[key] = types[key](raw)
-        except ValueError as exc:
-            raise CliInputError(f"bad value for config key {key!r}: {raw!r}") from exc
-    return RunConfig(**values)
-
-
-def apply_flag_overrides(config: RunConfig, args) -> RunConfig:
-    updates = {
-        f.name: getattr(args, f.name)
-        for f in fields(RunConfig)
-        if getattr(args, f.name, None) is not None
-    }
-    return replace(config, **updates) if updates else config
-
-
 def error(code: str, message: str):
     print(f"E:{code}:{message}", file=sys.stderr)
 
@@ -157,17 +120,16 @@ def _pair(z) -> list:
 
 
 def cmd_verify(args, config: RunConfig):
-    if args.json and args.format == "text":
+    if args.json and config.format == "text":
         raise CliInputError("--json and --format text conflict")
     checks = dodeca.verify_theorem91(config.tol_alg)
     passed = dodeca.theorem91_passed(checks)
-    if args.json or config.format != "text":
+    if config.format != "text":
         return {
             "target": "dodeca",
             "passed": passed,
             "residuals": {name: res for name, (res, _bound) in checks.items()},
             "bounds": {name: bound for name, (_res, bound) in checks.items()},
-            "tolerances": {"tol": config.tol_alg},
         }, passed
     lines = [
         f"{'ok' if res <= bound else 'FAIL':4s} {name:24s} {res:.3e} <= {bound:.1e}"
@@ -327,12 +289,9 @@ def emit_locus_svg(result: abelmono.SweepResult) -> str:
         raise CliInputError("empty locus table")
     r = result.r
     xs_min, xs_max = 2.0005, 12.0
-    overlay = []
-    for x in np.linspace(xs_min, xs_max, 400):
-        try:
-            overlay.append((float(x), charvar.real_locus_y(float(x), r)))
-        except charvar.CharVarError:
-            continue
+    # real_locus_y is defined for x > 2, whatever r
+    overlay = [(float(x), charvar.real_locus_y(float(x), r))
+               for x in np.linspace(xs_min, xs_max, 400)]
     flagged = [
         (complex(row.x).real, complex(row.y).real) for row in result.flagged_real()
     ]
@@ -372,14 +331,11 @@ def emit_locus_svg(result: abelmono.SweepResult) -> str:
         f'<text x="14" y="{SVG_HEIGHT/2:.0f}" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 14 {SVG_HEIGHT/2:.0f})">y = tr Y</text>'
     )
-    if overlay:
-        path = " ".join(
-            ("M" if i == 0 else "L") + f"{to_px(x, y)[0]:.2f},{to_px(x, y)[1]:.2f}"
-            for i, (x, y) in enumerate(overlay)
-        )
-        parts.append(
-            f'<path d="{path}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
-        )
+    path = " ".join(
+        ("M" if i == 0 else "L") + f"{to_px(x, y)[0]:.2f},{to_px(x, y)[1]:.2f}"
+        for i, (x, y) in enumerate(overlay)
+    )
+    parts.append(f'<path d="{path}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>')
     for x, y in flagged:
         px, py = to_px(x, y)
         parts.append(
@@ -528,11 +484,23 @@ INPUT_ERRORS = (
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as CliInputError, i.e. one ``E:input`` line.
 
-    Flags must be spelled out: a prefix of a flag is an unknown flag.
+    Flags must be spelled out: a prefix of a flag is an unknown flag.  An
+    unknown flag before the first positional is named as such; argparse
+    would take its value for that positional and name the value instead.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args, namespace):
+        i = 0
+        while i < len(args) and args[i].startswith("-") and args[i] != "--":
+            flag, eq, _ = args[i].partition("=")
+            action = self._option_string_actions.get(flag)
+            if action is None:
+                self.error(f"unknown flag {flag}")
+            i += 1 if eq or action.nargs == 0 else 2
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise CliInputError(message)
@@ -543,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fricke",
         description="Character varieties, numerical monodromy and the dodecahedral lattice checks",
     )
-    parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--tol-alg", dest="tol_alg", type=finite_float)
     parser.add_argument("--tol-char", dest="tol_char", type=finite_float)
     parser.add_argument("--tol-mono", dest="tol_mono", type=finite_float)
@@ -628,7 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config = apply_flag_overrides(load_config(args.config), args)
+        config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                              if getattr(args, f.name) is not None})
         mode = args.verb + (f" {args.action}" if args.verb == "charvar" else "")
         for name in config.tolerances():
             if getattr(args, name) is not None and name != VERB_TOLERANCE.get(mode):
@@ -645,7 +613,7 @@ def dispatch(argv) -> int:
         error("check", str(exc))
         return CHECK_EXIT
     if isinstance(output, dict):
-        output["tolerances"] = {**config.tolerances(), **output.get("tolerances", {})}
+        output["tolerances"] = config.tolerances()
         output = json.dumps(output, sort_keys=True, indent=2) + "\n"
     if output:
         sys.stdout.write(output)

@@ -18,6 +18,7 @@ from . import algebra
 
 SQRT5 = math.sqrt(5.0)
 TOL_LORENTZ = 1e-9  # reflect's unit-normal test and from_hermitian's Hermitian test
+TOL_TETRAHEDRON = 1e-8  # Tetrahedron.validate's incidence and normalisation tests
 
 
 class LorentzError(ValueError):
@@ -83,7 +84,8 @@ class Tetrahedron:
     vertices: tuple  # P0..P3 on H^3
     normals: tuple  # L0..L3 unit spacelike, L_k normal to the face opposite P_k
 
-    def validate(self, tol=1e-8):
+    def validate(self):
+        tol = TOL_TETRAHEDRON
         for i, p in enumerate(self.vertices):
             if not is_point(p, tol):
                 raise LorentzError(f"P{i} is not on H^3")

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -38,11 +39,11 @@ def test_verify_dodeca_exit_zero(capsys):
 
 
 def test_verify_reads_tol_alg(capsys):
-    """The global --tol-alg is verify's tolerance: every bound, and tolerances.tol."""
+    """The global --tol-alg is verify's tolerance: every bound, and tolerances.tol_alg."""
     code, out, _ = run(capsys, "--tol-alg", "1e-30", "verify", "dodeca", "--json")
     payload = json.loads(out)
     assert code == 1 and payload["passed"] is False
-    assert payload["tolerances"]["tol"] == payload["tolerances"]["tol_alg"] == 1e-30
+    assert payload["tolerances"]["tol_alg"] == 1e-30 and "tol" not in payload["tolerances"]
     assert payload["bounds"]["tr_J1"] == 1e-30
 
 
@@ -50,13 +51,6 @@ def test_verify_text_and_json_flags_conflict(capsys):
     code, out, err = run(capsys, "--format", "text", "verify", "dodeca", "--json")
     assert (code, out) == (2, "")
     assert err.startswith("E:input:") and len(err.splitlines()) == 1
-
-
-def test_verify_json_flag_wins_over_text_config_line(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("format=text\n")
-    code, out, _ = run(capsys, "--config", str(cfg), "verify", "dodeca", "--json")
-    assert code == 0 and json.loads(out)["passed"] is True
 
 
 def test_verify_tol_flag_removed(capsys):
@@ -158,26 +152,6 @@ def test_unknown_flag_rejected(capsys):
     assert code == 2
 
 
-def test_config_file_and_overrides(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("tol_mono=1e-5\n# comment\n")
-    code, out, _ = run(
-        capsys, "--config", str(cfg), "--tol-mono", "1e-4",
-        "monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.1", "--tau", "1",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["tolerances"]["tol_mono"] == 1e-4  # flag wins over file
-
-
-def test_config_rejects_bad_key(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("frobs=3\n")
-    code, _, err = run(capsys, "--config", str(cfg), "lorentz", "angles")
-    assert code == 2
-    assert err.startswith("E:input:")
-
-
 def test_locus_csv_svg_deterministic(tmp_path, capsys):
     args = [
         "locus", "--r", "0.1", "--n", "12", "--a-min", "0.7", "--a-max", "0.95",
@@ -208,8 +182,6 @@ def test_match_fixed_tau(capsys):
     payload = json.loads(out)
     assert payload["residuals"]["y_mismatch"] <= 1e-6
     assert payload["evaluations"] <= 60
-
-
 
 
 def test_match_reports_straddle_failure(capsys):
@@ -277,6 +249,8 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         (["jacobian", "--a", "0.3", "--tau", "1", "--r", "0.1", "--h", "1e-16"], "input"),
         # sigma(p) overflows far from the lattice: the panel product is not finite
         (["monodromy", "--a", "0.2", "--chi", "40", "--r", "0.1", "--tau", "1"], "check"),
+        # read exactly, 30000001/100000000 needs 5e7 sheets, past covering.MAX_SHEETS
+        (["covering", "check", "--weight", "0.30000001"], "input"),
     ],
 )
 def test_parameter_errors_are_typed(capsys, argv, kind):
@@ -368,21 +342,41 @@ def test_tau_out_of_range_names_tau(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "removed", [["--format", "svg"], ["--threads", "2"], ["--steps", "100"]]
+    "removed",
+    [["--format", "svg"], ["--threads", "2"], ["--steps", "100"], ["--config", "run.cfg"]],
 )
 def test_removed_options_rejected(capsys, removed):
+    """The message names the flag, not its value (argparse would read the value as the verb)."""
     code, _, err = run(capsys, *removed, "lorentz", "angles")
     assert code == 2
-    assert err.startswith("E:input:")
+    assert err.startswith("E:input:") and len(err.splitlines()) == 1
+    assert removed[0] in err
 
 
-@pytest.mark.parametrize("line", ["format=svg", "threads=2", "steps=many"])
-def test_config_rejects_removed_keys_and_bad_values(tmp_path, capsys, line):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
-    code, _, err = run(capsys, "--config", str(cfg), "lorentz", "angles")
-    assert code == 2
-    assert err.startswith("E:input:")
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["charvar", "--bogus", "3", "residual", *TORUS_POINT], "--bogus"),
+        (["--steps=100", "lorentz", "angles"], "--steps"),
+        (["-x", "3", "lorentz", "angles"], "-x"),
+    ],
+)
+def test_unknown_flag_is_named(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"E:input:unknown flag {flag}\n")
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--tol-mono=-1e-3", "tol_mono must be positive and finite"),
+        # argparse reads a lone -1e-3 as a flag, hence the documented --flag=value form
+        ("--tol-mono -1e-3", "argument --tol-mono: expected one argument"),
+    ],
+)
+def test_known_flag_with_negative_value_keeps_its_message(capsys, flag, message):
+    code, out, err = run(capsys, *flag.split(), *MONODROMY)
+    assert (code, out, err) == (2, "", f"E:input:{message}\n")
 
 
 def _readme_cli_lines():
@@ -413,14 +407,6 @@ def test_non_finite_tolerance_flag_rejected(capsys, flag):
     assert err.startswith("E:input:")
 
 
-def test_non_finite_tolerance_config_rejected(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("tol_mono=nan\n")
-    code, out, err = run(capsys, "--config", str(cfg), *MONODROMY)
-    assert (code, out) == (2, "")
-    assert err.startswith("E:input:")
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -431,16 +417,6 @@ def test_non_finite_tolerance_config_rejected(tmp_path, capsys):
 )
 def test_format_the_verb_cannot_write_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("E:input:")
-
-
-def test_format_config_line_the_verb_cannot_write_rejected(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("format=json\n")
-    code, out, err = run(
-        capsys, "--config", str(cfg), "locus", "--r", "0.1", "--n", "2", "--no-refine"
-    )
     assert (code, out) == (2, "")
     assert err.startswith("E:input:")
 
@@ -480,6 +456,20 @@ def _stdout_writes(node):
             yield func.attr
         elif ast.unparse(func) == "sys.stdout.write":
             yield "sys.stdout.write"
+
+
+def test_flags_are_the_only_source_of_run_config():
+    """The global flags are RunConfig's fields, one each, and cli.py reads no file."""
+    dests = {a.dest for a in cli.build_parser()._actions if a.option_strings} - {"help"}
+    assert dests == {f.name for f in dataclasses.fields(cli.RunConfig)}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    reads = [
+        ast.unparse(call.func) for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and (getattr(call.func, "id", None) == "open"
+             or getattr(call.func, "attr", None) in ("open", "read_text", "read_bytes"))
+    ]
+    assert not reads, reads
 
 
 def test_verbs_do_not_write_stdout():

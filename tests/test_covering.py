@@ -57,6 +57,13 @@ def test_kernel_generator_counts():
         covering.kernel_generators(1)
 
 
+def test_sheet_cap():
+    """A weight past MAX_SHEETS is rejected before any word is built (601 sheets took 3.7 s)."""
+    assert covering.covering_triviality_check(Weight(101, 400)).sheets == covering.MAX_SHEETS
+    with pytest.raises(covering.BadSheetCount):
+        covering.covering_triviality_check(Weight(151, 601))
+
+
 def test_kernel_generators_in_kernel():
     for n in (2, 3, 5, 6):
         for word in covering.kernel_generators(n):

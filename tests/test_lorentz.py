@@ -29,7 +29,13 @@ def test_inner_product_values(tet):
 
 
 def test_vertices_and_normals_valid(tet):
-    tet.validate(tol=1e-12)
+    tet.validate()
+    # validate's conditions, at 1e-12 rather than TOL_TETRAHEDRON
+    assert all(lorentz.is_point(p, 1e-12) for p in tet.vertices)
+    assert all(lorentz.is_unit_spacelike(n, 1e-12) for n in tet.normals)
+    for i, p in enumerate(tet.vertices):
+        for j, n in enumerate(tet.normals):
+            assert i == j or abs(lorentz.lorentz_inner(p, n)) <= 1e-12
 
 
 def test_reflect_involution_and_fixed_points(tet):
