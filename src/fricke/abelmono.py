@@ -6,9 +6,10 @@ the diagonal part is d + a dw + chi dwbar and its dual, the off-diagonal
 entries are doubly periodic Baker-type sections with a simple pole at the
 origin whose residues carry the parabolic weight r.  Monodromies along the
 two straight generating loops based at (1 + i tau)/4 are computed by
-4th-order Magnus parallel transport; the commutator trace then has to be
-2 cos(2 pi r) and the trace triple has to satisfy the character equation,
-which is what every consumer of this module checks.
+6th-order Magnus parallel transport on three-node Gauss panels; the
+commutator trace then has to be 2 cos(2 pi r) and the trace triple has to
+satisfy the character equation, which is what every consumer of this
+module checks.
 
 Elliptic ingredients (Weierstrass sigma and the quasi-periods) are built
 from theta series in the real nome q = exp(-pi tau); the rectangular case
@@ -291,10 +292,10 @@ def gamma_x_wiggled(tau: float, amplitude: float, cycles: int) -> TorusPath:
 
 
 # ---------------------------------------------------------------------------
-# Parallel transport (4th-order Magnus on Gauss-Legendre panels)
+# Parallel transport (6th-order Magnus on Gauss-Legendre panels)
 
-_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
-_FIRST_PANELS = 32
+_GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
+_FIRST_PANELS = 16
 
 
 @dataclass
@@ -305,36 +306,48 @@ class TransportResult:
     error_estimate: float
 
 
-def _magnus_product(form: ConnectionForm, path: TorusPath, n: int) -> np.ndarray:
-    """Psi(1) from n equal panels, each advanced by exp of the 4th-order Magnus term.
+def _bracket(x, y):
+    """[X, Y] of traceless 2x2 matrices stored as (X00, X01, X10) along axis 0."""
+    return np.stack([x[1] * y[2] - x[2] * y[1], 2.0 * (x[0] * y[1] - x[1] * y[0]),
+                     2.0 * (x[2] * y[0] - x[0] * y[2])])
 
-    On a panel of width h with A1, A2 at its two Gauss nodes,
-    Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1]; Omega is traceless, so
+
+def _magnus_product(form: ConnectionForm, path: TorusPath, n: int) -> np.ndarray:
+    """Psi(1) from n equal panels, each advanced by exp of the 6th-order Magnus term.
+
+    On a panel of width h with A1, A2, A3 at its three Gauss nodes
+    (Blanes, Casas and Ros, BIT 40, 2000): alpha1 = h A2,
+    alpha2 = (sqrt(15) h/3)(A3 - A1), alpha3 = (10 h/3)(A3 - 2 A2 + A1),
+    C1 = [alpha1, alpha2], C2 = -[alpha1, 2 alpha3 + C1]/60 and
+    Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240.
+    Every term is traceless, so the brackets act on sl(2) coordinates and
     exp Omega = cosh d I + (sinh d / d) Omega with d^2 = Omega00^2 + Omega01 Omega10
-    (sinh d / d is sinc(d / (i pi)), which is 1 at d = 0).
-    The panel factors are multiplied pairwise, later panels on the left.
-    The result has shape form.a.shape + (2, 2): one product per member.
+    (sinh d / d is sinc(d / (i pi)), which is 1 at d = 0).  The panel factors
+    are multiplied pairwise, later panels on the left.  The result has shape
+    form.a.shape + (2, 2): one product per member.
     """
     h = 1.0 / n
-    s = (np.arange(n) + _GAUSS_NODES[:, None]) * h  # each node set contiguous for a1, a2
+    s = (np.arange(n) + _GAUSS_NODES[:, None]) * h  # each node set contiguous
     w = path.point(s)
     dist = form.lat.lattice_distance(w)
     if np.min(dist) < path.delta:
         raise PathTooCloseToPole(
             f"{path.label}: point {w.flat[np.argmin(dist)]} within {path.delta} of the lattice"
         )
-    coef = form.coefficient(w, path.velocity(s))
-    a1, a2 = coef[..., 0, :, :, :], coef[..., 1, :, :, :]
-    omega = a1 + a2  # in place from here, like coefficient
-    omega *= 0.5 * h
-    commutator = a2 @ a1
-    commutator -= a1 @ a2
-    commutator *= (math.sqrt(3.0) / 12.0) * h * h
-    omega += commutator
-    del coef, a1, a2, commutator
-    d = np.sqrt(omega[..., 0, 0] ** 2 + omega[..., 0, 1] * omega[..., 1, 0])
-    factors = np.sinc(d / (1j * math.pi))[..., None, None] * omega
-    factors[..., [0, 1], [0, 1]] += np.cosh(d)[..., None]
+    coef = form.coefficient(w, path.velocity(s))[..., [0, 0, 1], [0, 1, 0]]
+    x = np.moveaxis(coef, -1, 0)  # the sl(2) coordinates (A00, A01, A10) first
+    a1, a2, a3 = x[..., 0, :], x[..., 1, :], x[..., 2, :]
+    alpha1 = h * a2
+    alpha2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
+    alpha3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
+    c1 = _bracket(alpha1, alpha2)
+    c2 = _bracket(alpha1, 2.0 * alpha3 + c1) / -60.0
+    omega = alpha1 + alpha3 / 12.0 + _bracket(c1 - 20.0 * alpha1 - alpha3, alpha2 + c2) / 240.0
+    o0, o1, o2 = omega
+    d = np.sqrt(o0 * o0 + o1 * o2)
+    cosh, sinc = np.cosh(d), np.sinc(d / (1j * math.pi))
+    factors = np.stack([cosh + sinc * o0, sinc * o1, sinc * o2, cosh - sinc * o0], axis=-1)
+    factors = factors.reshape(o0.shape + (2, 2))
     while factors.shape[-3] > 1:
         factors = factors[..., 1::2, :, :] @ factors[..., 0::2, :, :]
     return factors[..., 0, :, :]
@@ -343,12 +356,12 @@ def _magnus_product(form: ConnectionForm, path: TorusPath, n: int) -> np.ndarray
 def parallel_transport(form: ConnectionForm, path: TorusPath) -> TransportResult | list:
     """Solve Psi' = -(A_w wdot + A_wbar conj(wdot)) Psi, Psi(0) = Id, over the path.
 
-    The 4th-order Magnus product on N panels is compared with the one on 2N
-    panels, from N = 32 on, doubling N until max|P_2N - P_N| / 15 <=
-    TRANSPORT_ATOL + TRANSPORT_RTOL max|P_2N|; P_2N is returned.  PANEL_BUDGET
-    caps the panel count, and a non-finite product fails at once.  No
-    renormalization is applied; the determinant drift of the result is
-    reported.
+    The 6th-order Magnus product on N panels is compared with the one on 2N
+    panels, from N = 16 on (below that the error does not yet fall as N^-6),
+    doubling N until max|P_2N - P_N| / 63 <= TRANSPORT_ATOL + TRANSPORT_RTOL
+    max|P_2N|; P_2N is returned.  PANEL_BUDGET caps the panel count, and a
+    non-finite product fails at once.  No renormalization is applied; the
+    determinant drift of the result is reported.
 
     A form over a stack (1-D form.a) is transported in one array per panel
     level and gives a list, one entry per member.  Each member keeps its own
@@ -368,7 +381,7 @@ def parallel_transport(form: ConnectionForm, path: TorusPath) -> TransportResult
                         f"{path.label}: non-finite panel product at {n} panels"
                     )
                 elif coarse is not None:
-                    err = float(np.max(np.abs(fine[k] - coarse[k]))) / 15.0
+                    err = float(np.max(np.abs(fine[k] - coarse[k]))) / 63.0
                     if err <= TRANSPORT_ATOL + TRANSPORT_RTOL * float(np.max(np.abs(fine[k]))):
                         out[i] = TransportResult(fine[k], abs(algebra.det(fine[k]) - 1.0), n, err)
             keep = [k for k, i in enumerate(active) if out[i] is None]

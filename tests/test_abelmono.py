@@ -323,7 +323,7 @@ def test_transport_det_drift_small():
 
 
 def test_transport_evaluates_each_panel_level_at_once(monkeypatch):
-    """One coefficient call per panel level (N = 32, 64, ...), first Gauss nodes, then second."""
+    """One coefficient call per panel level (N = _FIRST_PANELS, twice that, ...), node set by node set."""
     calls = []
     coefficient = am.ConnectionForm.coefficient
 
@@ -334,16 +334,16 @@ def test_transport_evaluates_each_panel_level_at_once(monkeypatch):
     monkeypatch.setattr(am.ConnectionForm, "coefficient", spy)
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
     res = am.parallel_transport(form, am.gamma_x(TAU))
-    assert len(calls) == math.log2(res.panels / 32) + 1
-    assert calls[-1] == (2, res.panels)
+    assert len(calls) == math.log2(res.panels / am._FIRST_PANELS) + 1
+    assert calls[-1] == (len(am._GAUSS_NODES), res.panels)
 
 
 @pytest.mark.parametrize("tau", [0.2, 1.0, 5.0])
 def test_transport_matches_dop853(tau):
-    """Oracle: an independent adaptive integrator on both loops."""
+    """Oracle: an independent adaptive integrator on both loops and on a wiggled gamma_x."""
     integrate = pytest.importorskip("scipy.integrate")
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, tau))
-    for path in (am.gamma_x(tau), am.gamma_y(tau)):
+    for path in (am.gamma_x(tau), am.gamma_y(tau), am.gamma_x_wiggled(tau, 0.05 * min(1.0, tau), 2)):
 
         def rhs(s, psi):
             a = form.coefficient(path.point(s), path.velocity(s))
@@ -356,6 +356,19 @@ def test_transport_matches_dop853(tau):
         expected = sol.y[:, -1].reshape(2, 2)
         got = am.parallel_transport(form, path).matrix
         assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+def test_magnus_step_is_sixth_order():
+    """Oracle: against 4096 panels, 16 -> 32 panels cuts the error by ~2^6 on both loops.
+
+    A coefficient slip that drops the step to 4th order (ratio ~16) would pass every
+    residual oracle, only with more panels and an error estimate / 63 four times too small.
+    """
+    form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
+    for path in (am.gamma_x(TAU), am.gamma_y(TAU)):
+        exact = am._magnus_product(form, path, 4096)
+        err16, err32 = (np.max(np.abs(am._magnus_product(form, path, n) - exact)) for n in (16, 32))
+        assert 40.0 <= err16 / err32 <= 90.0
 
 
 def test_transport_fails_fast_near_half_lattice_chi():
@@ -525,9 +538,9 @@ def _slice_stack(r, tau, n, a_range=(0.05, 1.6)):
 
 def test_batch_members_equal_batches_of_one():
     """Members retire at their own panel level and equal a lone evaluation bit for bit."""
-    stack = _slice_stack(0.4, 1.2, 60)
+    stack = _slice_stack(0.3, 1.2, 60)  # the last chunk closes gamma_y at 32 and at 64 panels
     batch = am.monodromy_batch(stack)
-    assert {res.panels[1] for res in batch} == {256, 512}
+    assert len({res.panels[1] for res in batch}) >= 2
     for params, res in zip(stack, batch):
         alone = am.monodromies(params)
         assert res.X.tobytes() == alone.X.tobytes()
@@ -551,7 +564,7 @@ def test_batch_evaluates_each_panel_level_once_per_chunk(monkeypatch, members):
     for start in range(0, members, am.BATCH_CHUNK):
         chunk = batch[start : start + am.BATCH_CHUNK]
         for loop in (0, 1):
-            levels += int(math.log2(max(res.panels[loop] for res in chunk) / 32)) + 1
+            levels += int(math.log2(max(res.panels[loop] for res in chunk) / am._FIRST_PANELS)) + 1
     assert len(calls) == levels
     assert max(calls) == min(members, am.BATCH_CHUNK)
 
@@ -584,9 +597,9 @@ def test_batch_requires_shared_chi_r_tau():
 
 def test_batch_raises_the_first_failing_members_error(monkeypatch):
     """A batch fails as its members would one after another: on the first failure."""
-    monkeypatch.setattr(am, "PANEL_BUDGET", 100)
+    monkeypatch.setattr(am, "PANEL_BUDGET", am._FIRST_PANELS)  # one level: no loop closes
     stack = _slice_stack(R, TAU, 3, (0.3, 0.5))
-    with pytest.raises(am.StepLimitExceeded, match="gamma_x: budget of 100 panels"):
+    with pytest.raises(am.StepLimitExceeded, match=f"gamma_x: budget of {am._FIRST_PANELS} panels"):
         am.monodromy_batch(stack)
 
 
@@ -685,9 +698,12 @@ def test_sweep_closes_crossing_with_illinois(monkeypatch):
 
 
 def test_sweep_crossing_budget_adds_no_row(monkeypatch):
-    """A crossing that 48 evaluations cannot close is left without a refined row."""
+    """A crossing that 48 evaluations cannot close is left without a refined row.
+
+    No |Im z| meets a negative tol, not even an Illinois point where Im z is exactly 0.
+    """
     calls = _count_monodromies(monkeypatch)
-    res = am.real_locus_sweep(R, TAU, math.pi / (4.0 * TAU), (0.7, 0.95), 4, tol=1e-300)
+    res = am.real_locus_sweep(R, TAU, math.pi / (4.0 * TAU), (0.7, 0.95), 4, tol=-1.0)
     assert len(calls) == 4 + 48
     assert len(res.rows) == 4 and not any(row.refined for row in res.rows)
 

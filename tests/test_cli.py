@@ -437,11 +437,11 @@ def test_flag_prefixes_rejected(capsys, argv):
 
 
 def test_locus_sweep_receives_step_budget(monkeypatch, capsys):
-    """The sweep's batched grid runs under PANEL_BUDGET: 100 panels cannot close gamma_x."""
-    monkeypatch.setattr(abelmono, "PANEL_BUDGET", 100)
+    """The sweep's batched grid runs under PANEL_BUDGET: one panel level cannot close gamma_x."""
+    monkeypatch.setattr(abelmono, "PANEL_BUDGET", abelmono._FIRST_PANELS)
     code, out, err = run(capsys, "locus", "--r", "0.1", "--n", "8")
     assert (code, out) == (1, "")
-    assert err == "E:check:gamma_x: budget of 100 panels\n"
+    assert err == f"E:check:gamma_x: budget of {abelmono._FIRST_PANELS} panels\n"
 
 
 def _stdout_writes(node):
