@@ -19,7 +19,6 @@ keeps everything real-coefficient and well-conditioned for tau in [0.2, 5].
 from __future__ import annotations
 
 import cmath
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -38,6 +37,9 @@ TRANSPORT_ATOL = 1e-13
 PANEL_BUDGET = 10_000  # panels per loop past which parallel_transport gives up
 MAX_EVALS = 60  # monodromy evaluations per trace-matching solve
 BATCH_CHUNK = 8  # a values transported in one array by monodromy_batch
+# The most samples real_locus_sweep takes (locus --n): a CLI sweep took 0.6 s
+# at 600 samples (2-vCPU x86 host), 1.2 s at 3000 and 5.6 s at 10000.
+MAX_SWEEP_POINTS = 10_000
 GRAZE_SCAN, GRAZE_POINTS = (0.02, 1.8), 30  # match_on_locus's graze-point scan over a
 TAU_MIN, TAU_MAX = 1e-3, 1e3  # the moduli a RectangularLattice is built for
 
@@ -190,6 +192,8 @@ class ConnectionForm:
     a stack along a.  The ndarray a is 0-d for one ConnectionParams and 1-D
     for a list; a_w and coefficient take w of any shape and return shape
     a.shape + w.shape + (2, 2), with psi_+- evaluated once for all members.
+    The stack is fixed: parallel_transport carries every member to the
+    panel level of the last one to pass.
     """
 
     def __init__(self, params: ConnectionParams | list):
@@ -210,12 +214,6 @@ class ConnectionForm:
         with np.errstate(all="ignore"):  # an overflowing sigma(p) fails in the transport
             self.scale = -params.r / lat.sigma(self.p)
         self.a_wbar = np.array([[params.chi, 0.0], [0.0, -params.chi]], dtype=complex)
-
-    def members(self, index):
-        """The stack over the members a[i], i in index."""
-        form = copy.copy(self)
-        form.a = self.a[index]
-        return form
 
     def a_w(self, w):
         w = np.asarray(w, dtype=complex)
@@ -363,39 +361,29 @@ def parallel_transport(form: ConnectionForm, path: TorusPath) -> TransportResult
     non-finite product fails at once.  No renormalization is applied; the
     determinant drift of the result is reported.
 
-    A form over a stack (1-D form.a) is transported in one array per panel
-    level and gives a list, one entry per member.  Each member keeps its own
-    test and retires at its own level, so its entry equals the result for a
-    form over that member alone; a member whose transport fails holds the
-    StepLimitExceeded that the lone form would raise.
+    A form over a stack (1-D form.a) is transported as one array per panel
+    level until every member has passed its own test, and gives a list of
+    results, one per member.  Each member keeps the product of the level at
+    which it first passed, so its entry equals the result for a form over
+    that member alone.  A non-finite product of a member still open, or the
+    budget, raises StepLimitExceeded for the whole stack.
     """
     out = [None] * form.a.size
-    active, sub = list(range(len(out))), form
     n, coarse = _FIRST_PANELS, None
     with np.errstate(all="ignore"):
-        while active and n <= PANEL_BUDGET:
-            fine = _magnus_product(sub, path, n).reshape(-1, 2, 2)
-            for k, i in enumerate(active):
-                if not np.all(np.isfinite(fine[k])):
-                    out[i] = StepLimitExceeded(
-                        f"{path.label}: non-finite panel product at {n} panels"
-                    )
-                elif coarse is not None:
-                    err = float(np.max(np.abs(fine[k] - coarse[k]))) / 63.0
-                    if err <= TRANSPORT_ATOL + TRANSPORT_RTOL * float(np.max(np.abs(fine[k]))):
-                        out[i] = TransportResult(fine[k], abs(algebra.det(fine[k]) - 1.0), n, err)
-            keep = [k for k, i in enumerate(active) if out[i] is None]
-            if 0 < len(keep) < len(active):
-                sub = form.members([active[k] for k in keep])
-            active = [active[k] for k in keep]
-            n, coarse = 2 * n, fine[keep]
-    for i in active:
-        out[i] = StepLimitExceeded(f"{path.label}: budget of {PANEL_BUDGET} panels")
-    if form.a.ndim:
-        return out
-    if isinstance(out[0], AbelMonoError):
-        raise out[0]
-    return out[0]
+        while None in out:
+            if n > PANEL_BUDGET:
+                raise StepLimitExceeded(f"{path.label}: budget of {PANEL_BUDGET} panels")
+            fine = _magnus_product(form, path, n).reshape(-1, 2, 2)
+            for i in [i for i, res in enumerate(out) if res is None]:
+                if not np.all(np.isfinite(fine[i])):
+                    raise StepLimitExceeded(f"{path.label}: non-finite panel product at {n} panels")
+                if coarse is not None:
+                    err = float(np.max(np.abs(fine[i] - coarse[i]))) / 63.0
+                    if err <= TRANSPORT_ATOL + TRANSPORT_RTOL * float(np.max(np.abs(fine[i]))):
+                        out[i] = TransportResult(fine[i], abs(algebra.det(fine[i]) - 1.0), n, err)
+            n, coarse = 2 * n, fine
+    return out if form.a.ndim else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -434,28 +422,31 @@ def monodromy_batch(stack: list) -> list:
 
     BATCH_CHUNK members at a time go through one stacked ConnectionForm, so
     the Baker sections are evaluated once per panel level for the chunk.
-    Every member's result, panel counts included, equals its batch of one;
-    the error raised is the one the first failing member raises alone.
+    Every member's result, panel counts included, equals its batch of one.
+    When a chunk's transport fails, its members are run again one at a time,
+    so the error raised is the one the first failing member raises alone.
     """
     results = []
     for start in range(0, len(stack), BATCH_CHUNK):
         chunk = stack[start : start + BATCH_CHUNK]
         tau = chunk[0].tau
         form = ConnectionForm(chunk)
-        tx = parallel_transport(form, gamma_x(tau))
-        moved = [i for i, t in enumerate(tx) if isinstance(t, TransportResult)]
-        ty = dict(zip(moved, parallel_transport(form.members(moved), gamma_y(tau))))
-        for i, params in enumerate(chunk):
-            for t in (tx[i], ty.get(i)):
-                if isinstance(t, AbelMonoError):
-                    raise t
-            results.append(_monodromy_result(params, tx[i], ty[i]))
+        try:
+            tx = parallel_transport(form, gamma_x(tau))
+            ty = parallel_transport(form, gamma_y(tau))
+        except StepLimitExceeded:  # the one transport error that depends on the member
+            if len(chunk) > 1:
+                for params in chunk:
+                    monodromies(params)
+            raise
+        results.extend(map(_monodromy_result, chunk, tx, ty))
     return results
 
 
 def _monodromy_result(params, tx: TransportResult, ty: TransportResult) -> MonodromyResult:
     X, Y = tx.matrix, ty.matrix
-    kappa = max(algebra.norm_inf(X), algebra.norm_inf(Y)) ** 2
+    norm = max(algebra.norm_inf(X), algebra.norm_inf(Y))
+    kappa = norm * norm  # inf, not OverflowError, past ~1.3e154
     if kappa * np.finfo(float).eps > TOL_MONO:
         raise NonGenericChi(
             f"chi = {params.chi}: monodromy condition number {kappa:.1e} is beyond double precision"
@@ -563,6 +554,8 @@ def real_locus_sweep(
     check_tau(tau)
     if n < 1:
         raise ParameterOutOfRange(f"a sweep needs n >= 1 samples, got {n}")
+    if n > MAX_SWEEP_POINTS:
+        raise ParameterOutOfRange(f"{n} sweep samples exceed the cap of {MAX_SWEEP_POINTS}")
     line = _slice_parametrization(chi0, tau)
 
     def params(t):

@@ -537,7 +537,7 @@ def _slice_stack(r, tau, n, a_range=(0.05, 1.6)):
 
 
 def test_batch_members_equal_batches_of_one():
-    """Members retire at their own panel level and equal a lone evaluation bit for bit."""
+    """Each member keeps the level where it first passes and equals its batch of one bit for bit."""
     stack = _slice_stack(0.3, 1.2, 60)  # the last chunk closes gamma_y at 32 and at 64 panels
     batch = am.monodromy_batch(stack)
     assert len({res.panels[1] for res in batch}) >= 2
@@ -600,6 +600,16 @@ def test_batch_raises_the_first_failing_members_error(monkeypatch):
     monkeypatch.setattr(am, "PANEL_BUDGET", am._FIRST_PANELS)  # one level: no loop closes
     stack = _slice_stack(R, TAU, 3, (0.3, 0.5))
     with pytest.raises(am.StepLimitExceeded, match=f"gamma_x: budget of {am._FIRST_PANELS} panels"):
+        am.monodromy_batch(stack)
+
+
+def test_mixed_chunk_raises_its_first_members_error():
+    """Member 1 alone is ill-conditioned; member 7's product overflows in the stack first."""
+    stack = [am.ConnectionParams(complex(t, 0.0), math.pi / 4.0, R, 1.0)
+             for t in np.linspace(5.0, 800.0, 8)]
+    with pytest.raises(am.StepLimitExceeded):
+        am.monodromies(stack[7])
+    with pytest.raises(am.NonGenericChi, match=r"condition number 4\.7e\+103 "):
         am.monodromy_batch(stack)
 
 
