@@ -239,13 +239,6 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         (["locus", "--r", "0.1", "--n", "3", "--a-min", "nan", "--no-refine"], "input"),
         (["locus", "--r", "0.1", "--n", "0"], "input"),
         (["locus", "--r", "0.1", "--n=-3"], "input"),
-        (["locus", "--r", "0.1", "--n", "10001"], "input"),  # past abelmono.MAX_SWEEP_POINTS
-        # member 1 is ill-conditioned; member 7's product overflows, but member 1 fails first
-        (["locus", "--r", "0.1", "--a-min", "5", "--a-max", "800", "--n", "8", "--no-refine"],
-         "input"),
-        # entries past ~1.3e154: the condition number overflows to inf
-        (["monodromy", "--a", "500", "--chi", "0.3", "--r", "0.1", "--tau", "1"], "input"),
-        (["jacobian", "--a", "500", "--tau", "1", "--r", "0.1"], "input"),
         (["spin", "--state", "+,-", "--tau", "nan"], "input"),
         (["charvar", "residual", "--coords", "nan,1,1", "--weight", "1/10"], "input"),
         (["charvar", "classify", "--coords", "nan,1,1", "--weight", "1/10"], "input"),
@@ -258,6 +251,13 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         (["monodromy", "--a", "0.2", "--chi", "40", "--r", "0.1", "--tau", "1"], "check"),
         # read exactly, 30000001/100000000 needs 5e7 sheets, past covering.MAX_SHEETS
         (["covering", "check", "--weight", "0.30000001"], "input"),
+        (["locus", "--r", "0.1", "--n", "10001"], "input"),  # past abelmono.MAX_SWEEP_POINTS
+        # member 1 is ill-conditioned; member 7's product overflows, but member 1 fails first
+        (["locus", "--r", "0.1", "--a-min", "5", "--a-max", "800", "--n", "8", "--no-refine"],
+         "input"),
+        # entries past ~1.3e154: the condition number overflows to inf
+        (["monodromy", "--a", "500", "--chi", "0.3", "--r", "0.1", "--tau", "1"], "input"),
+        (["jacobian", "--a", "500", "--tau", "1", "--r", "0.1"], "input"),
     ],
 )
 def test_parameter_errors_are_typed(capsys, argv, kind):
