@@ -190,8 +190,9 @@ class ConnectionForm:
 
     params may also be a list of ConnectionParams that share (chi, r, tau):
     a stack along a.  The ndarray a is 0-d for one ConnectionParams and 1-D
-    for a list; a_w and coefficient take w of any shape and return shape
-    a.shape + w.shape + (2, 2), with psi_+- evaluated once for all members.
+    for a list; coefficient takes w of any shape and returns the sl(2)
+    coordinates (C00, C01, C10) stacked on axis 0, shape
+    (3,) + a.shape + w.shape, with psi_+- evaluated once for all members.
     The stack is fixed: parallel_transport carries every member to the
     panel level of the last one to pass.
     """
@@ -203,8 +204,9 @@ class ConnectionForm:
         if any((p.chi, p.r, p.tau) != (params.chi, params.r, params.tau) for p in stack):
             raise ParameterOutOfRange("a stack of connections must share chi, r and tau")
         self.a = np.array([p.a for p in stack] if stacked else params.a, dtype=complex)
+        self.chi = complex(params.chi)
         self.lat = lat = lattice(params.tau)
-        self.lam = -2.0 * complex(params.chi)
+        self.lam = -2.0 * self.chi
         self.p = -params.tau * self.lam / math.pi
         if lat.lattice_distance(self.p) < 1e-8:
             raise NonGenericChi(
@@ -213,30 +215,22 @@ class ConnectionForm:
         self.beta = -self.lam * (lat.eta2 + 1j * params.tau * lat.eta1) / TWO_PI_I
         with np.errstate(all="ignore"):  # an overflowing sigma(p) fails in the transport
             self.scale = -params.r / lat.sigma(self.p)
-        self.a_wbar = np.array([[params.chi, 0.0], [0.0, -params.chi]], dtype=complex)
-
-    def a_w(self, w):
-        w = np.asarray(w, dtype=complex)
-        # before the stacked array: sigma's temporaries peak first
-        sigma_w, sigma_minus, sigma_plus = self.lat.sigma(np.stack([w, w - self.p, w + self.p]))
-        phi = self.beta * w - self.lam * w.conj()
-        psi_plus = self.scale * np.exp(phi) * sigma_minus / sigma_w
-        psi_minus = -self.scale * np.exp(-phi) * sigma_plus / sigma_w
-        a = self.a.reshape(self.a.shape + (1,) * w.ndim)
-        out = np.zeros(self.a.shape + w.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = a
-        out[..., 1, 1] = -a
-        out[..., 1, 0] = psi_plus
-        out[..., 0, 1] = psi_minus
-        return out
 
     def coefficient(self, w, wdot):
-        """-(A_w wdot + A_wbar conj(wdot)), the right-hand side matrix of the ODE."""
-        wdot = np.asarray(wdot, dtype=complex)[..., None, None]
-        out = self.a_w(w)  # in place from here: a stack's array sets its memory peak
-        out *= wdot
-        out += self.a_wbar * wdot.conj()
-        return np.negative(out, out=out)
+        """-(A_w wdot + A_wbar conj(wdot)), the traceless right-hand side of the ODE.
+
+        Returned as its sl(2) coordinates (C00, C01, C10) = (-(a wdot + chi
+        conj(wdot)), -psi_- wdot, -psi_+ wdot) on axis 0.
+        """
+        w = np.asarray(w, dtype=complex)
+        wdot = np.asarray(wdot, dtype=complex)
+        sigma_w, sigma_minus, sigma_plus = self.lat.sigma(np.stack([w, w - self.p, w + self.p]))
+        phi = self.beta * w - self.lam * w.conj()
+        a = self.a.reshape(self.a.shape + (1,) * w.ndim)
+        c00 = -(a * wdot + self.chi * wdot.conj())
+        c01 = self.scale * np.exp(-phi) * sigma_plus / sigma_w * wdot
+        c10 = -self.scale * np.exp(phi) * sigma_minus / sigma_w * wdot
+        return np.stack(np.broadcast_arrays(c00, c01, c10))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +312,8 @@ def _magnus_product(form: ConnectionForm, path: TorusPath, n: int) -> np.ndarray
     alpha2 = (sqrt(15) h/3)(A3 - A1), alpha3 = (10 h/3)(A3 - 2 A2 + A1),
     C1 = [alpha1, alpha2], C2 = -[alpha1, 2 alpha3 + C1]/60 and
     Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240.
-    Every term is traceless, so the brackets act on sl(2) coordinates and
+    Every term is traceless, so the A_k come from form.coefficient as sl(2)
+    coordinates (A00, A01, A10), the brackets act on them, and
     exp Omega = cosh d I + (sinh d / d) Omega with d^2 = Omega00^2 + Omega01 Omega10
     (sinh d / d is sinc(d / (i pi)), which is 1 at d = 0).  The panel factors
     are multiplied pairwise, later panels on the left.  The result has shape
@@ -332,8 +327,7 @@ def _magnus_product(form: ConnectionForm, path: TorusPath, n: int) -> np.ndarray
         raise PathTooCloseToPole(
             f"{path.label}: point {w.flat[np.argmin(dist)]} within {path.delta} of the lattice"
         )
-    coef = form.coefficient(w, path.velocity(s))[..., [0, 0, 1], [0, 1, 0]]
-    x = np.moveaxis(coef, -1, 0)  # the sl(2) coordinates (A00, A01, A10) first
+    x = form.coefficient(w, path.velocity(s))
     a1, a2, a3 = x[..., 0, :], x[..., 1, :], x[..., 2, :]
     alpha1 = h * a2
     alpha2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
@@ -537,8 +531,8 @@ def real_locus_sweep(
     r: float,
     tau: float,
     chi0: complex,
-    a_range=(0.05, 2.0),
-    n: int = 60,
+    a_range,
+    n: int,
     tol: float = TOL_MONO,
     refine: bool = True,
 ) -> SweepResult:
@@ -668,7 +662,7 @@ class LocusMatchResult:
 
 def _on_slice(a, tau, r) -> ConnectionParams:
     """The connection at a on the trivializing slice chi0 = pi/(4 tau)."""
-    return ConnectionParams(a, math.pi / (4.0 * tau), r, tau)
+    return ConnectionParams(a, complex(math.pi / (4.0 * tau)), r, tau)
 
 
 def _graze_point(ev):

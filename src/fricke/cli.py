@@ -450,6 +450,7 @@ def cmd_spin(args, config: RunConfig):
         trace.append(str(state))
     chi = spingraft.spin_to_chi(state, args.tau)
     hx, hy = spingraft.line_holonomies(chi, args.tau)
+    residuals = {"holonomy_x": abs(hx - state.eps_x), "holonomy_y": abs(hy - state.eps_y)}
     return {
         "initial": trace[0],
         "sequence": sequence,
@@ -457,11 +458,8 @@ def cmd_spin(args, config: RunConfig):
         "final": str(state),
         "chi": _pair(chi),
         "tau": args.tau,
-        "residuals": {
-            "holonomy_x": abs(hx - state.eps_x),
-            "holonomy_y": abs(hy - state.eps_y),
-        },
-    }, True
+        "residuals": residuals,
+    }, all(v <= spingraft.TOL_HOLONOMY for v in residuals.values())
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +612,11 @@ def dispatch(argv) -> int:
         return CHECK_EXIT
     if isinstance(output, dict):
         output["tolerances"] = config.tolerances()
-        output = json.dumps(output, sort_keys=True, indent=2) + "\n"
+        try:
+            output = json.dumps(output, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            error("check", f"output is not finite: {exc}")
+            return CHECK_EXIT
     if output:
         sys.stdout.write(output)
     return 0 if ok else CHECK_EXIT

@@ -15,6 +15,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+TOL_HOLONOMY = 1e-10  # largest |holonomy - eps| a spin class's chi may leave
+
 
 class SpinGraftError(ValueError):
     pass
@@ -97,12 +99,12 @@ def line_holonomies(chi: complex, tau: float):
 
 
 def verify_spin_dictionary(tau: float):
-    """Worst deviation of the line-bundle holonomies from (eps_x, eps_y); raises above 1e-10."""
+    """Worst |holonomy - eps| over the four spin classes; raises above TOL_HOLONOMY."""
     worst = 0.0
     for s in ALL_SPIN_CLASSES:
         hx, hy = line_holonomies(spin_to_chi(s, tau), tau)
         worst = max(worst, abs(hx - s.eps_x), abs(hy - s.eps_y))
-    if worst > 1e-10:
+    if worst > TOL_HOLONOMY:
         raise SpinGraftError(f"spin dictionary holonomy deviation {worst:.2e}")
     return worst
 

@@ -137,9 +137,9 @@ def test_lattice_and_connection_match_mpmath(tau):
             phi = beta * w_mp - lam * mp.conj(w_mp)
             psi_plus = scale * mp.exp(phi) * sigma(w_mp - p) / sigma(w_mp)
             psi_minus = -scale * mp.exp(-phi) * sigma(w_mp + p) / sigma(w_mp)
-            a_w = form.a_w(w)
-            assert rel(a_w[1, 0], psi_plus) <= 1e-11
-            assert rel(a_w[0, 1], psi_minus) <= 1e-11
+            coef = form.coefficient(w, 1.0)
+            assert rel(-coef[2], psi_plus) <= 1e-11
+            assert rel(-coef[1], psi_minus) <= 1e-11
 
 
 @pytest.mark.parametrize(
@@ -148,7 +148,7 @@ def test_lattice_and_connection_match_mpmath(tau):
         lambda: am.RectangularLattice(0.0),
         lambda: am.ConnectionParams(0.2, CHI, R, 0.0),
         lambda: am.ConnectionParams(0.2, CHI, R, 1e-320),
-        lambda: am.real_locus_sweep(R, 0.0, 0.3 + 0.1j),
+        lambda: am.real_locus_sweep(R, 0.0, 0.3 + 0.1j, (0.05, 1.6), 60),
         lambda: am.match_y(1.8, R, 0.0, 0.3 + 0.1j, (0.05, 0.7)),
         lambda: am.jacobian_rank(0.3, 0.0, R),
         lambda: am.match_on_locus(YSTAR, R, tau_bracket=(-1.0, 1.0)),
@@ -162,14 +162,13 @@ def test_tau_out_of_range_raises_first(call):
 
 
 # ---------------------------------------------------------------------------
-# baker sections: psi_+ = A_w[1, 0] (lam = -2 chi) and psi_- = A_w[0, 1] (-lam)
+# baker sections: psi_+ = -C10 (lam = -2 chi) and psi_- = -C01 (-lam) at wdot = 1
 
 FORM = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
 
 
 def _psi(sign):
-    i, j = (1, 0) if sign == +1 else (0, 1)
-    return lambda w: FORM.a_w(w)[..., i, j]
+    return lambda w: -FORM.coefficient(w, 1.0)[2 if sign == +1 else 1]
 
 
 def test_baker_rejects_half_lattice_chi():
@@ -233,23 +232,15 @@ def test_coefficient_makes_one_sigma_call(monkeypatch):
 # connection form and transport
 
 
-def test_connection_form_tracefree():
-    form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
-    for w in (0.3 + 0.2j, 0.7 + 0.6j):
-        a_w = form.a_w(w)
-        assert abs(a_w[0, 0] + a_w[1, 1]) <= 1e-14
-    assert abs(form.a_wbar[0, 0] + form.a_wbar[1, 1]) <= 1e-14
-
-
 def test_connection_form_simple_pole():
-    """|w A_w(w)| stays bounded on shrinking circles around the puncture."""
+    """|w coefficient(w, 1)| stays bounded on shrinking circles around the puncture."""
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
     maxima = []
     for radius in (1e-2, 1e-3):
         vals = []
         for theta in np.linspace(0, 2 * np.pi, 32, endpoint=False):
             w = radius * np.exp(1j * theta)
-            vals.append(np.max(np.abs(w * form.a_w(w))))
+            vals.append(np.max(np.abs(w * form.coefficient(w, 1.0))))
         maxima.append(max(vals))
     assert maxima[1] <= 2.0 * maxima[0] + 1.0
     assert abs(maxima[1] - R) <= 0.05  # residue magnitude dominates
@@ -261,13 +252,12 @@ class _DiagonalForm(am.ConnectionForm):
     def __init__(self, params):
         self.a = np.array(params.a, dtype=complex)
         self.lat = am.lattice(params.tau)
-        self.a_wbar = np.array([[params.chi, 0.0], [0.0, -params.chi]], dtype=complex)
+        self.chi = complex(params.chi)
 
-    def a_w(self, w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros(self.a.shape + w.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = self.a
-        out[..., 1, 1] = -self.a
+    def coefficient(self, w, wdot):
+        w, wdot = np.asarray(w, dtype=complex), np.asarray(wdot, dtype=complex)
+        out = np.zeros((3,) + self.a.shape + w.shape, dtype=complex)
+        out[0] = -(self.a.reshape(self.a.shape + (1,) * w.ndim) * wdot + self.chi * wdot.conj())
         return out
 
 
@@ -346,8 +336,8 @@ def test_transport_matches_dop853(tau):
     for path in (am.gamma_x(tau), am.gamma_y(tau), am.gamma_x_wiggled(tau, 0.05 * min(1.0, tau), 2)):
 
         def rhs(s, psi):
-            a = form.coefficient(path.point(s), path.velocity(s))
-            return (a @ psi.reshape(2, 2)).ravel()
+            c00, c01, c10 = form.coefficient(path.point(s), path.velocity(s))
+            return (np.array([[c00, c01], [c10, -c00]]) @ psi.reshape(2, 2)).ravel()
 
         sol = integrate.solve_ivp(
             rhs, (0.0, 1.0), np.eye(2, dtype=complex).ravel(),
@@ -577,7 +567,7 @@ def test_stack_shape_contract(members):
     shape = (members,) if members else ()
     w = am.basepoint(TAU) + np.linspace(0.0, 0.5, 6).reshape(2, 3)
     assert form.a.shape == shape
-    assert form.a_w(w).shape == form.coefficient(w, 1.0).shape == shape + (2, 3, 2, 2)
+    assert form.coefficient(w, 1.0).shape == (3,) + shape + (2, 3)
     res = am.parallel_transport(form, am.gamma_x(TAU))
     if members:
         assert isinstance(res, list) and len(res) == members

@@ -147,6 +147,22 @@ def test_spin_verb(capsys):
     assert payload["residuals"]["holonomy_x"] <= 1e-10
 
 
+def test_spin_exit_status_follows_its_residuals(capsys):
+    """At tau = 1e308, 2 tau overflows and chi = 0: the report is printed, and the exit is 1."""
+    code, out, err = run(capsys, "spin", "--state", "+,-", "--tau", "1e308")
+    assert code == 1 and err == ""
+    assert json.loads(out)["residuals"] == {"holonomy_x": 0.0, "holonomy_y": 2.0}
+
+
+def test_non_generic_chi_prints_one_form(capsys):
+    """jacobian and locus build the same slice chi, and name it the same way."""
+    _, _, jacobian = run(capsys, "jacobian", "--a", "500", "--tau", "1", "--r", "0.1")
+    _, _, locus = run(capsys, "locus", "--r", "0.1", "--a-min", "400", "--a-max", "700",
+                      "--n", "8", "--no-refine")
+    assert jacobian == locus
+    assert jacobian.startswith("E:input:chi = (0.7853981633974483+0j): ")
+
+
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run(capsys, "verify", "dodeca", "--frobnicate")
     assert code == 2
@@ -258,6 +274,10 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         # entries past ~1.3e154: the condition number overflows to inf
         (["monodromy", "--a", "500", "--chi", "0.3", "--r", "0.1", "--tau", "1"], "input"),
         (["jacobian", "--a", "500", "--tau", "1", "--r", "0.1"], "input"),
+        # a payload that is not finite is not JSON
+        (["charvar", "residual", "--coords", "1e200,1,1", "--weight", "1/10"], "check"),
+        (["charvar", "abelianize", "--coords", "1e200,1,1", "--weight", "1/10"], "check"),
+        (["spin", "--state", "+,-", "--tau", "1e-320"], "check"),
     ],
 )
 def test_parameter_errors_are_typed(capsys, argv, kind):
