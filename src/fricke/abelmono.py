@@ -14,6 +14,9 @@ module checks.
 Elliptic ingredients (Weierstrass sigma and the quasi-periods) are built
 from theta series in the real nome q = exp(-pi tau); the rectangular case
 keeps everything real-coefficient and well-conditioned for tau in [0.2, 5].
+The series is separable: with z = exp(i pi w), sin(odd_n pi (w - s)) mixes
+z^odd_n and z^-odd_n, so theta1 at w, w - p and w + p costs one exp per
+point, a running product of powers and two small matrix products.
 """
 
 from __future__ import annotations
@@ -96,6 +99,8 @@ class RectangularLattice:
     periods omega_1 = 1, omega_2 = i tau.  The quasi-periods satisfy the
     Legendre relation eta_1 omega_2 - eta_2 omega_1 = 2 pi i, which is
     checked at construction against an independent series for eta_2.
+    theta1(w, shifts) is the series at pi (w - s) for several shifts in one
+    pass of the separable kernel; sigma is its one-shift case.
     """
 
     def __init__(self, tau: float):
@@ -111,13 +116,29 @@ class RectangularLattice:
                 f"Legendre relation residual {self.legendre_residual:.2e} at tau={tau}"
             )
 
-    def theta1(self, v):
-        args = np.multiply.outer(np.asarray(v, dtype=complex), self._odd)
-        return np.sin(args, out=args) @ self._coef  # in place: this array is the call's peak memory
+    def theta1(self, w, shifts):
+        """theta1(pi (w - s)) for each s in shifts, stacked on a new last axis.
+
+        With z = exp(i pi w) and F_n = exp(i pi odd_n s),
+        sin(odd_n pi (w - s)) = (z^odd_n / F_n - F_n / z^odd_n) / 2i
+        (DLMF 20.2.1): one exp per w, a running product for the odd powers
+        of z, their reciprocals, and two (w x terms) @ (terms x shifts)
+        products with coef_n / F_n and coef_n F_n as the columns.  The growth
+        of the sine in Im(w - s) is split between z^-odd_n and F_n, so where
+        the sine itself would overflow a term stays finite, or is 0 once
+        coef_n F_n underflows.
+        """
+        z = np.exp(1j * math.pi * np.asarray(w, dtype=complex))[..., None]
+        powers = np.repeat(z * z, self._odd.size, axis=-1)
+        powers[..., :1] = z
+        np.cumprod(powers, axis=-1, out=powers)
+        arg = 1j * math.pi * np.multiply.outer(self._odd, shifts)
+        half = (self._coef / 2j)[:, None]
+        return powers @ (half * np.exp(-arg)) - (1.0 / powers) @ (half * np.exp(arg))
 
     def sigma(self, w):
         w = np.asarray(w, dtype=complex)
-        return np.exp(0.5 * self.eta1 * w * w) * self.theta1(math.pi * w) / (
+        return np.exp(0.5 * self.eta1 * w * w) * self.theta1(w, [0.0])[..., 0] / (
             math.pi * self._theta1_d0
         )
 
@@ -184,9 +205,13 @@ class ConnectionForm:
     phi = beta w - lam wbar, lam = -2 chi, p = -tau lam/pi and
     scale = -r/sigma(p); lam, p, beta and scale all change sign with chi.
     The multiplier equations exp(beta omega_i - eta_i p) = exp(lam conj(omega_i))
-    are solved exactly (k = 0 branch), which makes psi_+ and psi_- literally
-    periodic; both residues at the origin are r, so the quadratic residue of
-    the product is r^2.
+    are solved exactly (k = 0 branch, beta = lam + eta1 p), which makes
+    psi_+ and psi_- literally periodic; both residues at the origin are r,
+    so the quadratic residue of the product is r^2.  With
+    sigma(w -+ p)/sigma(w) = exp(eta1 (p^2/2 -+ p w)) theta1(pi (w -+ p))/theta1(pi w)
+    the Gaussian factors cancel against phi:
+    psi_+-(w) = +-scale exp(eta1 p^2/2) exp(+-lam (w - wbar)) theta1(pi (w -+ p))/theta1(pi w),
+    which coefficient evaluates with one theta1 call and one further exp per node.
 
     params may also be a list of ConnectionParams that share (chi, r, tau):
     a stack along a.  The ndarray a is 0-d for one ConnectionParams and 1-D
@@ -212,7 +237,6 @@ class ConnectionForm:
             raise NonGenericChi(
                 f"chi = {params.chi} is (numerically) a half-lattice point of the Jacobian"
             )
-        self.beta = -self.lam * (lat.eta2 + 1j * params.tau * lat.eta1) / TWO_PI_I
         with np.errstate(all="ignore"):  # an overflowing sigma(p) fails in the transport
             self.scale = -params.r / lat.sigma(self.p)
 
@@ -224,12 +248,15 @@ class ConnectionForm:
         """
         w = np.asarray(w, dtype=complex)
         wdot = np.asarray(wdot, dtype=complex)
-        sigma_w, sigma_minus, sigma_plus = self.lat.sigma(np.stack([w, w - self.p, w + self.p]))
-        phi = self.beta * w - self.lam * w.conj()
+        theta_w, theta_minus, theta_plus = np.moveaxis(
+            self.lat.theta1(w, [0.0, self.p, -self.p]), -1, 0
+        )
+        scale = self.scale * np.exp(0.5 * self.lat.eta1 * self.p * self.p) / theta_w * wdot
+        phase = np.exp(2j * self.lam * w.imag)
         a = self.a.reshape(self.a.shape + (1,) * w.ndim)
         c00 = -(a * wdot + self.chi * wdot.conj())
-        c01 = self.scale * np.exp(-phi) * sigma_plus / sigma_w * wdot
-        c10 = -self.scale * np.exp(phi) * sigma_minus / sigma_w * wdot
+        c01 = scale / phase * theta_plus
+        c10 = -scale * phase * theta_minus
         return np.stack(np.broadcast_arrays(c00, c01, c10))
 
 

@@ -103,12 +103,16 @@ def _mp_lattice(mp, tau):
     return eta1, sigma
 
 
-@pytest.mark.parametrize("tau", [0.1, 0.2, 1.0, 5.0, 10.0])
+@pytest.mark.parametrize("tau", [0.1, 0.2, 1.0, 5.0, 10.0, 12.0])
 def test_lattice_and_connection_match_mpmath(tau):
     """Oracle at 30 digits: eta1, sigma and both off-diagonal entries of A_w.
 
     lam, p, beta and scale are recomputed in mpmath from the oracle's own
-    eta1 and sigma; every relative error must stay below 1e-11.
+    eta1 and sigma; every relative error must stay below 1e-11.  The entries
+    are checked at CHI and at the scatter box's corner 0.9 + 0.9i, on both
+    loops up to the end point of gamma_y.  At tau = 12 and 0.9 + 0.9i,
+    sin(odd_n pi (w +- p)) overflows on gamma_y; the separable kernel stays
+    finite there and raises no floating-point warning (warnings are errors).
     """
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
@@ -117,29 +121,30 @@ def test_lattice_and_connection_match_mpmath(tau):
         return float(abs(mp.mpc(complex(got)) - expected) / abs(expected))
 
     lat = am.lattice(tau)
-    form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, tau))
     rng = np.random.default_rng(3)
     cell = [complex(x, tau * y) for x, y in rng.uniform(0.1, 0.9, (8, 2))]
     base = am.basepoint(tau)
-    loops = [base + s for s in (0.0, 0.3, 0.7)] + [base + 1j * tau * s for s in (0.3, 0.7)]
+    loops = [base + s for s in (0.0, 0.3, 0.7)] + [base + 1j * tau * s for s in (0.3, 0.7, 1.0)]
     with mpmath.workdps(30):
         eta1, sigma = _mp_lattice(mp, mp.mpf(tau))
         assert rel(lat.eta1, eta1) <= 1e-11
         for w in cell:
             assert rel(lat.sigma(w), sigma(mp.mpc(w))) <= 1e-11
-        lam = -2 * mp.mpc(CHI)
-        p = -tau * lam / mp.pi
         eta2 = eta1 * 1j * tau - 2j * mp.pi
-        beta = -lam * (eta2 + 1j * tau * eta1) / (2j * mp.pi)
-        scale = -R / sigma(p)
-        for w in loops:
-            w_mp = mp.mpc(w)
-            phi = beta * w_mp - lam * mp.conj(w_mp)
-            psi_plus = scale * mp.exp(phi) * sigma(w_mp - p) / sigma(w_mp)
-            psi_minus = -scale * mp.exp(-phi) * sigma(w_mp + p) / sigma(w_mp)
-            coef = form.coefficient(w, 1.0)
-            assert rel(-coef[2], psi_plus) <= 1e-11
-            assert rel(-coef[1], psi_minus) <= 1e-11
+        for chi in (CHI, 0.9 + 0.9j):
+            form = am.ConnectionForm(am.ConnectionParams(0.2, chi, R, tau))
+            lam = -2 * mp.mpc(chi)
+            p = -tau * lam / mp.pi
+            beta = -lam * (eta2 + 1j * tau * eta1) / (2j * mp.pi)
+            scale = -R / sigma(p)
+            for w in loops:
+                w_mp = mp.mpc(w)
+                phi = beta * w_mp - lam * mp.conj(w_mp)
+                psi_plus = scale * mp.exp(phi) * sigma(w_mp - p) / sigma(w_mp)
+                psi_minus = -scale * mp.exp(-phi) * sigma(w_mp + p) / sigma(w_mp)
+                coef = form.coefficient(w, 1.0)
+                assert rel(-coef[2], psi_plus) <= 1e-11
+                assert rel(-coef[1], psi_minus) <= 1e-11
 
 
 @pytest.mark.parametrize(
@@ -213,19 +218,19 @@ def test_baker_dbar_equation():
             assert abs(dbar + sign * FORM.lam * psi(w0)) <= 1e-7
 
 
-def test_coefficient_makes_one_sigma_call(monkeypatch):
-    """sigma at w, w - p and w + p is one stacked call per coefficient evaluation."""
+def test_coefficient_makes_one_theta1_call(monkeypatch):
+    """theta1 at w, w - p and w + p is one call of the kernel per coefficient evaluation."""
     calls = []
-    sigma = am.RectangularLattice.sigma
+    theta1 = am.RectangularLattice.theta1
 
-    def spy(self, w):
-        calls.append(np.shape(w))
-        return sigma(self, w)
+    def spy(self, w, shifts):
+        calls.append((np.shape(w), len(shifts)))
+        return theta1(self, w, shifts)
 
-    monkeypatch.setattr(am.RectangularLattice, "sigma", spy)
+    monkeypatch.setattr(am.RectangularLattice, "theta1", spy)
     w = np.array([[0.3 + 0.2j, 0.35 + 0.2j], [0.7 + 0.6j, 0.75 + 0.6j]])
     FORM.coefficient(w, 1.0)
-    assert calls == [(3, 2, 2)]
+    assert calls == [((2, 2), 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +619,19 @@ def test_sweep_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 2e6
+
+
+def test_monodromies_memory_peak():
+    """The separable kernel holds two nodes x terms arrays, not (3 x nodes) x terms."""
+    params = am.ConnectionParams(0.5 - 0.5j, 0.9 + 0.9j, 0.45, 0.2)
+    am.lattice(params.tau)
+    tracemalloc.start()
+    try:
+        am.monodromies(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.7e6
 
 
 # ---------------------------------------------------------------------------
