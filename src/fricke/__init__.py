@@ -1,11 +1,14 @@
-"""Trace coordinates, numerical monodromy and the dodecahedral lattice representation."""
+"""Trace coordinates, numerical monodromy and the dodecahedral lattice representation.
+
+Importing the package loads no submodule: only ``abelmono`` needs numpy, and
+the exact-algebra modules and the CLI's exact verbs run without it.
+"""
 
 __version__ = "0.1.0"
 
-from . import abelmono, algebra, charvar, covering, dodeca, lorentz, spingraft
-
 __all__ = [
     "__version__",
+    "abeldomain",
     "abelmono",
     "algebra",
     "charvar",

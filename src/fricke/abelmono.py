@@ -29,9 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, charvar
+# abelmono.<name> stays valid for every error class, tolerance and check_tau
+from .abeldomain import (TOL_MONO, TOL_ROOT, AbelMonoError, BracketDoesNotStraddle, MaxIterations,
+                         NonGenericChi, ParameterOutOfRange, PathTooCloseToPole,
+                         SlicePreconditionError, StepLimitExceeded, check_tau)
 
-TOL_MONO = 1e-6
-TOL_ROOT = 1e-6
 TOL_IM = 1e-10  # |Im z| below which match_on_locus takes a point as real
 TOL_SLICE = 1e-9  # how far chi0 may lie from an eta-admissible line
 RANK_FLOOR = 1e3 * TOL_MONO  # jacobian_rank's floor on the smaller singular value
@@ -44,47 +46,8 @@ BATCH_CHUNK = 8  # a values transported in one array by monodromy_batch
 # at 600 samples (2-vCPU x86 host), 1.2 s at 3000 and 5.6 s at 10000.
 MAX_SWEEP_POINTS = 10_000
 GRAZE_SCAN, GRAZE_POINTS = (0.02, 1.8), 30  # match_on_locus's graze-point scan over a
-TAU_MIN, TAU_MAX = 1e-3, 1e3  # the moduli a RectangularLattice is built for
 
 TWO_PI_I = 2j * math.pi
-
-
-class AbelMonoError(ValueError):
-    pass
-
-
-class ParameterOutOfRange(AbelMonoError):
-    """An input (a, chi, r, tau, a step, a count) lies outside its domain."""
-
-
-class NonGenericChi(AbelMonoError):
-    """chi is, or is numerically too near, a half-lattice point of the Jacobian."""
-
-
-class StepLimitExceeded(AbelMonoError):
-    pass
-
-
-class PathTooCloseToPole(AbelMonoError):
-    pass
-
-
-class BracketDoesNotStraddle(AbelMonoError):
-    pass
-
-
-class MaxIterations(AbelMonoError):
-    pass
-
-
-class SlicePreconditionError(AbelMonoError):
-    pass
-
-
-def check_tau(tau) -> None:
-    """Raise ParameterOutOfRange unless TAU_MIN <= tau <= TAU_MAX (so also for nan)."""
-    if not TAU_MIN <= tau <= TAU_MAX:
-        raise ParameterOutOfRange(f"tau must lie in [{TAU_MIN:g}, {TAU_MAX:g}], got {tau}")
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +427,20 @@ def monodromy_batch(stack: list) -> list:
     return results
 
 
+def _inverse(m):
+    """Adjugate of a 2x2 array, its inverse when det m = 1."""
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+
+
 def _monodromy_result(params, tx: TransportResult, ty: TransportResult) -> MonodromyResult:
     X, Y = tx.matrix, ty.matrix
-    norm = max(algebra.norm_inf(X), algebra.norm_inf(Y))
+    norm = max(float(np.max(np.abs(X))), float(np.max(np.abs(Y))))
     kappa = norm * norm  # inf, not OverflowError, past ~1.3e154
     if kappa * np.finfo(float).eps > TOL_MONO:
         raise NonGenericChi(
             f"chi = {params.chi}: monodromy condition number {kappa:.1e} is beyond double precision"
         )
-    K = algebra.commutator(X, Y)
+    K = _inverse(Y) @ _inverse(X) @ Y @ X
     x = algebra.trace(X)
     y = algebra.trace(Y)
     z = algebra.trace(Y @ X)

@@ -1,20 +1,19 @@
-"""Complex 2x2 matrix algebra for SL(2,C) computations.
+"""Complex 2x2 matrix algebra for SL(2,C) computations, in plain Python.
 
-Matrices are plain 2x2 complex numpy arrays with determinant 1 (up to
-``TOL_ALG``).  Group words are sequences of ``(generator_index, exponent)``
-pairs with exponent +1 or -1, evaluated right-to-left: the last letter of
-the word acts first, so ``evaluate_word([(0,1),(1,1)], [A,B]) == A @ B``
-is the matrix of "first do B's loop, then A's".
+Matrices are ``Mat2`` values with determinant 1 (up to ``TOL_ALG``).  They
+take ``@``, ``+``, ``-`` and multiplication or division by a scalar as numpy
+arrays do, and ``m[i, j]`` reads an entry, so ``det``, ``trace`` and
+``to_json_entries`` also accept a 2x2 numpy array.  Group words are
+sequences of ``(generator_index, exponent)`` pairs with exponent +1 or -1,
+evaluated right-to-left: the last letter of the word acts first, so
+``evaluate_word([(0,1),(1,1)], [A,B]) == A @ B`` is the matrix of "first do
+B's loop, then A's".
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 TOL_ALG = 1e-9
 MAX_ORDER = 64  # the largest finite order order_of looks for
-
-IDENTITY = np.eye(2, dtype=complex)
 
 
 class AlgebraError(ValueError):
@@ -25,9 +24,49 @@ class IndexOutOfAlphabet(AlgebraError):
     """A group word refers to a generator index outside the alphabet."""
 
 
-def make(a, b, c, d):
+class Mat2:
+    """The 2x2 complex matrix [[a, b], [c, d]]; iterating gives the entries row-major."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: complex, b: complex, c: complex, d: complex):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def __getitem__(self, index):
+        i, j = index
+        return (self.a, self.b, self.c, self.d)[2 * i + j]
+
+    def __iter__(self):
+        return iter((self.a, self.b, self.c, self.d))
+
+    def __matmul__(self, o):
+        return Mat2(self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
+                    self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
+
+    def __add__(self, o):
+        return Mat2(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+
+    def __sub__(self, o):
+        return Mat2(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+
+    def __neg__(self):
+        return Mat2(-self.a, -self.b, -self.c, -self.d)
+
+    def __mul__(self, s):
+        return Mat2(s * self.a, s * self.b, s * self.c, s * self.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, s):
+        return Mat2(self.a / s, self.b / s, self.c / s, self.d / s)
+
+
+def make(a, b, c, d) -> Mat2:
     """Build a 2x2 complex matrix from its row-major entries."""
-    return np.array([[a, b], [c, d]], dtype=complex)
+    return Mat2(complex(a), complex(b), complex(c), complex(d))
+
+
+IDENTITY = make(1, 0, 0, 1)
 
 
 def det(m):
@@ -38,14 +77,19 @@ def trace(m):
     return m[0, 0] + m[1, 1]
 
 
-def inverse(m):
+def inverse(m: Mat2) -> Mat2:
     """Inverse of a unimodular matrix via the adjugate (exact for det=1)."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+    return Mat2(m.d, -m.b, -m.c, m.a)
 
 
-def norm_inf(m):
+def adjoint(m: Mat2) -> Mat2:
+    """Conjugate transpose."""
+    return Mat2(m.a.conjugate(), m.c.conjugate(), m.b.conjugate(), m.d.conjugate())
+
+
+def norm_inf(m: Mat2) -> float:
     """Max-abs entry norm; cheap and basis-stable at 2x2."""
-    return float(np.max(np.abs(m)))
+    return max(map(abs, m))
 
 
 def order_of(m, tol=TOL_ALG):
@@ -65,7 +109,7 @@ def evaluate_word(word, alphabet):
     returned matrix is letters[0] @ letters[1] @ ... which composes loops
     right-to-left.
     """
-    out = IDENTITY.copy()
+    out = IDENTITY
     for idx, exp in word:
         if not 0 <= idx < len(alphabet):
             raise IndexOutOfAlphabet(f"generator index {idx} not in alphabet of size {len(alphabet)}")
@@ -74,12 +118,7 @@ def evaluate_word(word, alphabet):
     return out
 
 
-def commutator(a, b):
-    """b^-1 a^-1 b a, the monodromy of a commutator loop (a's loop first)."""
-    return inverse(b) @ inverse(a) @ b @ a
-
-
 def to_json_entries(m):
     """Row-major [[re,im],...] encoding used by the CLI."""
-    return [[float(np.real(x)), float(np.imag(x))] for x in np.asarray(m).reshape(-1)]
-
+    entries = (complex(m[i, j]) for i in (0, 1) for j in (0, 1))
+    return [[z.real, z.imag] for z in entries]

@@ -8,11 +8,10 @@ rt = l/k in (1/4,1/2) and r = 2*rt - 1/2 in (0,1/2).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import algebra
 
@@ -151,7 +150,7 @@ def abelianize(t: TraceCoords, w: Weight) -> SphereTraceCoords:
 
 def _principal_sqrt(v):
     """Square root with Re >= 0 (and Im >= 0 on the cut Re = 0)."""
-    root = complex(np.sqrt(complex(v)))
+    root = cmath.sqrt(v)
     if root.real < 0 or (root.real == 0 and root.imag < 0):
         root = -root
     return root
@@ -189,7 +188,7 @@ def solve_z(x, y, w: Weight):
     b = complex(x) * complex(y)
     c0 = complex(x) ** 2 + complex(y) ** 2 - 2.0 - w.c
     disc = b * b - 4.0 * c0
-    root = complex(np.sqrt(disc))
+    root = cmath.sqrt(disc)
     z1 = (b + root) / 2.0
     z2 = (b - root) / 2.0
     return z1, z2
@@ -250,7 +249,7 @@ def reconstruct_rep(t: TraceCoords):
     x, y, z = (complex(v) for v in t.astuple())
     if abs(x - 2.0) <= algebra.TOL_ALG or abs(x + 2.0) <= algebra.TOL_ALG:
         raise DegenerateTrace("x = +-2 has no diagonal normal form")
-    disc = complex(np.sqrt(x * x - 4.0))
+    disc = cmath.sqrt(x * x - 4.0)
     lam = (x + disc) / 2.0
     if abs(lam) < 1.0:
         lam = (x - disc) / 2.0

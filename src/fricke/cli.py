@@ -19,9 +19,7 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, abelmono, algebra, charvar, covering, dodeca, lorentz, spingraft
+from . import __version__, abeldomain, algebra, charvar, covering, dodeca, lorentz, spingraft
 
 USAGE_EXIT = 2
 CHECK_EXIT = 1
@@ -43,8 +41,8 @@ class CliInputError(ValueError):
 class RunConfig:
     tol_alg: float = algebra.TOL_ALG
     tol_char: float = charvar.TOL_CHAR
-    tol_mono: float = abelmono.TOL_MONO
-    tol_root: float = abelmono.TOL_ROOT
+    tol_mono: float = abeldomain.TOL_MONO
+    tol_root: float = abeldomain.TOL_ROOT
     format: str | None = None  # None: the verb's own default
 
     def __post_init__(self):
@@ -225,7 +223,7 @@ def cmd_covering(args, config: RunConfig):
     }, report.passed
 
 
-def _monodromy_payload(res: abelmono.MonodromyResult):
+def _monodromy_payload(res):
     return {
         "x": _pair(res.x),
         "y": _pair(res.y),
@@ -242,6 +240,8 @@ def _monodromy_payload(res: abelmono.MonodromyResult):
 
 
 def cmd_monodromy(args, config: RunConfig):
+    from . import abelmono
+
     params = abelmono.ConnectionParams(
         parse_complex(args.a), parse_complex(args.chi), args.r, args.tau
     )
@@ -251,7 +251,7 @@ def cmd_monodromy(args, config: RunConfig):
 
 
 def _chi0_value(text: str, tau: float) -> complex:
-    abelmono.check_tau(tau)
+    abeldomain.check_tau(tau)
     if text == "pi/(4tau)":
         return complex(math.pi / (4.0 * tau), 0.0)
     if text == "ipi/4":
@@ -267,7 +267,7 @@ def _parse_bracket(text: str):
     return lo, hi
 
 
-def locus_rows_to_csv(result: abelmono.SweepResult) -> str:
+def locus_rows_to_csv(result) -> str:
     lines = ["a_re,a_im,x_re,x_im,y_re,y_im,z_re,z_im,eta_residual"]
     for row in result.rows:
         vals = []
@@ -279,7 +279,7 @@ def locus_rows_to_csv(result: abelmono.SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_locus_svg(result: abelmono.SweepResult) -> str:
+def emit_locus_svg(result) -> str:
     """Standalone SVG: flagged-real sample points, analytic overlay, axes.
 
     The dodecahedral point is marked when r = 1/10.  Raises on an empty
@@ -290,8 +290,10 @@ def emit_locus_svg(result: abelmono.SweepResult) -> str:
     r = result.r
     xs_min, xs_max = 2.0005, 12.0
     # real_locus_y is defined for x > 2, whatever r
-    overlay = [(float(x), charvar.real_locus_y(float(x), r))
-               for x in np.linspace(xs_min, xs_max, 400)]
+    # the points of numpy.linspace(xs_min, xs_max, 400), bit for bit
+    step = (xs_max - xs_min) / 399
+    xs = [xs_min + i * step for i in range(399)] + [xs_max]
+    overlay = [(x, charvar.real_locus_y(x, r)) for x in xs]
     flagged = [
         (complex(row.x).real, complex(row.y).real) for row in result.flagged_real()
     ]
@@ -366,6 +368,8 @@ def _write_file(path: str, text: str):
 
 
 def cmd_locus(args, config: RunConfig):
+    from . import abelmono
+
     chi0 = _chi0_value(args.chi0, args.tau)
     result = abelmono.real_locus_sweep(
         args.r,
@@ -403,6 +407,8 @@ def cmd_match(args, config: RunConfig):
     for name, default in MATCH_MODE_FLAGS[args.on_locus].items():
         if getattr(args, name) is None:
             setattr(args, name, default)
+    from . import abelmono
+
     if args.on_locus:
         res = abelmono.match_on_locus(
             args.y_target,
@@ -429,6 +435,8 @@ def cmd_match(args, config: RunConfig):
 
 
 def cmd_jacobian(args, config: RunConfig):
+    from . import abelmono
+
     res = abelmono.jacobian_rank(args.a, args.tau, args.r, args.h)
     return {
         "jacobian": [[float(v) for v in row] for row in res.jacobian],
@@ -473,9 +481,9 @@ INPUT_ERRORS = (
     spingraft.SpinGraftError,
     algebra.AlgebraError,
     lorentz.LorentzError,
-    abelmono.ParameterOutOfRange,
-    abelmono.NonGenericChi,
-    abelmono.SlicePreconditionError,
+    abeldomain.ParameterOutOfRange,
+    abeldomain.NonGenericChi,
+    abeldomain.SlicePreconditionError,
 )
 
 
@@ -485,14 +493,19 @@ class _Parser(argparse.ArgumentParser):
     Flags must be spelled out: a prefix of a flag is an unknown flag.  An
     unknown flag before the first positional is named as such; argparse
     would take its value for that positional and name the value instead.
+    A token that starts with '-' and then a digit or '.' is a value, so
+    ``--coords -1,1,1`` and ``--chi -0.3+0.2i`` need no '=' (argparse takes
+    only a plain -1 or -.5 for a value).
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def parse_known_args(self, args, namespace):
         i = 0
-        while i < len(args) and args[i].startswith("-") and args[i] != "--":
+        while (i < len(args) and args[i].startswith("-") and args[i] != "--"
+               and not self._negative_number_matcher.match(args[i])):
             flag, eq, _ = args[i].partition("=")
             action = self._option_string_actions.get(flag)
             if action is None:
@@ -607,7 +620,7 @@ def dispatch(argv) -> int:
     except INPUT_ERRORS as exc:
         error("input", str(exc))
         return USAGE_EXIT
-    except abelmono.AbelMonoError as exc:
+    except abeldomain.AbelMonoError as exc:
         error("check", str(exc))
         return CHECK_EXIT
     if isinstance(output, dict):

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import algebra, charvar, lorentz
 from .lorentz import SQRT5
 
@@ -18,7 +16,7 @@ from .lorentz import SQRT5
 @dataclass(frozen=True)
 class DodecaData:
     generators: dict  # (m,n) -> g_{m,n}
-    j0: np.ndarray
+    j0: algebra.Mat2
     J: tuple  # (J1, J2, J3, J4)
 
 
@@ -70,7 +68,7 @@ def verify_theorem91(tol=algebra.TOL_ALG):
     g02 = data.generators[(0, 2)]
     checks["J1_word_in_lattice"] = (algebra.norm_inf(J1 + g02 @ g02), tol)
 
-    real_dev = max(float(np.max(np.abs(M.imag))) for M in data.J)
+    real_dev = max(abs(v.imag) for M in data.J for v in M)
     checks["J_entries_real"] = (real_dev, tol)
 
     sphere = charvar.SphereTraceCoords(

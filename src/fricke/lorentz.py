@@ -1,6 +1,6 @@
 """Hyperboloid model of H^3 in R^{3,1}: reflections and the SL(2,C) action.
 
-Vectors are length-4 float arrays (x0,x1,x2,x3) with inner product
+Vectors are 4-tuples of floats (x0,x1,x2,x3) with inner product
 -x0 y0 + x1 y1 + x2 y2 + x3 y3.  The Hermitian dictionary identifies
 (x0,x1,x2,x3) with h = [[x0+x1, x2+i x3],[x2-i x3, x0-x1]], on which
 SL(2,C) acts on the right by h . g = conj(g)^T h g.
@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from . import algebra
 
@@ -34,7 +32,7 @@ class NotHermitian(LorentzError):
 
 
 def vec(x0, x1, x2, x3):
-    return np.array([x0, x1, x2, x3], dtype=float)
+    return (float(x0), float(x1), float(x2), float(x3))
 
 
 def lorentz_inner(u, v):
@@ -53,30 +51,24 @@ def reflect(v, normal):
     """Lorentz reflection v - 2 <v,L> L across the hyperplane with unit normal L."""
     if not is_unit_spacelike(normal, TOL_LORENTZ):
         raise NotUnitNormal(f"<L,L> = {lorentz_inner(normal, normal):.6f} != 1")
-    return v - 2.0 * lorentz_inner(v, normal) * normal
+    s = 2.0 * lorentz_inner(v, normal)
+    return tuple(x - s * n for x, n in zip(v, normal))
 
 
 def to_hermitian(v):
-    return np.array(
-        [[v[0] + v[1], v[2] + 1j * v[3]], [v[2] - 1j * v[3], v[0] - v[1]]],
-        dtype=complex,
-    )
+    return algebra.make(v[0] + v[1], v[2] + 1j * v[3], v[2] - 1j * v[3], v[0] - v[1])
 
 
 def from_hermitian(h):
-    if algebra.norm_inf(h - np.conj(h).T) > TOL_LORENTZ:
+    if algebra.norm_inf(h - algebra.adjoint(h)) > TOL_LORENTZ:
         raise NotHermitian("matrix is not Hermitian")
-    x0 = 0.5 * (h[0, 0] + h[1, 1]).real
-    x1 = 0.5 * (h[0, 0] - h[1, 1]).real
-    x2 = h[0, 1].real
-    x3 = h[0, 1].imag
-    return vec(x0, x1, x2, x3)
+    return vec(0.5 * (h.a + h.d).real, 0.5 * (h.a - h.d).real, h.b.real, h.b.imag)
 
 
 def act(v, g):
     """Image of a Lorentz vector under the right action h . g = conj(g)^T h g."""
     h = to_hermitian(v)
-    return from_hermitian(np.conj(g).T @ h @ g)
+    return from_hermitian(algebra.adjoint(g) @ h @ g)
 
 
 @dataclass(frozen=True)
@@ -142,10 +134,9 @@ def lift_check(g, reflection_map):
     """
     worst = 0.0
     for k in range(4):
-        e = np.zeros(4)
-        e[k] = 1.0
-        diff = act(e, g) - reflection_map(e)
-        worst = max(worst, float(np.max(np.abs(diff))))
+        e = tuple(1.0 if i == k else 0.0 for i in range(4))
+        diff = (abs(x - y) for x, y in zip(act(e, g), reflection_map(e)))
+        worst = max(worst, *diff)
     return worst
 
 

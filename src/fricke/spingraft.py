@@ -80,7 +80,7 @@ def spin_to_chi(s: SpinClass, tau: float) -> complex:
     if s.eps_x == -1:
         chi += 0.5j * math.pi
     if s.eps_y == -1:
-        chi += math.pi / (2.0 * tau)
+        chi += 0.5 * math.pi / tau  # pi / (2 tau) would overflow 2 tau past ~9e307
     return chi
 
 
@@ -88,12 +88,14 @@ def line_holonomies(chi: complex, tau: float):
     """Z2 holonomies along gamma_x, gamma_y of d + chi dwbar - conj(chi) dw.
 
     The form is constant, so its line integral over a straight loop with
-    velocity wdot is chi conj(wdot) - conj(chi) wdot in closed form.
+    velocity wdot is chi conj(wdot) - conj(chi) wdot = 2i Im(chi conj(wdot))
+    in closed form; the imaginary part alone stays finite where the real
+    part of chi conj(wdot) overflows (Im chi = pi/2 and tau past ~1.1e308).
     """
     chi = complex(chi)
 
     def holonomy(wdot):
-        return cmath.exp(-(chi * wdot.conjugate() - chi.conjugate() * wdot))
+        return cmath.exp(-2j * (chi * wdot.conjugate()).imag)
 
     return holonomy(1.0 + 0.0j), holonomy(1j * tau)
 

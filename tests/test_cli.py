@@ -5,6 +5,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,10 +74,7 @@ def test_charvar_residual_torus(capsys):
 def test_charvar_lift_dodeca(capsys):
     s5 = math.sqrt(5.0)
     coords = f"{-1-s5},{-1-s5},{-1.5*(1+s5)}"
-    # leading '-' values need the '=' form under argparse
-    code, out, _ = run(
-        capsys, "charvar", "lift", "--coords=" + coords, "--weight", "3/10"
-    )
+    code, out, _ = run(capsys, "charvar", "lift", "--coords", coords, "--weight", "3/10")
     assert code == 0
     payload = json.loads(out)
     assert payload["count"] == 4
@@ -147,11 +146,15 @@ def test_spin_verb(capsys):
     assert payload["residuals"]["holonomy_x"] <= 1e-10
 
 
-def test_spin_exit_status_follows_its_residuals(capsys):
-    """At tau = 1e308, 2 tau overflows and chi = 0: the report is printed, and the exit is 1."""
+def test_spin_exit_status_follows_its_residuals(capsys, monkeypatch):
+    """A residual above TOL_HOLONOMY still prints the report, and the exit is 1."""
+    code, out, err = run(capsys, "spin", "--state", "+,-", "--tau", "1e308")
+    residuals = json.loads(out)["residuals"]
+    assert (code, err) == (0, "") and 0.0 < residuals["holonomy_y"] <= 1e-15
+    monkeypatch.setattr(cli.spingraft, "TOL_HOLONOMY", residuals["holonomy_y"] / 2)
     code, out, err = run(capsys, "spin", "--state", "+,-", "--tau", "1e308")
     assert code == 1 and err == ""
-    assert json.loads(out)["residuals"] == {"holonomy_x": 0.0, "holonomy_y": 2.0}
+    assert json.loads(out)["residuals"] == residuals
 
 
 def test_non_generic_chi_prints_one_form(capsys):
@@ -278,6 +281,9 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         (["charvar", "residual", "--coords", "1e200,1,1", "--weight", "1/10"], "check"),
         (["charvar", "abelianize", "--coords", "1e200,1,1", "--weight", "1/10"], "check"),
         (["spin", "--state", "+,-", "--tau", "1e-320"], "check"),
+        # a '-' led value must be a number: -x is a flag, so --coords has no value
+        (["charvar", "residual", "--coords", "-x", "--weight", "1/10"], "input"),
+        (["monodromy", "--a", "0.2", "--chi", "-x", "--r", "0.1", "--tau", "1"], "input"),
     ],
 )
 def test_parameter_errors_are_typed(capsys, argv, kind):
@@ -285,6 +291,25 @@ def test_parameter_errors_are_typed(capsys, argv, kind):
     assert err.startswith(f"E:{kind}:") and len(err.splitlines()) == 1
     assert code == (2 if kind == "input" else 1)
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["charvar", "residual", "--coords", "-1,1,1", "--weight", "1/10"],
+        ["charvar", "residual", "--coords", "-.5,1,1", "--weight", "1/10"],
+        ["charvar", "lift", "--coords", "-3.23606797749979,-3.23606797749979,-4.854101966249685",
+         "--weight", "3/10"],
+        ["monodromy", "--a", "-0.2", "--chi", "-0.3+0.2i", "--r", "0.1", "--tau", "1"],
+        ["monodromy", "--a", "0.2", "--chi", "-0.3-0.2i", "--r", "0.1", "--tau", "1"],
+    ],
+)
+def test_value_starting_with_minus_needs_no_equals_sign(capsys, argv):
+    """A token of '-' then a digit or '.' after a value-taking flag is that flag's value."""
+    spaced = run(capsys, *argv)
+    flag = argv.index(next(a for a in argv if re.match(r"-[\d.]", a)))
+    joined = run(capsys, *argv[: flag - 1], f"{argv[flag - 1]}={argv[flag]}", *argv[flag + 1 :])
+    assert spaced == joined and spaced[0] == 0
 
 
 TORUS_POINT = ["--coords", "2,2,2", "--weight", "1/10"]
@@ -397,8 +422,7 @@ def test_unknown_flag_is_named(capsys, argv, flag):
     "flag, message",
     [
         ("--tol-mono=-1e-3", "tol_mono must be positive and finite"),
-        # argparse reads a lone -1e-3 as a flag, hence the documented --flag=value form
-        ("--tol-mono -1e-3", "argument --tol-mono: expected one argument"),
+        ("--tol-mono -1e-3", "tol_mono must be positive and finite"),
     ],
 )
 def test_known_flag_with_negative_value_keeps_its_message(capsys, flag, message):
@@ -506,3 +530,45 @@ def test_verbs_do_not_write_stdout():
     assert verbs
     writes = {verb.name: list(_stdout_writes(verb)) for verb in verbs}
     assert not any(writes.values()), writes
+
+
+# Runs one verb in a fresh interpreter and prints its exit code and which of
+# numpy and fricke.abelmono the run loaded.
+_COLD_PROBE = """
+import contextlib, io, json, sys
+from fricke import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.dispatch(sys.argv[1:])
+print(json.dumps([code, sorted({"numpy", "fricke.abelmono"} & set(sys.modules))]))
+"""
+
+
+def _cold_run(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", _COLD_PROBE, *argv], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "dodeca", "--json"],
+        ["lorentz", "angles"],
+        ["covering", "check", "--weight", "3/10"],
+        ["charvar", "residual", *TORUS_POINT],
+        ["charvar", "lift", "--coords", "-3.23606797749979,-3.23606797749979,-4.854101966249685",
+         "--weight", "3/10"],
+        ["charvar", "classify", *DODECA_TORUS],
+        ["spin", "--state", "+,-", "--graft", "xy"],
+    ],
+)
+def test_exact_verbs_run_without_numpy(argv):
+    """The exact verbs load neither numpy nor abelmono in a fresh interpreter."""
+    assert _cold_run(argv) == [0, []]
+
+
+def test_monodromy_still_loads_numpy():
+    assert _cold_run(MONODROMY) == [0, ["fricke.abelmono", "numpy"]]

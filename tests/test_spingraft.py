@@ -46,13 +46,22 @@ def test_spin_to_chi_dictionary():
     ) <= 1e-15
 
 
-@pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("tau", [0.5, 1.0, 2.0, 1e308, 1.7e308])
 def test_spin_holonomies_match(tau):
     """Oracle: line integral of the unitary connection along both loops."""
     assert sg.verify_spin_dictionary(tau) <= 1e-10
     s = sg.SpinClass(-1, 1)
     hx, hy = sg.line_holonomies(sg.spin_to_chi(s, tau), tau)
     assert abs(hx + 1.0) <= 1e-12 and abs(hy - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [1e-300, 1.0, 1e307, 1e308, 1.7e308])
+def test_spin_to_chi_keeps_large_tau(tau):
+    """chi = pi/(2 tau) to the last bit; 2 tau would overflow past ~9e307 and give chi = 0."""
+    chi = sg.spin_to_chi(sg.SpinClass(1, -1), tau)
+    assert chi.imag == 0.0 and chi.real > 0.0
+    if 2.0 * tau < math.inf:
+        assert chi.real == math.pi / (2.0 * tau)
 
 
 def test_spin_example_tau_two():
