@@ -663,20 +663,26 @@ def _on_slice(a, tau, r) -> ConnectionParams:
 def _graze_point(ev):
     """Locate the isolated real point (Im z sign change) on a fixed-tau slice.
 
-    ev(t) returns (Im z, monodromy) at a = t.  GRAZE_POINTS points of
-    GRAZE_SCAN are scanned from its start; points where y <= 1 neither end a
-    bracket nor count as real.  Illinois closes the first bracket to
-    |Im z| <= TOL_IM.  Returns (t, monodromy).
+    ev(ts) returns the monodromies at a = t for every t of ts, as one batch.
+    The GRAZE_POINTS points of GRAZE_SCAN are scanned from its start,
+    BATCH_CHUNK at a time, up to the first chunk that holds a real point or a
+    bracket; points where y <= 1 neither end a bracket nor count as real.
+    Returns (t, monodromy) at the first point with |Im z| <= TOL_IM, or else
+    at the secant point of the first bracket, which costs one evaluation.
     """
     t0 = f0 = None
-    for t in np.linspace(GRAZE_SCAN[0], GRAZE_SCAN[1], GRAZE_POINTS):
-        f, m = ev(t)
-        if complex(m.y).real > 1.0:
-            if abs(f) <= TOL_IM:
-                return t, m
-            if f0 is not None and f0 * f < 0:
-                return _illinois(ev, t0, f0, t, f, TOL_IM)
-        t0, f0 = t, f
+    grid = np.linspace(GRAZE_SCAN[0], GRAZE_SCAN[1], GRAZE_POINTS)
+    for start in range(0, GRAZE_POINTS, BATCH_CHUNK):
+        chunk = grid[start : start + BATCH_CHUNK]
+        for t, m in zip(chunk, ev(chunk)):
+            f = complex(m.z).imag
+            if complex(m.y).real > 1.0:
+                if abs(f) <= TOL_IM:
+                    return t, m
+                if f0 is not None and f0 * f < 0:
+                    t_sec = (t0 * f - t * f0) / (f - f0)
+                    return t_sec, ev([t_sec])[0]
+            t0, f0 = t, f
     raise BracketDoesNotStraddle(f"no real point found on the slice over a in {GRAZE_SCAN}")
 
 
@@ -696,34 +702,36 @@ def match_on_locus(
 
     Newton on (a, tau) starts from the graze point that a scan of GRAZE_SCAN
     finds at the midpoint of tau_bracket (which does not confine tau).  Its
-    Jacobian takes forward differences with step 1e-6; each step is halved
-    until a lies in GRAZE_SCAN, tau >= 0.1, Re y > 1 and |F| decreases.  Every
-    monodromy evaluation, stencil points included, counts against
+    forward-difference Jacobian, step h = 1e-6, takes both stencil points at
+    tau + h, in one batch: the tau column from (a, tau + h) - (a, tau), the a
+    column from (a + h, tau + h) - (a, tau + h).  Each step is halved until
+    a lies in GRAZE_SCAN, tau >= 0.1, Re y > 1 and |F| decreases.  Every
+    member of every monodromy batch, stencil points included, counts against
     MAX_EVALS; exhausting it or a singular Jacobian raises MaxIterations.
-    The dodecahedral solve takes 21 evaluations.
+    The dodecahedral solve takes 21 evaluations in 10 batches from the
+    default bracket and 18 in 8 from (2.6, 3.2).
     """
     for end in tau_bracket:
         check_tau(end)
     _require_finite(y_target)
     evals = 0
 
-    def ev(a, tau):
+    def ev(a_values, tau):
         nonlocal evals
-        if evals >= MAX_EVALS:
+        if evals + len(a_values) > MAX_EVALS:
             raise MaxIterations(f"budget of {MAX_EVALS} monodromy evaluations")
-        evals += 1
-        m = monodromies(_on_slice(a, tau, r))
-        return complex(m.z).imag, m
+        evals += len(a_values)
+        return monodromy_batch([_on_slice(a, tau, r) for a in a_values])
 
     def residual(m):
         return np.array([complex(m.z).imag, complex(m.y).real - y_target])
 
     tau = 0.5 * (float(tau_bracket[0]) + float(tau_bracket[1]))
-    a, m = _graze_point(lambda t: ev(t, tau))
+    a, m = _graze_point(lambda ts: ev(ts, tau))
     f, h = residual(m), 1e-6
     while abs(f[0]) > TOL_IM or abs(f[1]) > tol_root:
-        stencil = [residual(ev(a + h, tau)[1]), residual(ev(a, tau + h)[1])]
-        jac = (np.column_stack(stencil) - f[:, None]) / h
+        f_tau, f_a = map(residual, ev([a, a + h], tau + h))
+        jac = np.column_stack([f_a - f_tau, f_tau - f]) / h
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
@@ -731,7 +739,7 @@ def match_on_locus(
         for halvings in range(64):
             a_new, tau_new = (a, tau) + step / 2**halvings
             if GRAZE_SCAN[0] <= a_new <= GRAZE_SCAN[1] and tau_new >= 0.1:
-                m_new = ev(a_new, tau_new)[1]
+                m_new = ev([a_new], tau_new)[0]
                 f_new = residual(m_new)
                 if complex(m_new.y).real > 1.0 and np.linalg.norm(f_new) < np.linalg.norm(f):
                     break

@@ -493,14 +493,15 @@ class _Parser(argparse.ArgumentParser):
     Flags must be spelled out: a prefix of a flag is an unknown flag.  An
     unknown flag before the first positional is named as such; argparse
     would take its value for that positional and name the value instead.
-    A token that starts with '-' and then a digit or '.' is a value, so
-    ``--coords -1,1,1`` and ``--chi -0.3+0.2i`` need no '=' (argparse takes
-    only a plain -1 or -.5 for a value).
+    A token that starts with '-' and then a digit, '.' or ',' is a value (no
+    flag starts that way), so ``--coords -1,1,1``, ``--chi -0.3+0.2i`` and
+    ``--state -,+`` need no '=' (argparse takes only a plain -1 or -.5 for a
+    value).
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-[\d.]")
+        self._negative_number_matcher = re.compile(r"^-[\d.,]")
 
     def parse_known_args(self, args, namespace):
         i = 0

@@ -829,7 +829,7 @@ def test_match_on_locus_halves_overshooting_steps():
 
 @pytest.mark.parametrize("tau_bracket", [(2.0, 3.5), (2.6, 3.2)])
 def test_match_on_locus_counts_every_evaluation(monkeypatch, tau_bracket):
-    """evaluations is the number of monodromies calls, finite-difference stencil included."""
+    """evaluations is the number of member evaluations, finite-difference stencil included."""
     calls = _count_monodromies(monkeypatch)
     res = am.match_on_locus(YSTAR, R, tau_bracket=tau_bracket)
     assert res.evaluations == len(calls) <= 25
@@ -837,14 +837,52 @@ def test_match_on_locus_counts_every_evaluation(monkeypatch, tau_bracket):
     assert abs(complex(res.result.z).imag) <= 1e-10
 
 
+def test_match_on_locus_batches_points_that_share_tau(monkeypatch):
+    """The dodecahedral solve takes at most 9 batches; evaluations counts their members."""
+    sizes = []
+    monodromy_batch = am.monodromy_batch
+
+    def spy(stack):
+        assert len({params.tau for params in stack}) == 1
+        sizes.append(len(stack))
+        return monodromy_batch(stack)
+
+    monkeypatch.setattr(am, "monodromy_batch", spy)
+    res = am.match_on_locus(YSTAR, R, tau_bracket=(2.6, 3.2))
+    assert len(sizes) <= 9
+    assert res.evaluations == sum(sizes) <= 21
+    assert abs(complex(res.result.z).imag) <= am.TOL_IM
+
+
+@pytest.mark.parametrize(
+    "y_target, tau_bracket, serial_evals, tau",
+    [
+        (2.05, (1.0, 1.2), 50, 1.393192),
+        (YSTAR, (1.0, 1.2), 54, 2.952857),
+        (2.05, (0.9, 1.1), 58, 1.393192),
+        (YSTAR, (0.9, 1.1), 60, 2.952857),
+        (3.0, (0.9, 1.1), 54, 5.746428),
+        (3.5, (1.0, 1.2), 52, 7.348148),
+    ],
+)
+def test_match_on_locus_low_brackets_cost_no_more(y_target, tau_bracket, serial_evals, tau):
+    """From the low brackets the solve converges in no more evaluations than the serial solve took."""
+    res = am.match_on_locus(y_target, R, tau_bracket=tau_bracket)
+    assert res.evaluations <= serial_evals
+    assert abs(res.tau - tau) <= 1e-5
+    assert abs(complex(res.result.y).real - y_target) <= 1e-6
+    assert abs(complex(res.result.z).imag) <= am.TOL_IM
+
+
 def test_match_on_locus_singular_jacobian(monkeypatch):
     """An exactly singular finite-difference Jacobian raises MaxIterations, not LinAlgError."""
-    monodromies = am.monodromies
+    monodromy_batch = am.monodromy_batch
 
-    def frozen_tau(params, *args, **kwargs):
-        return monodromies(am.ConnectionParams(params.a, math.pi / 11.0, R, 2.75), *args, **kwargs)
+    def frozen_tau(stack, *args, **kwargs):
+        frozen = [am.ConnectionParams(params.a, math.pi / 11.0, R, 2.75) for params in stack]
+        return monodromy_batch(frozen, *args, **kwargs)
 
-    monkeypatch.setattr(am, "monodromies", frozen_tau)
+    monkeypatch.setattr(am, "monodromy_batch", frozen_tau)
     with pytest.raises(am.MaxIterations, match="singular"):
         am.match_on_locus(YSTAR, R)
 

@@ -302,12 +302,13 @@ def test_parameter_errors_are_typed(capsys, argv, kind):
          "--weight", "3/10"],
         ["monodromy", "--a", "-0.2", "--chi", "-0.3+0.2i", "--r", "0.1", "--tau", "1"],
         ["monodromy", "--a", "0.2", "--chi", "-0.3-0.2i", "--r", "0.1", "--tau", "1"],
+        ["spin", "--state", "-,+", "--graft", "y"],
     ],
 )
 def test_value_starting_with_minus_needs_no_equals_sign(capsys, argv):
-    """A token of '-' then a digit or '.' after a value-taking flag is that flag's value."""
+    """A token of '-' then a digit, '.' or ',' after a value-taking flag is that flag's value."""
     spaced = run(capsys, *argv)
-    flag = argv.index(next(a for a in argv if re.match(r"-[\d.]", a)))
+    flag = argv.index(next(a for a in argv if re.match(r"-[\d.,]", a)))
     joined = run(capsys, *argv[: flag - 1], f"{argv[flag - 1]}={argv[flag]}", *argv[flag + 1 :])
     assert spaced == joined and spaced[0] == 0
 
