@@ -8,7 +8,7 @@ from __future__ import annotations
 
 TOL_MONO = 1e-6
 TOL_ROOT = 1e-6
-TAU_MIN, TAU_MAX = 1e-3, 1e3  # the moduli a RectangularLattice is built for
+TAU_MIN, TAU_MAX = 0.1, 12.0  # the moduli a RectangularLattice is built for
 
 
 class AbelMonoError(ValueError):

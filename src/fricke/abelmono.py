@@ -29,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, charvar
-# abelmono.<name> stays valid for every error class, tolerance and check_tau
-from .abeldomain import (TOL_MONO, TOL_ROOT, AbelMonoError, BracketDoesNotStraddle, MaxIterations,
-                         NonGenericChi, ParameterOutOfRange, PathTooCloseToPole,
-                         SlicePreconditionError, StepLimitExceeded, check_tau)
+# abelmono.<name> stays valid for every error class, tolerance, tau bound and check_tau
+from .abeldomain import (TAU_MAX, TAU_MIN, TOL_MONO, TOL_ROOT, AbelMonoError,
+                         BracketDoesNotStraddle, MaxIterations, NonGenericChi,
+                         ParameterOutOfRange, PathTooCloseToPole, SlicePreconditionError,
+                         StepLimitExceeded, check_tau)
 
 TOL_IM = 1e-10  # |Im z| below which match_on_locus takes a point as real
 TOL_SLICE = 1e-9  # how far chi0 may lie from an eta-admissible line
@@ -528,7 +529,6 @@ def real_locus_sweep(
     chi0: complex,
     a_range,
     n: int,
-    tol: float = TOL_MONO,
     refine: bool = True,
 ) -> SweepResult:
     """Sweep a along the admissible line through chi0, flagging real points.
@@ -536,9 +536,9 @@ def real_locus_sweep(
     Rows carry (a, x, y, z, eta-locus residual, real flag) in the order of
     the line parameter t.  The real locus meets a fixed-tau slice in
     isolated points, so where Im z changes sign between two samples that
-    are not flagged real, Illinois closes the crossing to |Im z| <= tol and
-    the point is inserted as a refined row; a crossing that 48 evaluations
-    do not close adds no row.
+    are not flagged real, Illinois closes the crossing to |Im z| <= TOL_MONO
+    and the point is inserted as a refined row; a crossing that 48
+    evaluations do not close adds no row.
     """
     check_tau(tau)
     if n < 1:
@@ -558,7 +558,7 @@ def real_locus_sweep(
             res.y,
             res.z,
             charvar.eta_locus_residual(complex(res.x).real, complex(res.y).real, r),
-            abs(complex(res.z).imag) <= tol,
+            abs(complex(res.z).imag) <= TOL_MONO,
         )
 
     def crossing_row(lo, hi):
@@ -573,7 +573,7 @@ def real_locus_sweep(
             return complex(row.z).imag, row
 
         try:
-            _t, row = _illinois(im_z, lo.t, complex(lo.z).imag, hi.t, complex(hi.z).imag, tol)
+            _t, row = _illinois(im_z, lo.t, complex(lo.z).imag, hi.t, complex(hi.z).imag, TOL_MONO)
         except MaxIterations:
             return None
         row.refined = True
@@ -611,13 +611,12 @@ def match_y(
     tau: float,
     chi0: complex,
     bracket,
-    tol_root: float = TOL_ROOT,
     max_evals: int = MAX_EVALS,
 ) -> MatchResult:
     """Root-find a on the admissible slice so that tr Y matches y_target.
 
     Safeguarded secant (Illinois) inside a straddling bracket; the
-    returned monodromy satisfies |Re y - y_target| <= tol_root.
+    returned monodromy satisfies |Re y - y_target| <= TOL_ROOT.
     """
     check_tau(tau)
     _require_finite(y_target, *bracket)
@@ -634,16 +633,16 @@ def match_y(
 
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     f_lo, res_lo = g(t_lo)
-    if abs(f_lo) <= tol_root:
+    if abs(f_lo) <= TOL_ROOT:
         return MatchResult(line(t_lo), t_lo, res_lo, evals)
     f_hi, res_hi = g(t_hi)
-    if abs(f_hi) <= tol_root:
+    if abs(f_hi) <= TOL_ROOT:
         return MatchResult(line(t_hi), t_hi, res_hi, evals)
     if f_lo * f_hi > 0:
         raise BracketDoesNotStraddle(
             f"y - y* has the same sign at both bracket ends ({f_lo:+.3e}, {f_hi:+.3e})"
         )
-    t, res = _illinois(g, t_lo, f_lo, t_hi, f_hi, tol_root)
+    t, res = _illinois(g, t_lo, f_lo, t_hi, f_hi, TOL_ROOT)
     return MatchResult(line(t), t, res, evals)
 
 
@@ -690,7 +689,6 @@ def match_on_locus(
     y_target: float,
     r: float,
     tau_bracket=(2.0, 3.5),
-    tol_root: float = TOL_ROOT,
 ) -> LocusMatchResult:
     """Match tr Y on the real locus itself by moving the modulus tau.
 
@@ -705,11 +703,12 @@ def match_on_locus(
     forward-difference Jacobian, step h = 1e-6, takes both stencil points at
     tau + h, in one batch: the tau column from (a, tau + h) - (a, tau), the a
     column from (a + h, tau + h) - (a, tau + h).  Each step is halved until
-    a lies in GRAZE_SCAN, tau >= 0.1, Re y > 1 and |F| decreases.  Every
-    member of every monodromy batch, stencil points included, counts against
-    MAX_EVALS; exhausting it or a singular Jacobian raises MaxIterations.
-    The dodecahedral solve takes 21 evaluations in 10 batches from the
-    default bracket and 18 in 8 from (2.6, 3.2).
+    a lies in GRAZE_SCAN, tau in [TAU_MIN, TAU_MAX - h] (so the stencil stays
+    in the domain), Re y > 1 and |F| decreases.  Every member of every
+    monodromy batch, stencil points included, counts against MAX_EVALS;
+    exhausting it or a singular Jacobian raises MaxIterations.  The
+    dodecahedral solve takes 21 evaluations in 10 batches from the default
+    bracket and 18 in 8 from (2.6, 3.2).
     """
     for end in tau_bracket:
         check_tau(end)
@@ -729,7 +728,7 @@ def match_on_locus(
     tau = 0.5 * (float(tau_bracket[0]) + float(tau_bracket[1]))
     a, m = _graze_point(lambda ts: ev(ts, tau))
     f, h = residual(m), 1e-6
-    while abs(f[0]) > TOL_IM or abs(f[1]) > tol_root:
+    while abs(f[0]) > TOL_IM or abs(f[1]) > TOL_ROOT:
         f_tau, f_a = map(residual, ev([a, a + h], tau + h))
         jac = np.column_stack([f_a - f_tau, f_tau - f]) / h
         try:
@@ -738,7 +737,7 @@ def match_on_locus(
             raise MaxIterations("singular finite-difference Jacobian") from None
         for halvings in range(64):
             a_new, tau_new = (a, tau) + step / 2**halvings
-            if GRAZE_SCAN[0] <= a_new <= GRAZE_SCAN[1] and tau_new >= 0.1:
+            if GRAZE_SCAN[0] <= a_new <= GRAZE_SCAN[1] and TAU_MIN <= tau_new <= TAU_MAX - h:
                 m_new = ev([a_new], tau_new)[0]
                 f_new = residual(m_new)
                 if complex(m_new.y).real > 1.0 and np.linalg.norm(f_new) < np.linalg.norm(f):
@@ -764,11 +763,14 @@ def jacobian_rank(a: float, tau: float, r: float, h: float = 1e-4) -> JacobianRe
     The excluded center a0 = -pi/(4 tau) must be at distance >= 0.05.
     h must be finite and >= 1e-8 max(1, |a|, tau); below that rounding swamps
     the differences (at h = 1e-16, tau + h == tau and a column vanishes).
+    The stencil tau +- h must lie in [TAU_MIN, TAU_MAX].
     """
     check_tau(tau)
     h_min = 1e-8 * max(1.0, abs(a), tau)
     if not h_min <= h < math.inf:
         raise ParameterOutOfRange(f"finite-difference step h must be finite and >= {h_min:.1e}")
+    if not (TAU_MIN <= tau - h and tau + h <= TAU_MAX):
+        raise ParameterOutOfRange(f"tau +- h must lie in [{TAU_MIN:g}, {TAU_MAX:g}]")
     if abs(a - (-math.pi / (4.0 * tau))) < 0.05:
         raise SlicePreconditionError(
             "a is within 0.05 of the excluded point -pi/(4 tau)"

@@ -156,12 +156,12 @@ def _principal_sqrt(v):
     return root
 
 
-def lift_traces(s: SphereTraceCoords, w: Weight, tol=TOL_CHAR):
+def lift_traces(s: SphereTraceCoords, w: Weight):
     """All torus lifts (+-x,+-y,+-z) of a sphere point that land on the variety.
 
     x = sqrt(2-xt) etc. with principal branch; the sign classes passing the
-    torus character equation are returned (one orbit of even sign flips,
-    normally 4 points).
+    torus character equation within TOL_CHAR are returned (one orbit of even
+    sign flips, normally 4 points).
     """
     xt, yt, zt = s.astuple()
     if min(abs(xt - 2.0), abs(yt - 2.0), abs(zt - 2.0)) <= 1e-12:
@@ -174,7 +174,7 @@ def lift_traces(s: SphereTraceCoords, w: Weight, tol=TOL_CHAR):
         for sy in (1, -1):
             for sz in (1, -1):
                 cand = TraceCoords(sx * x0, sy * y0, sz * z0)
-                if abs(fricke_torus_residual(*cand.astuple(), w.r)) <= tol:
+                if abs(fricke_torus_residual(*cand.astuple(), w.r)) <= TOL_CHAR:
                     out.append(cand)
     return out
 

@@ -16,7 +16,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__, abeldomain, algebra, charvar, covering, dodeca, lorentz, spingraft
@@ -26,37 +25,18 @@ CHECK_EXIT = 1
 FORMATS = ("json", "csv", "text")
 # The formats each verb can write; a verb not listed writes json only.
 VERB_FORMATS = {"verify": ("json", "text"), "locus": ("csv",)}
-# The tolerance each verb (charvar: each action) reads; a flag for another is E:input.
-VERB_TOLERANCE = {"verify": "tol_alg", "covering": "tol_alg", "charvar lift": "tol_char",
-                  "charvar classify": "tol_char", "monodromy": "tol_mono", "locus": "tol_mono",
-                  "match": "tol_root"}
 SVG_WIDTH, SVG_HEIGHT = 640, 480
+# The four check tolerances, reported in every JSON payload's tolerances block.
+TOLERANCES = {
+    "tol_alg": algebra.TOL_ALG,
+    "tol_char": charvar.TOL_CHAR,
+    "tol_mono": abeldomain.TOL_MONO,
+    "tol_root": abeldomain.TOL_ROOT,
+}
 
 
 class CliInputError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    tol_alg: float = algebra.TOL_ALG
-    tol_char: float = charvar.TOL_CHAR
-    tol_mono: float = abeldomain.TOL_MONO
-    tol_root: float = abeldomain.TOL_ROOT
-    format: str | None = None  # None: the verb's own default
-
-    def __post_init__(self):
-        for name, value in self.tolerances().items():
-            if not (math.isfinite(value) and value > 0):
-                raise CliInputError(f"{name} must be positive and finite")
-
-    def tolerances(self):
-        return {
-            "tol_alg": self.tol_alg,
-            "tol_char": self.tol_char,
-            "tol_mono": self.tol_mono,
-            "tol_root": self.tol_root,
-        }
 
 
 _COMPLEX_RE = re.compile(
@@ -117,12 +97,12 @@ def _pair(z) -> list:
     return [z.real, z.imag]
 
 
-def cmd_verify(args, config: RunConfig):
-    if args.json and config.format == "text":
+def cmd_verify(args):
+    if args.json and args.format == "text":
         raise CliInputError("--json and --format text conflict")
-    checks = dodeca.verify_theorem91(config.tol_alg)
+    checks = dodeca.verify_theorem91()
     passed = dodeca.theorem91_passed(checks)
-    if config.format != "text":
+    if args.format != "text":
         return {
             "target": "dodeca",
             "passed": passed,
@@ -143,7 +123,7 @@ def _parse_coords(text: str):
     return tuple(parse_complex(p) for p in parts)
 
 
-def cmd_charvar(args, config: RunConfig):
+def cmd_charvar(args):
     if args.surface and args.action != "residual":
         raise CliInputError(f"charvar {args.action} does not read --surface")
     surface = args.surface or "torus"
@@ -174,7 +154,7 @@ def cmd_charvar(args, config: RunConfig):
             "residual": abs(charvar.fricke_sphere_residual(s)),
         }, True
     if args.action == "lift":
-        lifts = charvar.lift_traces(charvar.SphereTraceCoords(x, y, z, w.mu), w, config.tol_char)
+        lifts = charvar.lift_traces(charvar.SphereTraceCoords(x, y, z, w.mu), w)
         return {
             "weight": str(w),
             "count": len(lifts),
@@ -188,13 +168,13 @@ def cmd_charvar(args, config: RunConfig):
                 for t in lifts
             ],
         }, True
-    verdict = charvar.classify_real(charvar.TraceCoords(x, y, z), w, config.tol_char)
+    verdict = charvar.classify_real(charvar.TraceCoords(x, y, z), w)
     if isinstance(verdict, tuple):
         return {"class": verdict[0], "component": verdict[1]}, True
     return {"class": verdict}, True
 
 
-def cmd_lorentz(args, config: RunConfig):
+def cmd_lorentz(args):
     tet = lorentz.canonical_tetrahedron()
     data = lorentz.dihedral_data(tet)
     lifts = {}
@@ -209,10 +189,10 @@ def cmd_lorentz(args, config: RunConfig):
     return {"dihedral_cosines": data, "expected": expected, "residuals": lifts}, ok
 
 
-def cmd_covering(args, config: RunConfig):
+def cmd_covering(args):
     w = charvar.Weight.parse(args.weight, normalize=args.normalize_weight)
     signs = covering.SignChoice.parse(args.signs)
-    report = covering.covering_triviality_check(w, signs, config.tol_alg)
+    report = covering.covering_triviality_check(w, signs)
     return {
         "weight": str(w),
         "sheets": report.sheets,
@@ -239,14 +219,14 @@ def _monodromy_payload(res):
     }
 
 
-def cmd_monodromy(args, config: RunConfig):
+def cmd_monodromy(args):
     from . import abelmono
 
     params = abelmono.ConnectionParams(
         parse_complex(args.a), parse_complex(args.chi), args.r, args.tau
     )
     res = abelmono.monodromies(params)
-    ok = res.char_residual <= config.tol_mono and res.commutator_residual <= config.tol_mono
+    ok = res.char_residual <= abeldomain.TOL_MONO and res.commutator_residual <= abeldomain.TOL_MONO
     return _monodromy_payload(res), ok
 
 
@@ -367,7 +347,7 @@ def _write_file(path: str, text: str):
         raise CliInputError(f"cannot write {path}: {exc}") from exc
 
 
-def cmd_locus(args, config: RunConfig):
+def cmd_locus(args):
     from . import abelmono
 
     chi0 = _chi0_value(args.chi0, args.tau)
@@ -377,7 +357,6 @@ def cmd_locus(args, config: RunConfig):
         chi0,
         (args.a_min, args.a_max),
         args.n,
-        tol=config.tol_mono,
         refine=not args.no_refine,
     )
     csv_text = locus_rows_to_csv(result)
@@ -387,7 +366,7 @@ def cmd_locus(args, config: RunConfig):
         _write_file(args.svg, emit_locus_svg(result))
     if not result.flagged_real():
         warn("locus", "no flagged-real rows; overlay only")
-    printed = config.format == "csv" or not (args.csv or args.svg)
+    printed = args.format == "csv" or not (args.csv or args.svg)
     return (csv_text if printed else None), True
 
 
@@ -398,7 +377,7 @@ MATCH_MODE_FLAGS = {
 }
 
 
-def cmd_match(args, config: RunConfig):
+def cmd_match(args):
     for name in MATCH_MODE_FLAGS[not args.on_locus]:
         if getattr(args, name) is not None:
             without = "" if args.on_locus else "out"
@@ -414,7 +393,6 @@ def cmd_match(args, config: RunConfig):
             args.y_target,
             args.r,
             tau_bracket=(args.tau_min, args.tau_max),
-            tol_root=config.tol_root,
         )
         mode = {"mode": "on-locus", "tau": res.tau}
     else:
@@ -424,17 +402,16 @@ def cmd_match(args, config: RunConfig):
             args.tau,
             _chi0_value(args.chi0, args.tau),
             _parse_bracket(args.bracket),
-            tol_root=config.tol_root,
         )
         mode = {"mode": "fixed-tau", "t": res.t}
     payload = {**mode, "a": _pair(res.a), "evaluations": res.evaluations,
                **_monodromy_payload(res.result)}
     mismatch = abs(complex(res.result.y).real - args.y_target)
     payload["residuals"]["y_mismatch"] = mismatch
-    return payload, mismatch <= config.tol_root
+    return payload, mismatch <= abeldomain.TOL_ROOT
 
 
-def cmd_jacobian(args, config: RunConfig):
+def cmd_jacobian(args):
     from . import abelmono
 
     res = abelmono.jacobian_rank(args.a, args.tau, args.r, args.h)
@@ -447,7 +424,7 @@ def cmd_jacobian(args, config: RunConfig):
     }, res.rank == 2
 
 
-def cmd_spin(args, config: RunConfig):
+def cmd_spin(args):
     state = spingraft.SpinClass.parse(args.state)
     sequence = args.graft or ""
     if any(c not in "xy" for c in sequence):
@@ -523,10 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fricke",
         description="Character varieties, numerical monodromy and the dodecahedral lattice checks",
     )
-    parser.add_argument("--tol-alg", dest="tol_alg", type=finite_float)
-    parser.add_argument("--tol-char", dest="tol_char", type=finite_float)
-    parser.add_argument("--tol-mono", dest="tol_mono", type=finite_float)
-    parser.add_argument("--tol-root", dest="tol_root", type=finite_float)
     parser.add_argument("--format", choices=FORMATS)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -607,15 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                              if getattr(args, f.name) is not None})
-        mode = args.verb + (f" {args.action}" if args.verb == "charvar" else "")
-        for name in config.tolerances():
-            if getattr(args, name) is not None and name != VERB_TOLERANCE.get(mode):
-                raise CliInputError(f"{mode} does not read --{name.replace('_', '-')}")
-        if config.format not in (None, *VERB_FORMATS.get(args.verb, ("json",))):
-            raise CliInputError(f"{args.verb} cannot write format {config.format!r}")
-        output, ok = args.func(args, config)
+        if args.format not in (None, *VERB_FORMATS.get(args.verb, ("json",))):
+            raise CliInputError(f"{args.verb} cannot write format {args.format!r}")
+        output, ok = args.func(args)
     except SystemExit as exc:  # --help
         return USAGE_EXIT if exc.code not in (0, None) else 0
     except INPUT_ERRORS as exc:
@@ -625,7 +592,7 @@ def dispatch(argv) -> int:
         error("check", str(exc))
         return CHECK_EXIT
     if isinstance(output, dict):
-        output["tolerances"] = config.tolerances()
+        output["tolerances"] = TOLERANCES
         try:
             output = json.dumps(output, sort_keys=True, indent=2, allow_nan=False) + "\n"
         except ValueError as exc:

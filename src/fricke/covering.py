@@ -118,12 +118,12 @@ class TrivialityReport:
     worst_residual: float
 
 
-def covering_triviality_check(w: Weight, signs: SignChoice = DEFAULT_SIGNS, tol=algebra.TOL_ALG):
+def covering_triviality_check(w: Weight, signs: SignChoice = DEFAULT_SIGNS):
     """Evaluate the abelian system on the covering subgroup generators.
 
     Checks that every Reidemeister-Schreier generator evaluates to +Id or
-    -Id.  The kernel is free on these generators, so the resulting sign
-    assignment is already a Z2 character of the subgroup.
+    -Id within algebra.TOL_ALG.  The kernel is free on these generators, so
+    the resulting sign assignment is already a Z2 character of the subgroup.
     """
     n = genus_of_weight(w) + 1
     alphabet = fuchsian_local_monodromies(w, signs)[:3]
@@ -133,10 +133,10 @@ def covering_triviality_check(w: Weight, signs: SignChoice = DEFAULT_SIGNS, tol=
         val = algebra.evaluate_word(word, alphabet)
         d_plus = algebra.norm_inf(val - algebra.IDENTITY)
         d_minus = algebra.norm_inf(val + algebra.IDENTITY)
-        # d_plus + d_minus >= 2, so for tol < 1 at most one of them is <= tol
+        # d_plus + d_minus >= 2, so at most one of them is <= TOL_ALG
         d = min(d_plus, d_minus)
         worst = max(worst, d)
-        sign_list.append(0 if d > tol else 1 if d_plus <= d_minus else -1)
+        sign_list.append(0 if d > algebra.TOL_ALG else 1 if d_plus <= d_minus else -1)
     return TrivialityReport(
         sheets=n,
         passed=0 not in sign_list,

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -7,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
+from fricke import abeldomain, charvar
 from fricke import abelmono as am
-from fricke import charvar
 
 R = 0.1
 TAU = 1.0
@@ -74,6 +75,26 @@ def test_lattice_builds_or_fails_fast(tau):
     tracemalloc.stop()
     assert elapsed < 0.1
     assert peak < 10e6
+
+
+def test_every_tau_in_domain_builds():
+    """A 2001-point log grid over [TAU_MIN, TAU_MAX] builds, Legendre check included."""
+    for tau in np.geomspace(abeldomain.TAU_MIN, abeldomain.TAU_MAX, 2001):
+        assert am.RectangularLattice(float(tau)).legendre_residual <= 1e-10
+
+
+@pytest.mark.parametrize("tau", [300.0, 1.0 / 150.0])
+def test_theta_series_rejects_vanishing_derivative(tau):
+    """Past the domain theta1'(0) rounds to 0: the nome underflows (300) or the series cancels."""
+    with pytest.raises(am.AbelMonoError, match="rounds to 0"):
+        am._theta_series(tau)
+
+
+def test_lattice_rejects_legendre_miss(monkeypatch):
+    """Below TAU_MIN the series at 1/tau misses the Legendre bound (0.05: ~2e-9)."""
+    monkeypatch.setattr(abeldomain, "TAU_MIN", 0.01)
+    with pytest.raises(am.AbelMonoError, match="^Legendre relation residual"):
+        am.RectangularLattice(0.05)
 
 
 def _mp_lattice(mp, tau):
@@ -718,10 +739,20 @@ def test_sweep_closes_crossing_with_illinois(monkeypatch):
 def test_sweep_crossing_budget_adds_no_row(monkeypatch):
     """A crossing that 48 evaluations cannot close is left without a refined row.
 
-    No |Im z| meets a negative tol, not even an Illinois point where Im z is exactly 0.
+    Each refinement sees Im z pushed out to 2 TOL_MONO with its sign kept, so
+    no Illinois point, not even one where Im z is exactly 0, closes it.
     """
     calls = _count_monodromies(monkeypatch)
-    res = am.real_locus_sweep(R, TAU, math.pi / (4.0 * TAU), (0.7, 0.95), 4, tol=-1.0)
+    monodromies = am.monodromies
+
+    def never_real(params):
+        res = monodromies(params)
+        z = complex(res.z)
+        im = math.copysign(max(abs(z.imag), 2.0 * am.TOL_MONO), z.imag)
+        return dataclasses.replace(res, z=complex(z.real, im))
+
+    monkeypatch.setattr(am, "monodromies", never_real)
+    res = am.real_locus_sweep(R, TAU, math.pi / (4.0 * TAU), (0.7, 0.95), 4)
     assert len(calls) == 4 + 48
     assert len(res.rows) == 4 and not any(row.refined for row in res.rows)
 
@@ -789,6 +820,21 @@ def test_dodecahedral_point_on_trivializing_slice():
     )
     assert verdict == ("SL2R", "+++")
     assert 2.9 < res.tau < 3.0
+
+
+def test_match_on_locus_stays_in_tau_domain(monkeypatch):
+    """A step past TAU_MAX is halved: y = 6 (on the locus at tau ~ 14.4) exhausts the budget."""
+    taus = []
+    monodromy_batch = am.monodromy_batch
+
+    def spy(stack):
+        taus.extend(params.tau for params in stack)
+        return monodromy_batch(stack)
+
+    monkeypatch.setattr(am, "monodromy_batch", spy)
+    with pytest.raises(am.MaxIterations):
+        am.match_on_locus(6.0, R)
+    assert len(taus) <= am.MAX_EVALS and max(taus) <= abeldomain.TAU_MAX
 
 
 def test_match_on_locus_slice_without_graze_point(monkeypatch):

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import json
 import math
 import os
@@ -11,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fricke import abelmono, cli
+from fricke import abeldomain, abelmono, algebra, charvar, cli
 
 
 def run(capsys, *argv):
@@ -38,15 +37,6 @@ def test_verify_dodeca_exit_zero(capsys):
     assert payload["passed"] is True
     assert "tolerances" in payload and "residuals" in payload
     assert max(payload["residuals"].values()) <= 1e-8
-
-
-def test_verify_reads_tol_alg(capsys):
-    """The global --tol-alg is verify's tolerance: every bound, and tolerances.tol_alg."""
-    code, out, _ = run(capsys, "--tol-alg", "1e-30", "verify", "dodeca", "--json")
-    payload = json.loads(out)
-    assert code == 1 and payload["passed"] is False
-    assert payload["tolerances"]["tol_alg"] == 1e-30 and "tol" not in payload["tolerances"]
-    assert payload["bounds"]["tr_J1"] == 1e-30
 
 
 def test_verify_text_and_json_flags_conflict(capsys):
@@ -236,13 +226,13 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         (["monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.7", "--tau", "1"], "input"),
         (["monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.1", "--tau=-1"], "input"),
         (["jacobian", "--a", "0.3", "--tau", "1", "--r", "0.1", "--h", "0"], "input"),
-        # tau = 0.05 is in range, but the theta series fails the Legendre check there
-        (["monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.1", "--tau", "0.05"], "check"),
+        # tau = 0.05 is below TAU_MIN: the theta series would miss the Legendre check there
+        (["monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.1", "--tau", "0.05"], "input"),
         # chi = 1e-3 is generic, but its monodromy is too ill-conditioned to check
         (["monodromy", "--a", "0.2", "--chi", "0.001", "--r", "0.1", "--tau", "1"], "input"),
-        # in range, but theta1'(0) rounds to 0 (at 1/150, and at 300 where the nome underflows)
-        (["monodromy", "--a", "0.2", "--chi", "0.3", "--r", "0.1", "--tau", "150"], "check"),
-        (["monodromy", "--a", "0.2", "--chi", "0.3", "--r", "0.1", "--tau", "300"], "check"),
+        # above TAU_MAX: theta1'(0) would round to 0 (at 1/150; at 300 the nome underflows)
+        (["monodromy", "--a", "0.2", "--chi", "0.3", "--r", "0.1", "--tau", "150"], "input"),
+        (["monodromy", "--a", "0.2", "--chi", "0.3", "--r", "0.1", "--tau", "300"], "input"),
         (["monodromy", "--a", "0.2", "--chi", "0.3", "--r", "0.1", "--tau", "1e300"], "input"),
         (["monodromy", "--a", "nan", "--chi", "0.3", "--r", "0.1", "--tau", "1"], "input"),
         (["monodromy", "--a", "0.2", "--chi", "nan", "--r", "0.1", "--tau", "1"], "input"),
@@ -284,6 +274,8 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         # a '-' led value must be a number: -x is a flag, so --coords has no value
         (["charvar", "residual", "--coords", "-x", "--weight", "1/10"], "input"),
         (["monodromy", "--a", "0.2", "--chi", "-x", "--r", "0.1", "--tau", "1"], "input"),
+        # tau = TAU_MAX is in the domain, but the stencil tau + h is not
+        (["jacobian", "--a", "0.3", "--tau", "12", "--r", "0.1"], "input"),
     ],
 )
 def test_parameter_errors_are_typed(capsys, argv, kind):
@@ -337,10 +329,6 @@ FIXED_TAU = ["match", "--y-target", "1.8", "--r", "0.1", "--bracket", "0.05,0.7"
         ([*ON_LOCUS, "--bracket", "0.05,0.7"], "--bracket"),
         ([*FIXED_TAU, "--tau-min", "2"], "--tau-min"),
         ([*FIXED_TAU, "--tau-max", "3"], "--tau-max"),
-        (["--tol-mono", "1", "spin", "--state", "+,+", "--graft", "yx"], "--tol-mono"),
-        (["--tol-alg", "1", "lorentz", "angles"], "--tol-alg"),
-        (["--tol-char", "5", "charvar", "residual", *TORUS_POINT], "--tol-char"),
-        (["--tol-root", "1", "jacobian", "--a", "0.3", "--tau", "1", "--r", "0.1"], "--tol-root"),
     ],
 )
 def test_flag_the_mode_does_not_read_rejected(capsys, argv, flag):
@@ -396,7 +384,8 @@ def test_tau_out_of_range_names_tau(capsys, argv):
 
 @pytest.mark.parametrize(
     "removed",
-    [["--format", "svg"], ["--threads", "2"], ["--steps", "100"], ["--config", "run.cfg"]],
+    [["--format", "svg"], ["--threads", "2"], ["--steps", "100"], ["--config", "run.cfg"],
+     ["--tol-mono", "1"], ["--tol-alg", "1"], ["--tol-char", "5"], ["--tol-root", "1"]],
 )
 def test_removed_options_rejected(capsys, removed):
     """The message names the flag, not its value (argparse would read the value as the verb)."""
@@ -419,16 +408,12 @@ def test_unknown_flag_is_named(capsys, argv, flag):
     assert (code, out, err) == (2, "", f"E:input:unknown flag {flag}\n")
 
 
-@pytest.mark.parametrize(
-    "flag, message",
-    [
-        ("--tol-mono=-1e-3", "tol_mono must be positive and finite"),
-        ("--tol-mono -1e-3", "tol_mono must be positive and finite"),
-    ],
-)
-def test_known_flag_with_negative_value_keeps_its_message(capsys, flag, message):
-    code, out, err = run(capsys, *flag.split(), *MONODROMY)
-    assert (code, out, err) == (2, "", f"E:input:{message}\n")
+@pytest.mark.parametrize("flag", [["--format=-1e-3"], ["--format", "-1e-3"]])
+def test_known_flag_with_negative_value_keeps_its_message(capsys, flag):
+    """The value -1e-3 of a global flag is that flag's (bad) value, not an unknown flag."""
+    code, out, err = run(capsys, *flag, *MONODROMY)
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith("E:input:argument --format: invalid choice: '-1e-3'")
 
 
 def _readme_cli_lines():
@@ -450,6 +435,35 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
 
 
 MONODROMY = ["monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.1", "--tau", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "dodeca"],
+        ["charvar", "residual", *TORUS_POINT],
+        ["charvar", "abelianize", "--coords", "1,1,1", "--weight", "3/10"],
+        ["charvar", "lift", "--coords", "1,1,1", "--weight", "3/10"],
+        ["charvar", "classify", *DODECA_TORUS],
+        ["lorentz", "angles"],
+        ["covering", "check", "--weight", "3/10"],
+        MONODROMY,
+        FIXED_TAU,
+        ["jacobian", "--a", "0.3", "--tau", "1", "--r", "0.1"],
+        ["spin", "--state", "+,+"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("-")),
+)
+def test_tolerances_block_reports_the_constants(capsys, argv):
+    """Every JSON payload's tolerances block is the four module constants."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["tolerances"] == {
+        "tol_alg": algebra.TOL_ALG,
+        "tol_char": charvar.TOL_CHAR,
+        "tol_mono": abeldomain.TOL_MONO,
+        "tol_root": abeldomain.TOL_ROOT,
+    }
 
 
 @pytest.mark.parametrize("flag", [["--tol-mono", "nan"], ["--tol-mono", "inf"]])
@@ -476,7 +490,7 @@ def test_format_the_verb_cannot_write_rejected(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--tol-m", "1e-4", "lorentz", "angles"],
+        ["verify", "dodeca", "--js"],
         ["--form", "json", "lorentz", "angles"],
         ["locus", "--r", "0.1", "--n", "2", "--no-ref"],
     ],
@@ -511,9 +525,9 @@ def _stdout_writes(node):
 
 
 def test_flags_are_the_only_source_of_run_config():
-    """The global flags are RunConfig's fields, one each, and cli.py reads no file."""
+    """--format is the one global flag, and cli.py reads no file."""
     dests = {a.dest for a in cli.build_parser()._actions if a.option_strings} - {"help"}
-    assert dests == {f.name for f in dataclasses.fields(cli.RunConfig)}
+    assert dests == {"format"}
     tree = ast.parse(Path(cli.__file__).read_text())
     reads = [
         ast.unparse(call.func) for call in ast.walk(tree)
