@@ -699,16 +699,17 @@ def match_on_locus(
     sqrt(3 + sqrt 5) with r = 1/10.
 
     Newton on (a, tau) starts from the graze point that a scan of GRAZE_SCAN
-    finds at the midpoint of tau_bracket (which does not confine tau).  Its
-    forward-difference Jacobian, step h = 1e-6, takes both stencil points at
-    tau + h, in one batch: the tau column from (a, tau + h) - (a, tau), the a
-    column from (a + h, tau + h) - (a, tau + h).  Each step is halved until
-    a lies in GRAZE_SCAN, tau in [TAU_MIN, TAU_MAX - h] (so the stencil stays
-    in the domain), Re y > 1 and |F| decreases.  Every member of every
-    monodromy batch, stencil points included, counts against MAX_EVALS;
-    exhausting it or a singular Jacobian raises MaxIterations.  The
-    dodecahedral solve takes 21 evaluations in 10 batches from the default
-    bracket and 18 in 8 from (2.6, 3.2).
+    finds at the midpoint of tau_bracket (which does not confine tau), or at
+    TAU_MAX - h if the midpoint lies above that.  Its forward-difference
+    Jacobian, step h = 1e-6, takes both stencil points at tau + h, in one
+    batch: the tau column from (a, tau + h) - (a, tau), the a column from
+    (a + h, tau + h) - (a, tau + h).  Each step is halved until a lies in
+    GRAZE_SCAN, tau in [TAU_MIN, TAU_MAX - h] (so the stencil stays in the
+    domain), Re y > 1 and |F| decreases.  Every member of every monodromy
+    batch, stencil points included, counts against MAX_EVALS; exhausting it
+    or a singular Jacobian raises MaxIterations.  The dodecahedral solve
+    takes 21 evaluations in 10 batches from the default bracket and 18 in 8
+    from (2.6, 3.2).
     """
     for end in tau_bracket:
         check_tau(end)
@@ -725,9 +726,10 @@ def match_on_locus(
     def residual(m):
         return np.array([complex(m.z).imag, complex(m.y).real - y_target])
 
-    tau = 0.5 * (float(tau_bracket[0]) + float(tau_bracket[1]))
+    h = 1e-6
+    tau = min(0.5 * (float(tau_bracket[0]) + float(tau_bracket[1])), TAU_MAX - h)
     a, m = _graze_point(lambda ts: ev(ts, tau))
-    f, h = residual(m), 1e-6
+    f = residual(m)
     while abs(f[0]) > TOL_IM or abs(f[1]) > TOL_ROOT:
         f_tau, f_a = map(residual, ev([a, a + h], tau + h))
         jac = np.column_stack([f_a - f_tau, f_tau - f]) / h

@@ -909,10 +909,15 @@ def test_match_on_locus_batches_points_that_share_tau(monkeypatch):
         (YSTAR, (0.9, 1.1), 60, 2.952857),
         (3.0, (0.9, 1.1), 54, 5.746428),
         (3.5, (1.0, 1.2), 52, 7.348148),
+        (2.6, (12.0, 12.0), 24, 4.308709),
     ],
 )
 def test_match_on_locus_low_brackets_cost_no_more(y_target, tau_bracket, serial_evals, tau):
-    """From the low brackets the solve converges in no more evaluations than the serial solve took."""
+    """From the low brackets the solve converges in no more evaluations than the serial solve took.
+
+    The last bracket sits at TAU_MAX: the solve starts at TAU_MAX - h, so
+    its first stencil stays in the domain.
+    """
     res = am.match_on_locus(y_target, R, tau_bracket=tau_bracket)
     assert res.evaluations <= serial_evals
     assert abs(res.tau - tau) <= 1e-5

@@ -99,6 +99,7 @@ def test_covering_check(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] and payload["all_positive"]
+    assert payload["residuals"]["worst"] == 0.0
 
 
 def test_covering_check_failure_exits_one(capsys):
@@ -106,6 +107,7 @@ def test_covering_check_failure_exits_one(capsys):
     assert (code, err) == (1, "")
     payload = json.loads(out)
     assert payload["passed"] is False and payload["signs"].count(0) == 10
+    assert abs(payload["residuals"]["worst"] - 2.0 * math.sin(math.pi / 10.0)) <= 1e-12
 
 
 def test_monodromy_verb(capsys):

@@ -6,6 +6,37 @@ import pytest
 from fricke import algebra, covering
 from fricke.charvar import Weight
 
+SIGN_CHOICES = [(1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+# 3/10 is admissible, so its three sign choices are already among these.
+ORACLE_WEIGHTS = [*covering.admissible_weights(), Weight(99, 199), Weight(101, 400)]
+
+
+def local_monodromies(rt, sigma):
+    """Float local monodromies diag(e^{-2 pi i rt s_j}, e^{+2 pi i rt s_j}) of gamma_j."""
+    out = []
+    for s in sigma:
+        phase = cmath.exp(-2j * math.pi * rt * s)
+        out.append(algebra.make(phase, 0.0, 0.0, 1.0 / phase))
+    return out
+
+
+def float_triviality(rt, sigma, n):
+    """Reference check: multiply the float matrices along each kernel word, compare with +-Id.
+
+    Returns the sign per word (0 where the value is more than TOL_ALG from
+    +-Id) and the worst distance from +-Id.
+    """
+    alphabet = local_monodromies(rt, sigma)[:3]
+    signs, worst = [], 0.0
+    for word in covering.kernel_generators(n):
+        val = algebra.evaluate_word(word, alphabet)
+        d_plus = algebra.norm_inf(val - algebra.IDENTITY)
+        d_minus = algebra.norm_inf(val + algebra.IDENTITY)
+        d = min(d_plus, d_minus)
+        worst = max(worst, d)
+        signs.append(0 if d > algebra.TOL_ALG else 1 if d_plus <= d_minus else -1)
+    return signs, worst
+
 
 def test_sign_choice_validation():
     covering.SignChoice(1, -1, -1)
@@ -27,14 +58,14 @@ def test_covering_spec_character():
 
 def test_local_monodromies_product_identity():
     for signs in (covering.SignChoice(1, -1, -1), covering.SignChoice(-1, 1, -1)):
-        mats = covering.fuchsian_local_monodromies(Weight(3, 10), signs)
+        mats = local_monodromies(Weight(3, 10).rt, signs.sigma)
         prod = mats[3] @ mats[2] @ mats[1] @ mats[0]
         assert algebra.norm_inf(prod - algebra.IDENTITY) <= 1e-15
 
 
 def test_local_monodromies_traces_and_commutativity():
     w = Weight(3, 10)
-    mats = covering.fuchsian_local_monodromies(w, covering.DEFAULT_SIGNS)
+    mats = local_monodromies(w.rt, covering.DEFAULT_SIGNS.sigma)
     for m in mats:
         assert abs(algebra.trace(m) - 2 * math.cos(2 * math.pi * w.rt)) <= 1e-14
     for a in mats:
@@ -43,9 +74,29 @@ def test_local_monodromies_traces_and_commutativity():
 
 
 def test_local_monodromy_power_identity_odd_k():
-    w = Weight(2, 5)
-    m1 = covering.fuchsian_local_monodromies(w, covering.DEFAULT_SIGNS)[0]
+    m1 = local_monodromies(Weight(2, 5).rt, covering.DEFAULT_SIGNS.sigma)[0]
     assert algebra.order_of(m1) == 5
+
+
+@pytest.mark.parametrize("signs", SIGN_CHOICES, ids=lambda s: "%+d,%+d,%+d" % s)
+@pytest.mark.parametrize("w", ORACLE_WEIGHTS, ids=str)
+def test_integer_rule_matches_float_words(w, signs):
+    """The integer rule decides every kernel word as the float matrix product does.
+
+    Passing cases have residual exactly 0.0; failing ones agree with the
+    float distance from +-Id to 1e-12.
+    """
+    choice = covering.SignChoice(*signs)
+    rep = covering.covering_triviality_check(w, choice)
+    ref_signs, ref_worst = float_triviality(w.rt, choice.sigma, rep.sheets)
+    assert rep.sheets == covering.genus_of_weight(w) + 1
+    assert rep.signs == ref_signs
+    assert rep.passed == (0 not in ref_signs)
+    assert rep.all_positive == all(s == 1 for s in ref_signs)
+    if rep.passed:
+        assert rep.worst_residual == 0.0
+    else:
+        assert abs(rep.worst_residual - ref_worst) <= 1e-12
 
 
 def test_kernel_generator_counts():
@@ -101,19 +152,5 @@ def test_triviality_check_fails_for_mismatched_signs():
 
 def test_triviality_fails_for_irrational_weight():
     """Perturbed exponent breaks finiteness: values leave {+-Id}."""
-    rt = 0.3 + 1e-3
-    mats = []
-    for s in (1, 1, -1):
-        ph = cmath.exp(-2j * math.pi * rt * s)
-        mats.append(algebra.make(ph, 0, 0, 1 / ph))
-    bad = False
-    for word in covering.kernel_generators(5):
-        val = algebra.evaluate_word(word, mats)
-        d = min(
-            algebra.norm_inf(val - algebra.IDENTITY),
-            algebra.norm_inf(val + algebra.IDENTITY),
-        )
-        if d > 1e-9:
-            bad = True
-            break
-    assert bad
+    signs, worst = float_triviality(0.3 + 1e-3, covering.DEFAULT_SIGNS.sigma, 5)
+    assert 0 in signs and worst > 1e-9
