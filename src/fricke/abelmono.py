@@ -182,8 +182,8 @@ class ConnectionForm:
     for a list; coefficient takes w of any shape and returns the sl(2)
     coordinates (C00, C01, C10) stacked on axis 0, shape
     (3,) + a.shape + w.shape, with psi_+- evaluated once for all members.
-    The stack is fixed: parallel_transport carries every member to the
-    panel level of the last one to pass.
+    Members never leave the stack: parallel_transport carries every member
+    along a loop to the panel level of the last one to pass on that loop.
     """
 
     def __init__(self, params: ConnectionParams | list):
@@ -295,8 +295,8 @@ def _bracket(x, y):
                      2.0 * (x[2] * y[0] - x[0] * y[2])])
 
 
-def _magnus_product(form: ConnectionForm, path: TorusPath, n: int) -> np.ndarray:
-    """Psi(1) from n equal panels, each advanced by exp of the 6th-order Magnus term.
+def _magnus_product(form: ConnectionForm, paths: list, n: int) -> np.ndarray:
+    """Psi(1) along each path from n equal panels, each advanced by exp of a 6th-order Magnus term.
 
     On a panel of width h with A1, A2, A3 at its three Gauss nodes
     (Blanes, Casas and Ros, BIT 40, 2000): alpha1 = h A2,
@@ -306,19 +306,23 @@ def _magnus_product(form: ConnectionForm, path: TorusPath, n: int) -> np.ndarray
     Every term is traceless, so the A_k come from form.coefficient as sl(2)
     coordinates (A00, A01, A10), the brackets act on them, and
     exp Omega = cosh d I + (sinh d / d) Omega with d^2 = Omega00^2 + Omega01 Omega10
-    (sinh d / d is sinc(d / (i pi)), which is 1 at d = 0).  The panel factors
-    are multiplied pairwise, later panels on the left.  The result has shape
-    form.a.shape + (2, 2): one product per member.
+    (sinh d / d is sinc(d / (i pi)), which is 1 at d = 0).  The paths' nodes
+    are stacked on a leading loop axis, so one coefficient call covers every
+    (member, loop).  The panel factors are multiplied pairwise, later panels
+    on the left.  The result has shape form.a.shape + (len(paths), 2, 2): one
+    product per member and loop.
     """
     h = 1.0 / n
     s = (np.arange(n) + _GAUSS_NODES[:, None]) * h  # each node set contiguous
-    w = path.point(s)
-    dist = form.lat.lattice_distance(w)
-    if np.min(dist) < path.delta:
-        raise PathTooCloseToPole(
-            f"{path.label}: point {w.flat[np.argmin(dist)]} within {path.delta} of the lattice"
-        )
-    x = form.coefficient(w, path.velocity(s))
+    w = np.stack([path.point(s) for path in paths])
+    for path, w_path in zip(paths, w):
+        dist = form.lat.lattice_distance(w_path)
+        if np.min(dist) < path.delta:
+            raise PathTooCloseToPole(
+                f"{path.label}: point {w_path.flat[np.argmin(dist)]} within {path.delta} of the lattice"
+            )
+    wdot = np.stack([np.broadcast_to(path.velocity(s), s.shape) for path in paths])
+    x = form.coefficient(w, wdot)
     a1, a2, a3 = x[..., 0, :], x[..., 1, :], x[..., 2, :]
     alpha1 = h * a2
     alpha2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
@@ -336,8 +340,8 @@ def _magnus_product(form: ConnectionForm, path: TorusPath, n: int) -> np.ndarray
     return factors[..., 0, :, :]
 
 
-def parallel_transport(form: ConnectionForm, path: TorusPath) -> TransportResult | list:
-    """Solve Psi' = -(A_w wdot + A_wbar conj(wdot)) Psi, Psi(0) = Id, over the path.
+def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> TransportResult | list | tuple:
+    """Solve Psi' = -(A_w wdot + A_wbar conj(wdot)) Psi, Psi(0) = Id, over each path.
 
     The 6th-order Magnus product on N panels is compared with the one on 2N
     panels, from N = 16 on (below that the error does not yet fall as N^-6),
@@ -346,29 +350,39 @@ def parallel_transport(form: ConnectionForm, path: TorusPath) -> TransportResult
     non-finite product fails at once.  No renormalization is applied; the
     determinant drift of the result is reported.
 
-    A form over a stack (1-D form.a) is transported as one array per panel
-    level until every member has passed its own test, and gives a list of
-    results, one per member.  Each member keeps the product of the level at
-    which it first passed, so its entry equals the result for a form over
-    that member alone.  A non-finite product of a member still open, or the
-    budget, raises StepLimitExceeded for the whole stack.
+    paths is one TorusPath or a tuple of them.  A form over a stack (1-D
+    form.a) gives a list of results per path, one per member; a 0-d form
+    gives one TransportResult per path.  A tuple gives a tuple of those, in
+    its order.  Every (member, path) pair is transported in one array per
+    panel level and keeps the product of the level at which it first
+    passed its own test, so its entry equals the result for that path alone
+    and a form over that member alone.  A path whose members have all
+    passed leaves the array.  The budget (named after the first open path),
+    or a non-finite product of an open (member, path), raises
+    StepLimitExceeded for the whole call.
     """
-    out = [None] * form.a.size
-    n, coarse = _FIRST_PANELS, None
+    several = isinstance(paths, tuple)
+    paths = paths if several else (paths,)
+    out = [[None] * form.a.size for _ in paths]
+    n, coarse = _FIRST_PANELS, {}
     with np.errstate(all="ignore"):
-        while None in out:
+        while open_ := [k for k, row in enumerate(out) if None in row]:
             if n > PANEL_BUDGET:
-                raise StepLimitExceeded(f"{path.label}: budget of {PANEL_BUDGET} panels")
-            fine = _magnus_product(form, path, n).reshape(-1, 2, 2)
-            for i in [i for i, res in enumerate(out) if res is None]:
-                if not np.all(np.isfinite(fine[i])):
-                    raise StepLimitExceeded(f"{path.label}: non-finite panel product at {n} panels")
-                if coarse is not None:
-                    err = float(np.max(np.abs(fine[i] - coarse[i]))) / 63.0
-                    if err <= TRANSPORT_ATOL + TRANSPORT_RTOL * float(np.max(np.abs(fine[i]))):
-                        out[i] = TransportResult(fine[i], abs(algebra.det(fine[i]) - 1.0), n, err)
+                raise StepLimitExceeded(f"{paths[open_[0]].label}: budget of {PANEL_BUDGET} panels")
+            products = _magnus_product(form, [paths[k] for k in open_], n)
+            fine = dict(zip(open_, np.moveaxis(products.reshape(-1, len(open_), 2, 2), 1, 0)))
+            for k in open_:
+                for i in [i for i, res in enumerate(out[k]) if res is None]:
+                    p = fine[k][i]
+                    if not np.all(np.isfinite(p)):
+                        raise StepLimitExceeded(f"{paths[k].label}: non-finite panel product at {n} panels")
+                    if k in coarse:
+                        err = float(np.max(np.abs(p - coarse[k][i]))) / 63.0
+                        if err <= TRANSPORT_ATOL + TRANSPORT_RTOL * float(np.max(np.abs(p))):
+                            out[k][i] = TransportResult(p, abs(algebra.det(p) - 1.0), n, err)
             n, coarse = 2 * n, fine
-    return out if form.a.ndim else out[0]
+    results = tuple(row if form.a.ndim else row[0] for row in out)
+    return results if several else results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +419,10 @@ def monodromies(params: ConnectionParams) -> MonodromyResult:
 def monodromy_batch(stack: list) -> list:
     """monodromies for every ConnectionParams of stack; all share (chi, r, tau).
 
-    BATCH_CHUNK members at a time go through one stacked ConnectionForm, so
-    the Baker sections are evaluated once per panel level for the chunk.
+    BATCH_CHUNK members at a time go through one stacked ConnectionForm and
+    one parallel_transport call over (gamma_x, gamma_y), so the Baker
+    sections are evaluated once per panel level for the chunk and both loops
+    until gamma_x or gamma_y closes, then for the open loop alone.
     Every member's result, panel counts included, equals its batch of one.
     When a chunk's transport fails, its members are run again one at a time,
     so the error raised is the one the first failing member raises alone.
@@ -417,8 +433,7 @@ def monodromy_batch(stack: list) -> list:
         tau = chunk[0].tau
         form = ConnectionForm(chunk)
         try:
-            tx = parallel_transport(form, gamma_x(tau))
-            ty = parallel_transport(form, gamma_y(tau))
+            tx, ty = parallel_transport(form, (gamma_x(tau), gamma_y(tau)))
         except StepLimitExceeded:  # the one transport error that depends on the member
             if len(chunk) > 1:
                 for params in chunk:

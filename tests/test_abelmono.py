@@ -15,6 +15,7 @@ R = 0.1
 TAU = 1.0
 CHI = 0.3 + 0.2j
 YSTAR = math.sqrt(3.0 + math.sqrt(5.0))
+DODECA_ROOT = (0.35068308618817, 2.952856849789922)  # (a, tau) of the dodecahedral point, r = 1/10
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +340,11 @@ def test_transport_det_drift_small():
 
 
 def test_transport_evaluates_each_panel_level_at_once(monkeypatch):
-    """One coefficient call per panel level (N = _FIRST_PANELS, twice that, ...), node set by node set."""
+    """One coefficient call per panel level (N = _FIRST_PANELS, twice that, ...) for both loops.
+
+    The loops' node sets are stacked on a leading axis; gamma_x closes at 32 panels
+    here and leaves the call, so the 64-panel level carries gamma_y's nodes alone.
+    """
     calls = []
     coefficient = am.ConnectionForm.coefficient
 
@@ -348,10 +353,11 @@ def test_transport_evaluates_each_panel_level_at_once(monkeypatch):
         return coefficient(self, w, wdot)
 
     monkeypatch.setattr(am.ConnectionForm, "coefficient", spy)
-    form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
-    res = am.parallel_transport(form, am.gamma_x(TAU))
-    assert len(calls) == math.log2(res.panels / am._FIRST_PANELS) + 1
-    assert calls[-1] == (len(am._GAUSS_NODES), res.panels)
+    a, tau = DODECA_ROOT
+    form = am.ConnectionForm(am._on_slice(a, tau, 0.1))
+    rx, ry = am.parallel_transport(form, (am.gamma_x(tau), am.gamma_y(tau)))
+    assert (rx.panels, ry.panels) == (32, 64)
+    assert calls == [(2, 3, 16), (2, 3, 32), (1, 3, 64)]  # (loops, nodes per panel, panels)
 
 
 @pytest.mark.parametrize("tau", [0.2, 1.0, 5.0])
@@ -381,10 +387,11 @@ def test_magnus_step_is_sixth_order():
     residual oracle, only with more panels and an error estimate / 63 four times too small.
     """
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
-    for path in (am.gamma_x(TAU), am.gamma_y(TAU)):
-        exact = am._magnus_product(form, path, 4096)
-        err16, err32 = (np.max(np.abs(am._magnus_product(form, path, n) - exact)) for n in (16, 32))
-        assert 40.0 <= err16 / err32 <= 90.0
+    paths = [am.gamma_x(TAU), am.gamma_y(TAU)]
+    exact = am._magnus_product(form, paths, 4096)
+    err16, err32 = (np.max(np.abs(am._magnus_product(form, paths, n) - exact), axis=(1, 2))
+                    for n in (16, 32))
+    assert np.all((40.0 <= err16 / err32) & (err16 / err32 <= 90.0))
 
 
 def test_transport_fails_fast_near_half_lattice_chi():
@@ -534,13 +541,43 @@ def test_reducible_anchor_point():
 
 
 def test_monodromy_keeps_transport_data():
-    """Panel counts and error estimates of both loops, as parallel_transport reports them."""
-    params = am.ConnectionParams(0.2, CHI, R, TAU)
-    m = am.monodromies(params)
+    """Oracle: the stacked transport of both loops equals one single-path call per loop.
+
+    X, Y bit for bit, panel counts and error estimates, at the canonical point, the
+    dodecahedral point and 40 seeded points with tau in [0.2, 5].
+    """
+    a, tau = DODECA_ROOT
+    points = [am.ConnectionParams(0.2, CHI, R, TAU), am._on_slice(a, tau, 0.1)]
+    rng = np.random.default_rng(27)
+    while len(points) < 42:
+        a, chi = complex(*rng.uniform(-1.0, 1.0, 2)), complex(*rng.uniform(-1.0, 1.0, 2))
+        params = am.ConnectionParams(a, chi, rng.uniform(0.05, 0.45), rng.uniform(0.2, 5.0))
+        if am.lattice(params.tau).lattice_distance(2.0 * params.tau * chi / math.pi) >= 0.1:
+            points.append(params)
+    for params in points:
+        m = am.monodromies(params)
+        form = am.ConnectionForm(params)
+        rx, ry = (am.parallel_transport(form, path(params.tau)) for path in (am.gamma_x, am.gamma_y))
+        assert (m.X.tobytes(), m.Y.tobytes()) == (rx.matrix.tobytes(), ry.matrix.tobytes())
+        assert m.panels == (rx.panels, ry.panels)
+        assert m.error_estimate == (rx.error_estimate, ry.error_estimate)
+
+
+def test_stacked_transport_errors_name_the_failing_loop(monkeypatch):
+    """Budget, pole and non-finite errors of a stacked call name the loop that failed."""
+    a, tau = DODECA_ROOT
+    params = am._on_slice(a, tau, 0.1)  # gamma_x closes at 32 panels, gamma_y at 64
     form = am.ConnectionForm(params)
-    for path, panels, err in zip((am.gamma_x(TAU), am.gamma_y(TAU)), m.panels, m.error_estimate):
-        res = am.parallel_transport(form, path)
-        assert (panels, err) == (res.panels, res.error_estimate)
+    x_path = am.gamma_x(tau)
+    bad = am.TorusPath(lambda s: 0.001 + 0.001j + s, x_path.velocity, tau, "bad")
+    with pytest.raises(am.PathTooCloseToPole, match="^bad: "):
+        am.parallel_transport(form, (x_path, bad))
+    huge = am.TorusPath(x_path.point, lambda s: 1e300 + 0j, tau, "huge")
+    with pytest.raises(am.StepLimitExceeded, match="^huge: non-finite panel product at 16 panels"):
+        am.parallel_transport(form, (x_path, huge))
+    monkeypatch.setattr(am, "PANEL_BUDGET", 32)
+    with pytest.raises(am.StepLimitExceeded, match="^gamma_y: budget of 32 panels"):
+        am.monodromies(params)
 
 
 # ---------------------------------------------------------------------------
@@ -566,23 +603,28 @@ def test_batch_members_equal_batches_of_one():
 
 @pytest.mark.parametrize("members", [1, 3, 8, 20])
 def test_batch_evaluates_each_panel_level_once_per_chunk(monkeypatch, members):
-    """One coefficient call per panel level and loop for a whole chunk of members."""
+    """One coefficient call per panel level for a whole chunk of members and both loops.
+
+    A chunk makes log2(max panels over both loops / _FIRST_PANELS) + 1 calls, and a
+    loop whose members have all passed is no longer in the call.
+    """
     calls = []
     coefficient = am.ConnectionForm.coefficient
 
     def spy(self, w, wdot):
-        calls.append(len(self.a))
+        calls.append((len(self.a), np.shape(w)[0], np.shape(w)[-1]))
         return coefficient(self, w, wdot)
 
     monkeypatch.setattr(am.ConnectionForm, "coefficient", spy)
     batch = am.monodromy_batch(_slice_stack(R, TAU, members, (0.3, 0.5)))
-    levels = 0
+    expected = []
     for start in range(0, members, am.BATCH_CHUNK):
         chunk = batch[start : start + am.BATCH_CHUNK]
-        for loop in (0, 1):
-            levels += int(math.log2(max(res.panels[loop] for res in chunk) / am._FIRST_PANELS)) + 1
-    assert len(calls) == levels
-    assert max(calls) == min(members, am.BATCH_CHUNK)
+        closing = [max(res.panels[loop] for res in chunk) for loop in (0, 1)]
+        for k in range(int(math.log2(max(closing) / am._FIRST_PANELS)) + 1):
+            n = am._FIRST_PANELS * 2**k
+            expected.append((len(chunk), sum(c >= n for c in closing), n))
+    assert calls == expected
 
 
 @pytest.mark.parametrize("members", [None, 1, 8])
