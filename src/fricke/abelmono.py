@@ -295,8 +295,8 @@ def _bracket(x, y):
                      2.0 * (x[2] * y[0] - x[0] * y[2])])
 
 
-def _magnus_product(form: ConnectionForm, paths: list, n: int) -> np.ndarray:
-    """Psi(1) along each path from n equal panels, each advanced by exp of a 6th-order Magnus term.
+def _magnus_product(form: ConnectionForm, paths: list, levels: tuple) -> list:
+    """Psi(1) along each path on n equal panels per n of levels, by a 6th-order Magnus step per panel.
 
     On a panel of width h with A1, A2, A3 at its three Gauss nodes
     (Blanes, Casas and Ros, BIT 40, 2000): alpha1 = h A2,
@@ -307,20 +307,24 @@ def _magnus_product(form: ConnectionForm, paths: list, n: int) -> np.ndarray:
     coordinates (A00, A01, A10), the brackets act on them, and
     exp Omega = cosh d I + (sinh d / d) Omega with d^2 = Omega00^2 + Omega01 Omega10
     (sinh d / d is sinc(d / (i pi)), which is 1 at d = 0).  The paths' nodes
-    are stacked on a leading loop axis, so one coefficient call covers every
-    (member, loop).  The panel factors are multiplied pairwise, later panels
-    on the left.  The result has shape form.a.shape + (len(paths), 2, 2): one
-    product per member and loop.
+    are stacked on a leading loop axis and the levels' panels are
+    concatenated on the panel axis, each with its own h, so one coefficient
+    call and one Magnus pass cover every (member, loop, level).  Each
+    level's panel factors are then multiplied pairwise, later panels on the
+    left.  Returns one product array per level, in the order of levels, of
+    shape form.a.shape + (len(paths), 2, 2): one product per member and loop.
     """
-    h = 1.0 / n
-    s = (np.arange(n) + _GAUSS_NODES[:, None]) * h  # each node set contiguous
+    s = np.concatenate([(np.arange(n) + _GAUSS_NODES[:, None]) * (1.0 / n) for n in levels],
+                       axis=-1)  # each node set contiguous
+    h = np.concatenate([np.full(n, 1.0 / n) for n in levels])
     w = np.stack([path.point(s) for path in paths])
-    for path, w_path in zip(paths, w):
-        dist = form.lat.lattice_distance(w_path)
-        if np.min(dist) < path.delta:
-            raise PathTooCloseToPole(
-                f"{path.label}: point {w_path.flat[np.argmin(dist)]} within {path.delta} of the lattice"
-            )
+    dist = form.lat.lattice_distance(w)
+    near = np.min(dist, axis=(1, 2)) < [path.delta for path in paths]
+    if near.any():
+        k = int(np.argmax(near))
+        raise PathTooCloseToPole(
+            f"{paths[k].label}: point {w[k].flat[np.argmin(dist[k])]} within {paths[k].delta} of the lattice"
+        )
     wdot = np.stack([np.broadcast_to(path.velocity(s), s.shape) for path in paths])
     x = form.coefficient(w, wdot)
     a1, a2, a3 = x[..., 0, :], x[..., 1, :], x[..., 2, :]
@@ -334,10 +338,12 @@ def _magnus_product(form: ConnectionForm, paths: list, n: int) -> np.ndarray:
     d = np.sqrt(o0 * o0 + o1 * o2)
     cosh, sinc = np.cosh(d), np.sinc(d / (1j * math.pi))
     factors = np.stack([cosh + sinc * o0, sinc * o1, sinc * o2, cosh - sinc * o0], axis=-1)
-    factors = factors.reshape(o0.shape + (2, 2))
-    while factors.shape[-3] > 1:
-        factors = factors[..., 1::2, :, :] @ factors[..., 0::2, :, :]
-    return factors[..., 0, :, :]
+    products = []
+    for product in np.split(factors.reshape(o0.shape + (2, 2)), np.cumsum(levels)[:-1], axis=-3):
+        while product.shape[-3] > 1:
+            product = product[..., 1::2, :, :] @ product[..., 0::2, :, :]
+        products.append(product[..., 0, :, :])
+    return products
 
 
 def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> TransportResult | list | tuple:
@@ -353,34 +359,45 @@ def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> Transp
     paths is one TorusPath or a tuple of them.  A form over a stack (1-D
     form.a) gives a list of results per path, one per member; a 0-d form
     gives one TransportResult per path.  A tuple gives a tuple of those, in
-    its order.  Every (member, path) pair is transported in one array per
-    panel level and keeps the product of the level at which it first
-    passed its own test, so its entry equals the result for that path alone
-    and a form over that member alone.  A path whose members have all
-    passed leaves the array.  The budget (named after the first open path),
-    or a non-finite product of an open (member, path), raises
-    StepLimitExceeded for the whole call.
+    its order.  The first pass evaluates 16 and 32 panels in one
+    _magnus_product call (16 panels are only ever the coarse side of a
+    comparison), each later pass the next level alone, for every open
+    (member, path) pair; each level is tested as one (open paths, members)
+    array.  A pair keeps the product of the level at which it first passed
+    its own test, so its entry equals the result for that path alone and a
+    form over that member alone.  A path whose members have all passed
+    leaves the array.  A path within its delta of the lattice at any node
+    of a pass raises PathTooCloseToPole before the pass is tested; the
+    budget, or a non-finite product of an open (member, path), raises
+    StepLimitExceeded for the whole call, named after the first such path.
     """
     several = isinstance(paths, tuple)
     paths = paths if several else (paths,)
     out = [[None] * form.a.size for _ in paths]
-    n, coarse = _FIRST_PANELS, {}
+    n, pending, coarse = _FIRST_PANELS, [], None
     with np.errstate(all="ignore"):
         while open_ := [k for k, row in enumerate(out) if None in row]:
             if n > PANEL_BUDGET:
                 raise StepLimitExceeded(f"{paths[open_[0]].label}: budget of {PANEL_BUDGET} panels")
-            products = _magnus_product(form, [paths[k] for k in open_], n)
-            fine = dict(zip(open_, np.moveaxis(products.reshape(-1, len(open_), 2, 2), 1, 0)))
-            for k in open_:
-                for i in [i for i, res in enumerate(out[k]) if res is None]:
-                    p = fine[k][i]
-                    if not np.all(np.isfinite(p)):
-                        raise StepLimitExceeded(f"{paths[k].label}: non-finite panel product at {n} panels")
-                    if k in coarse:
-                        err = float(np.max(np.abs(p - coarse[k][i]))) / 63.0
-                        if err <= TRANSPORT_ATOL + TRANSPORT_RTOL * float(np.max(np.abs(p))):
-                            out[k][i] = TransportResult(p, abs(algebra.det(p) - 1.0), n, err)
-            n, coarse = 2 * n, fine
+            if not pending:
+                levels = (n,) if coarse is not None else (n, 2 * n)
+                pending = _magnus_product(form, [paths[k] for k in open_], levels)
+            fine = np.moveaxis(pending.pop(0).reshape(-1, len(open_), 2, 2), 1, 0)
+            todo = np.array([[res is None for res in out[k]] for k in open_])
+            failed = todo & ~np.all(np.isfinite(fine), axis=(2, 3))
+            if failed.any():
+                k = open_[int(np.argmax(failed.any(axis=1)))]
+                raise StepLimitExceeded(f"{paths[k].label}: non-finite panel product at {n} panels")
+            if coarse is not None:
+                err = np.max(np.abs(fine - coarse[open_]), axis=(2, 3)) / 63.0
+                tol = TRANSPORT_ATOL + TRANSPORT_RTOL * np.max(np.abs(fine), axis=(2, 3))
+                for j, i in zip(*np.nonzero(todo & (err <= tol))):
+                    p = fine[j, i]
+                    out[open_[j]][i] = TransportResult(p, abs(algebra.det(p) - 1.0), n, float(err[j, i]))
+            else:
+                coarse = np.empty_like(fine)  # every path is open at the first level
+            coarse[open_] = fine
+            n *= 2
     results = tuple(row if form.a.ndim else row[0] for row in out)
     return results if several else results[0]
 
@@ -421,8 +438,9 @@ def monodromy_batch(stack: list) -> list:
 
     BATCH_CHUNK members at a time go through one stacked ConnectionForm and
     one parallel_transport call over (gamma_x, gamma_y), so the Baker
-    sections are evaluated once per panel level for the chunk and both loops
-    until gamma_x or gamma_y closes, then for the open loop alone.
+    sections are evaluated once per pass for the chunk and both loops (the
+    first pass covers 16 and 32 panels, each later pass one level) until
+    gamma_x or gamma_y closes, then for the open loop alone.
     Every member's result, panel counts included, equals its batch of one.
     When a chunk's transport fails, its members are run again one at a time,
     so the error raised is the one the first failing member raises alone.

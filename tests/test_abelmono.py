@@ -340,10 +340,11 @@ def test_transport_det_drift_small():
 
 
 def test_transport_evaluates_each_panel_level_at_once(monkeypatch):
-    """One coefficient call per panel level (N = _FIRST_PANELS, twice that, ...) for both loops.
+    """One coefficient call for the first pass (16 and 32 panels), then one per level.
 
-    The loops' node sets are stacked on a leading axis; gamma_x closes at 32 panels
-    here and leaves the call, so the 64-panel level carries gamma_y's nodes alone.
+    The loops' node sets are stacked on a leading axis and the first pass's two levels
+    on the panel axis (16 + 32 = 48 panels); gamma_x closes at 32 panels here and
+    leaves the call, so the 64-panel level carries gamma_y's nodes alone.
     """
     calls = []
     coefficient = am.ConnectionForm.coefficient
@@ -357,7 +358,7 @@ def test_transport_evaluates_each_panel_level_at_once(monkeypatch):
     form = am.ConnectionForm(am._on_slice(a, tau, 0.1))
     rx, ry = am.parallel_transport(form, (am.gamma_x(tau), am.gamma_y(tau)))
     assert (rx.panels, ry.panels) == (32, 64)
-    assert calls == [(2, 3, 16), (2, 3, 32), (1, 3, 64)]  # (loops, nodes per panel, panels)
+    assert calls == [(2, 3, 48), (1, 3, 64)]  # (loops, nodes per panel, panels)
 
 
 @pytest.mark.parametrize("tau", [0.2, 1.0, 5.0])
@@ -388,9 +389,9 @@ def test_magnus_step_is_sixth_order():
     """
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
     paths = [am.gamma_x(TAU), am.gamma_y(TAU)]
-    exact = am._magnus_product(form, paths, 4096)
-    err16, err32 = (np.max(np.abs(am._magnus_product(form, paths, n) - exact), axis=(1, 2))
-                    for n in (16, 32))
+    (exact,) = am._magnus_product(form, paths, (4096,))
+    err16, err32 = (np.max(np.abs(product - exact), axis=(1, 2))
+                    for product in am._magnus_product(form, paths, (16, 32)))
     assert np.all((40.0 <= err16 / err32) & (err16 / err32 <= 90.0))
 
 
@@ -580,6 +581,46 @@ def test_stacked_transport_errors_name_the_failing_loop(monkeypatch):
         am.monodromies(params)
 
 
+def test_pole_check_covers_the_whole_first_pass():
+    """A path near the lattice at a 32-panel node only fails the pole check first.
+
+    The path meets the lattice at every 32-panel midpoint node and stays ~0.2 from it
+    at the 16-panel nodes, and its huge velocity makes the 16-panel product non-finite.
+    The first pass checks the nodes of both its levels before it tests either product,
+    so the call raises PathTooCloseToPole where a 16-panel pass alone would have
+    raised StepLimitExceeded.
+    """
+    form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
+    p0 = am.basepoint(TAU)
+    spiky = am.TorusPath(lambda s: p0 * np.cos(32.0 * math.pi * s) ** 2, lambda s: 1e300 + 0j,
+                         TAU, "spiky")
+    with np.errstate(all="ignore"):
+        (coarse,) = am._magnus_product(form, [spiky], (16,))
+    assert not np.all(np.isfinite(coarse))
+    with pytest.raises(am.PathTooCloseToPole, match="^spiky: "):
+        am.parallel_transport(form, spiky)
+
+
+def test_fused_levels_equal_levels_alone():
+    """Oracle: the first pass's (16, 32) call equals (16,) and (32,) called alone, byte for byte.
+
+    At the canonical point, the dodecahedral root, 20 seeded scatter points and an
+    8-member slice stack.  test_monodromy_keeps_transport_data cannot see a slip in the
+    fused pass, since both sides of its comparison run it.
+    """
+    a, tau = DODECA_ROOT
+    rng = np.random.default_rng(28)
+    stacks = [am.ConnectionParams(0.2, CHI, R, TAU), am._on_slice(a, tau, 0.1), _slice_stack(R, TAU, 8)]
+    stacks += [_scatter_point(rng, i * SCATTER_POINTS // 20) for i in range(20)]
+    for stack in stacks:
+        form = am.ConnectionForm(stack)
+        paths = [am.gamma_x(form.lat.tau), am.gamma_y(form.lat.tau)]
+        fused = am._magnus_product(form, paths, (16, 32))
+        alone = [am._magnus_product(form, paths, (n,))[0] for n in (16, 32)]
+        assert [p.shape for p in fused] == [form.a.shape + (2, 2, 2)] * 2
+        assert [p.tobytes() for p in fused] == [p.tobytes() for p in alone]
+
+
 # ---------------------------------------------------------------------------
 # batches along a
 
@@ -603,10 +644,11 @@ def test_batch_members_equal_batches_of_one():
 
 @pytest.mark.parametrize("members", [1, 3, 8, 20])
 def test_batch_evaluates_each_panel_level_once_per_chunk(monkeypatch, members):
-    """One coefficient call per panel level for a whole chunk of members and both loops.
+    """One coefficient call per pass for a whole chunk of members and both loops.
 
-    A chunk makes log2(max panels over both loops / _FIRST_PANELS) + 1 calls, and a
-    loop whose members have all passed is no longer in the call.
+    A chunk's first call carries both loops at 16 + 32 = 48 panel columns; each later
+    level is one call that carries the loops still open, so a chunk makes
+    log2(max panels over both loops / 32) + 1 calls.
     """
     calls = []
     coefficient = am.ConnectionForm.coefficient
@@ -621,9 +663,11 @@ def test_batch_evaluates_each_panel_level_once_per_chunk(monkeypatch, members):
     for start in range(0, members, am.BATCH_CHUNK):
         chunk = batch[start : start + am.BATCH_CHUNK]
         closing = [max(res.panels[loop] for res in chunk) for loop in (0, 1)]
-        for k in range(int(math.log2(max(closing) / am._FIRST_PANELS)) + 1):
-            n = am._FIRST_PANELS * 2**k
+        expected.append((len(chunk), 2, 48))
+        n = 64
+        while n <= max(closing):
             expected.append((len(chunk), sum(c >= n for c in closing), n))
+            n *= 2
     assert calls == expected
 
 

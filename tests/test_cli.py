@@ -512,6 +512,19 @@ def test_locus_sweep_receives_step_budget(monkeypatch, capsys):
     assert err == f"E:check:gamma_x: budget of {abelmono._FIRST_PANELS} panels\n"
 
 
+def test_monodromy_budget_of_one_level(monkeypatch, capsys):
+    """The first pass evaluates 16 and 32 panels, but a 16-panel budget still stops at 16."""
+    monkeypatch.setattr(abelmono, "PANEL_BUDGET", abelmono._FIRST_PANELS)
+    code, out, err = run(capsys, "monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.1", "--tau", "1")
+    assert (code, out, err) == (1, "", "E:check:gamma_x: budget of 16 panels\n")
+
+
+def test_non_finite_product_fails_at_the_first_level(capsys):
+    """Near a half-lattice chi the 16-panel product overflows; the fused first pass names 16."""
+    code, out, err = run(capsys, "monodromy", "--a", "0.2", "--chi", "1e-7", "--r", "0.1", "--tau", "1")
+    assert (code, out, err) == (1, "", "E:check:gamma_x: non-finite panel product at 16 panels\n")
+
+
 def _stdout_writes(node):
     """The calls under node that write stdout: print, sys.stdout.write and write_json."""
     for call in ast.walk(node):
