@@ -621,8 +621,8 @@ def real_locus_sweep(
             for lo, hi in zip(rows, rows[1:])
             if not (lo.is_real or hi.is_real) and complex(lo.z).imag * complex(hi.z).imag < 0
         ]
-        rows = sorted(rows + [row for row in crossings if row], key=lambda row: row.t)
-    return SweepResult(rows, r)
+        rows += [row for row in crossings if row]
+    return SweepResult(sorted(rows, key=lambda row: row.t), r)
 
 
 def _require_finite(*values):
@@ -788,7 +788,6 @@ class JacobianResult:
     jacobian: np.ndarray
     singular_values: tuple
     rank: int
-    step: float
 
 
 def jacobian_rank(a: float, tau: float, r: float, h: float = 1e-4) -> JacobianResult:
@@ -823,4 +822,4 @@ def jacobian_rank(a: float, tau: float, r: float, h: float = 1e-4) -> JacobianRe
     jac = np.column_stack([col_a, col_tau])
     svals = np.linalg.svd(jac, compute_uv=False)
     rank = int(np.sum(svals > RANK_FLOOR))
-    return JacobianResult(jac, (float(svals[0]), float(svals[1])), rank, h)
+    return JacobianResult(jac, (float(svals[0]), float(svals[1])), rank)

@@ -1,7 +1,7 @@
 """Complex 2x2 matrix algebra for SL(2,C) computations, in plain Python.
 
 Matrices are ``Mat2`` values with determinant 1 (up to ``TOL_ALG``).  They
-take ``@``, ``+``, ``-`` and multiplication or division by a scalar as numpy
+take ``@``, ``-`` and multiplication or division by a scalar as numpy
 arrays do, and ``m[i, j]`` reads an entry, so ``det``, ``trace`` and
 ``to_json_entries`` also accept a 2x2 numpy array.  Group words are
 sequences of ``(generator_index, exponent)`` pairs with exponent +1 or -1,
@@ -42,9 +42,6 @@ class Mat2:
     def __matmul__(self, o):
         return Mat2(self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
                     self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
-
-    def __add__(self, o):
-        return Mat2(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
 
     def __sub__(self, o):
         return Mat2(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)

@@ -271,8 +271,3 @@ def genus_for_order(k: int) -> int:
     if k < 1:
         raise CharVarError("order must be a positive integer")
     return k - 1 if k % 2 == 1 else k // 2 - 1
-
-
-def genus_of_weight(w: Weight) -> int:
-    """Genus of the covering attached to a weight, from its local order k."""
-    return genus_for_order(w.k)

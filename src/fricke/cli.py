@@ -419,7 +419,7 @@ def cmd_jacobian(args):
         "jacobian": [[float(v) for v in row] for row in res.jacobian],
         "singular_values": list(res.singular_values),
         "rank": res.rank,
-        "step": res.step,
+        "step": args.h,
         "residuals": {"smallest_singular_value": res.singular_values[1]},
     }, res.rank == 2
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .charvar import Weight, genus_of_weight
+from .charvar import Weight, genus_for_order
 
 
 class CoveringError(ValueError):
@@ -55,43 +55,30 @@ class SignChoice:
 DEFAULT_SIGNS = SignChoice(1, -1, -1)
 _CHARACTER = (1, 1, -1)  # images of gamma_1, gamma_2, gamma_3 in Z_n
 MAX_K = 12  # the largest denominator admissible_weights lists
-# The most sheets covering_triviality_check takes.  Its cost grows as sheets^2,
-# since kernel_generators builds 2n+1 words of up to 2n-2 letters: 0.03 s at
-# 200 sheets, 0.25 s at 601 (2-vCPU x86 host), four fifths of it building words.
+# The most sheets covering_triviality_check takes.  The check is linear in the
+# sheets, so the cap bounds the 2n+1-entry signs report, and it makes a decimal
+# weight with a huge denominator (0.30000001 is 30000001/100000000) an
+# immediate input error.
 MAX_SHEETS = 200
 
 
 def kernel_generators(n: int):
-    """Reidemeister-Schreier generators for the kernel of F_3 -> Z_n.
+    """Reidemeister-Schreier generators for the kernel of F_3 -> Z_n, as indices.
 
     The free group on gamma_1, gamma_2, gamma_3 maps onto Z_n by
     gamma_1, gamma_2 -> +1 and gamma_3 -> -1; the Schreier transversal is
-    {gamma_1^i : 0 <= i < n}.  Returns 2n+1 words as lists of
-    (generator_index, exponent) with indices 0,1,2 for gamma_1..gamma_3.
+    {t_i = gamma_1^i : 0 <= i < n}.  Returns 2n+1 triples (i, g, j), one per
+    generator t_i gamma_g t_j^-1 with j = (i + image(gamma_g)) mod n and g in
+    0, 1, 2 for gamma_1..gamma_3, ordered by i, then g.  The words
+    t_i gamma_1 t_{i+1}^-1 are empty and left out, so the one gamma_1 triple
+    (n-1, 0, 0) is gamma_1^n; every other word is already free-reduced.
     """
     if n < 2:
         raise BadSheetCount("need at least 2 sheets")
     if n > MAX_SHEETS:
         raise BadSheetCount(f"{n} sheets exceed the cap of {MAX_SHEETS}")
-    words = []
-    for i in range(n):
-        for gen in range(3):
-            # schreier generator: t_i * gen * t_{rep(i + image)}^{-1}
-            j = (i + _CHARACTER[gen]) % n
-            word = _free_reduce([(0, 1)] * i + [(gen, 1)] + [(0, -1)] * j)
-            if word:
-                words.append(word)
-    return words
-
-
-def _free_reduce(word):
-    out = []
-    for letter in word:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-            out.pop()
-        else:
-            out.append(letter)
-    return out
+    return [(i, g, (i + _CHARACTER[g]) % n)
+            for i in range(n) for g in range(3) if g or i == n - 1]
 
 
 def word_character_value(word, n):
@@ -111,20 +98,20 @@ class TrivialityReport:
 def covering_triviality_check(w: Weight, signs: SignChoice = DEFAULT_SIGNS):
     """Evaluate the abelian system on the covering subgroup generators, exactly.
 
-    A Reidemeister-Schreier generator with signed exponent sum
-    m = sum(s_idx * e) evaluates to diag(zeta^m, zeta^-m), zeta =
-    exp(-2 pi i l/k).  It is central exactly when 2 l m = 0 (mod k), with
+    The Reidemeister-Schreier generator t_i gamma_g t_j^-1 has signed
+    exponent sum m = s_1 (i - j) + s_g and evaluates to
+    diag(zeta^m, zeta^-m), zeta = exp(-2 pi i l/k).  It is central exactly when 2 l m = 0 (mod k), with
     sign (-1)^(2 l m / k) and residual 0.0; otherwise its sign is 0 and its
     residual is its max-entry distance from +-Id, 2 min(|sin(pi l m / k)|,
     |cos(pi l m / k)|).  The kernel is free on these generators, so the
     resulting sign assignment is already a Z2 character of the subgroup.
     """
-    n = genus_of_weight(w) + 1
+    n = genus_for_order(w.k) + 1
     sigma = signs.sigma
     sign_list = []
     worst = 0.0
-    for word in kernel_generators(n):
-        lm = w.l * sum(sigma[idx] * exp for idx, exp in word)
+    for i, g, j in kernel_generators(n):
+        lm = w.l * (sigma[0] * (i - j) + sigma[g])
         half_turns, rest = divmod(2 * lm, w.k)
         if rest == 0:
             sign_list.append(-1 if half_turns % 2 else 1)

@@ -843,6 +843,15 @@ def test_sweep_crossing_budget_adds_no_row(monkeypatch):
     assert len(res.rows) == 4 and not any(row.refined for row in res.rows)
 
 
+@pytest.mark.parametrize("refine", [True, False], ids=["refine", "no_refine"])
+def test_sweep_rows_ascend_on_a_reversed_range(refine):
+    """A range given high to low still gives its rows in ascending t, with or without refinement."""
+    res = am.real_locus_sweep(R, TAU, math.pi / (4.0 * TAU), (1.6, 0.05), 6, refine=refine)
+    ts = [row.t for row in res.rows]
+    assert ts == sorted(ts) and ts[0] == 0.05 and ts[-1] == 1.6
+    assert sum(not row.refined for row in res.rows) == 6
+
+
 def test_sweep_requires_admissible_chi0():
     with pytest.raises(am.SlicePreconditionError):
         am.real_locus_sweep(R, TAU, 0.123 + 0.456j, (0.1, 0.2), 3)

@@ -265,11 +265,6 @@ def test_genus_for_order(k, genus):
     assert charvar.genus_for_order(k) == genus
 
 
-def test_genus_of_weight_matches_order_rule():
-    for w in (charvar.Weight(3, 10), charvar.Weight(2, 5), charvar.Weight(5, 12)):
-        assert charvar.genus_of_weight(w) == charvar.genus_for_order(w.k)
-
-
 def test_factorization_of_sphere_polynomial():
     """The sphere quartic at (2-x^2, 2-y^2, 2-Z^2) vanishes on both z-root sets."""
     rng = np.random.default_rng(23)

@@ -1,7 +1,10 @@
 import ast
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -602,3 +605,16 @@ def test_exact_verbs_run_without_numpy(argv):
 
 def test_monodromy_still_loads_numpy():
     assert _cold_run(MONODROMY) == [0, ["fricke.abelmono", "numpy"]]
+
+
+def test_every_error_class_has_an_exit_code():
+    """Each exception class a fricke module defines is caught by dispatch as E:input or E:check."""
+    package = Path(cli.__file__).parent
+    handled = (*cli.INPUT_ERRORS, abeldomain.AbelMonoError)
+    classes = []
+    for info in pkgutil.iter_modules([str(package)]):
+        module = importlib.import_module(f"fricke.{info.name}")
+        classes += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                    if cls.__module__ == module.__name__ and issubclass(cls, BaseException)]
+    assert classes
+    assert [cls.__qualname__ for cls in classes if not issubclass(cls, handled)] == []

@@ -4,11 +4,41 @@ import math
 import pytest
 
 from fricke import algebra, covering
-from fricke.charvar import Weight
+from fricke.charvar import Weight, genus_for_order
 
 SIGN_CHOICES = [(1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
 # 3/10 is admissible, so its three sign choices are already among these.
 ORACLE_WEIGHTS = [*covering.admissible_weights(), Weight(99, 199), Weight(101, 400)]
+CHARACTER = (1, 1, -1)  # gamma_1, gamma_2 -> +1, gamma_3 -> -1 in Z_n
+
+
+def expand(triple):
+    """The letter word t_i gamma_g t_j^-1 of a kernel_generators triple (i, g, j)."""
+    i, g, j = triple
+    return [(0, 1)] * i + [(g, 1)] + [(0, -1)] * j
+
+
+def free_reduce(word):
+    """Cancel adjacent inverse letters until none are left."""
+    out = []
+    for letter in word:
+        if out and out[-1] == (letter[0], -letter[1]):
+            out.pop()
+        else:
+            out.append(letter)
+    return out
+
+
+def schreier_words(n):
+    """The free-reduced words gamma_1^i gamma_g gamma_1^-j, j = i + image(gamma_g) mod n, empty ones dropped."""
+    words = []
+    for i in range(n):
+        for g in range(3):
+            j = (i + CHARACTER[g]) % n
+            word = free_reduce([(0, 1)] * i + [(g, 1)] + [(0, -1)] * j)
+            if word:
+                words.append(word)
+    return words
 
 
 def local_monodromies(rt, sigma):
@@ -28,10 +58,10 @@ def float_triviality(rt, sigma, n):
     """
     alphabet = local_monodromies(rt, sigma)[:3]
     signs, worst = [], 0.0
-    for word in covering.kernel_generators(n):
-        val = algebra.evaluate_word(word, alphabet)
+    for triple in covering.kernel_generators(n):
+        val = algebra.evaluate_word(expand(triple), alphabet)
         d_plus = algebra.norm_inf(val - algebra.IDENTITY)
-        d_minus = algebra.norm_inf(val + algebra.IDENTITY)
+        d_minus = algebra.norm_inf(-val - algebra.IDENTITY)
         d = min(d_plus, d_minus)
         worst = max(worst, d)
         signs.append(0 if d > algebra.TOL_ALG else 1 if d_plus <= d_minus else -1)
@@ -89,7 +119,7 @@ def test_integer_rule_matches_float_words(w, signs):
     choice = covering.SignChoice(*signs)
     rep = covering.covering_triviality_check(w, choice)
     ref_signs, ref_worst = float_triviality(w.rt, choice.sigma, rep.sheets)
-    assert rep.sheets == covering.genus_of_weight(w) + 1
+    assert rep.sheets == genus_for_order(w.k) + 1
     assert rep.signs == ref_signs
     assert rep.passed == (0 not in ref_signs)
     assert rep.all_positive == all(s == 1 for s in ref_signs)
@@ -108,8 +138,14 @@ def test_kernel_generator_counts():
         covering.kernel_generators(1)
 
 
+def test_kernel_generators_expand_to_schreier_words():
+    """Each triple expands to the free-reduced Schreier word, in order, for every sheet count."""
+    for n in range(2, covering.MAX_SHEETS + 1):
+        assert [expand(t) for t in covering.kernel_generators(n)] == schreier_words(n), n
+
+
 def test_sheet_cap():
-    """A weight past MAX_SHEETS is rejected before any word is built (601 sheets took 3.7 s)."""
+    """A weight past MAX_SHEETS is rejected before any generator is listed."""
     assert covering.covering_triviality_check(Weight(101, 400)).sheets == covering.MAX_SHEETS
     with pytest.raises(covering.BadSheetCount):
         covering.covering_triviality_check(Weight(151, 601))
@@ -117,13 +153,13 @@ def test_sheet_cap():
 
 def test_kernel_generators_in_kernel():
     for n in (2, 3, 5, 6):
-        for word in covering.kernel_generators(n):
-            assert covering.word_character_value(word, n) == 0
+        for triple in covering.kernel_generators(n):
+            assert covering.word_character_value(expand(triple), n) == 0
 
 
 def test_kernel_contains_gamma1_squared():
     gens = covering.kernel_generators(2)
-    assert [(0, 1), (0, 1)] in gens
+    assert [(0, 1), (0, 1)] in [expand(t) for t in gens]
 
 
 def test_triviality_all_admissible_weights():
@@ -146,7 +182,7 @@ def test_triviality_check_fails_for_mismatched_signs():
     rep = covering.covering_triviality_check(Weight(3, 10), covering.SignChoice(-1, 1, -1))
     assert not rep.passed and not rep.all_positive
     assert rep.signs.count(0) == 10 and rep.signs.count(-1) == 1
-    assert covering.kernel_generators(5)[rep.signs.index(-1)] == [(0, 1)] * 5
+    assert expand(covering.kernel_generators(5)[rep.signs.index(-1)]) == [(0, 1)] * 5
     assert abs(rep.worst_residual - 2.0 * math.sin(math.pi / 10.0)) <= 1e-12
 
 
