@@ -64,7 +64,9 @@ class RectangularLattice:
     Legendre relation eta_1 omega_2 - eta_2 omega_1 = 2 pi i, which is
     checked at construction against an independent series for eta_2.
     theta1(w, shifts) is the series at pi (w - s) for several shifts in one
-    pass of the separable kernel; sigma is its one-shift case.
+    pass of the separable kernel; sigma is its one-shift case.  The series
+    holds for |Im(w - s)| <= reach = tau (N + 1/2 - sqrt(36/(pi tau))) with
+    N terms: there the first omitted term is below exp(-36) times the largest.
     """
 
     def __init__(self, tau: float):
@@ -72,6 +74,7 @@ class RectangularLattice:
         self.tau = float(tau)
         self._odd, self._coef, self._theta1_d0, self.eta1 = _theta_series(self.tau)
         self.eta2 = self.eta1 * (1j * tau) - TWO_PI_I
+        self.reach = self.tau * (self._odd.size + 0.5 - math.sqrt(36.0 / (math.pi * self.tau)))
         self.legendre_residual = abs(
             self.eta1 * (1j * tau) - _theta_series(1.0 / tau)[3] / (1j * tau) - TWO_PI_I
         )
@@ -200,6 +203,10 @@ class ConnectionForm:
         if lat.lattice_distance(self.p) < 1e-8:
             raise NonGenericChi(
                 f"chi = {params.chi} is (numerically) a half-lattice point of the Jacobian"
+            )
+        if abs(self.p.imag) + 1.25 * params.tau > lat.reach:  # 5 tau/4: the top of gamma_y
+            raise ParameterOutOfRange(
+                f"chi = {params.chi}: |Im chi| is past the theta series' reach at tau = {params.tau}"
             )
         with np.errstate(all="ignore"):  # an overflowing sigma(p) fails in the transport
             self.scale = -params.r / lat.sigma(self.p)
@@ -475,9 +482,7 @@ def _monodromy_result(params, tx: TransportResult, ty: TransportResult) -> Monod
             f"chi = {params.chi}: monodromy condition number {kappa:.1e} is beyond double precision"
         )
     K = _inverse(Y) @ _inverse(X) @ Y @ X
-    x = algebra.trace(X)
-    y = algebra.trace(Y)
-    z = algebra.trace(Y @ X)
+    x, y, z = charvar.traces_of_pair(X, Y).astuple()
     char_res = abs(charvar.fricke_torus_residual(x, y, z, params.r))
     comm_res = abs(algebra.trace(K) - 2.0 * math.cos(2.0 * math.pi * params.r))
     return MonodromyResult(
@@ -562,7 +567,6 @@ def real_locus_sweep(
     chi0: complex,
     a_range,
     n: int,
-    refine: bool = True,
 ) -> SweepResult:
     """Sweep a along the admissible line through chi0, flagging real points.
 
@@ -615,13 +619,12 @@ def real_locus_sweep(
     grid = np.linspace(a_range[0], a_range[1], n)
     results = monodromy_batch([params(t) for t in grid])
     rows = [sweep_row(t, res) for t, res in zip(grid, results)]
-    if refine:
-        crossings = [
-            crossing_row(lo, hi)
-            for lo, hi in zip(rows, rows[1:])
-            if not (lo.is_real or hi.is_real) and complex(lo.z).imag * complex(hi.z).imag < 0
-        ]
-        rows += [row for row in crossings if row]
+    crossings = [
+        crossing_row(lo, hi)
+        for lo, hi in zip(rows, rows[1:])
+        if not (lo.is_real or hi.is_real) and complex(lo.z).imag * complex(hi.z).imag < 0
+    ]
+    rows += [row for row in crossings if row]
     return SweepResult(sorted(rows, key=lambda row: row.t), r)
 
 

@@ -46,8 +46,8 @@ def _fraction(value) -> Fraction:
 class Weight:
     """Parabolic weight rt = l/k at the punctures, with derived quantities.
 
-    rt must lie in (1/4,1/2); pass normalize=True to fold rt in (0,1/4)
-    to 1/2-rt, which is the identity on trace coordinates.
+    rt must lie in (1/4,1/2); for rt in (0,1/4) the caller passes 1/2-rt,
+    which is the identity on trace coordinates.
     """
 
     l: int
@@ -60,17 +60,12 @@ class Weight:
             raise CharVarError(f"weight {self.l}/{self.k} is not in lowest terms")
         rt = self.l / self.k
         if not 0.25 < rt < 0.5:
-            raise CharVarError(
-                f"weight rt = {self.l}/{self.k} outside (1/4,1/2); "
-                "use Weight.parse(..., normalize=True) to fold"
-            )
+            raise CharVarError(f"weight rt = {self.l}/{self.k} outside (1/4,1/2)")
 
     @classmethod
-    def parse(cls, text, normalize=False):
-        """Parse the string 'l/k' or a decimal exactly; optionally fold."""
+    def parse(cls, text):
+        """Parse the string 'l/k' or a decimal exactly."""
         frac = _fraction(text)
-        if normalize and 0 < frac < Fraction(1, 4):
-            frac = Fraction(1, 2) - frac
         return cls(frac.numerator, frac.denominator)
 
     @classmethod

@@ -129,13 +129,9 @@ def cmd_charvar(args):
     surface = args.surface or "torus"
     # torus-side actions read --weight as r in (0,1/2); sphere-side as rt in (1/4,1/2)
     if args.action != "lift" and surface == "torus":
-        if args.normalize_weight:
-            raise CliInputError(
-                f"torus-side charvar {args.action} does not read --normalize-weight"
-            )
         w = charvar.Weight.from_torus(args.weight)
     else:
-        w = charvar.Weight.parse(args.weight, normalize=args.normalize_weight)
+        w = charvar.Weight.parse(args.weight)
     x, y, z = _parse_coords(args.coords)
     if args.action == "residual":
         if surface == "torus":
@@ -190,7 +186,7 @@ def cmd_lorentz(args):
 
 
 def cmd_covering(args):
-    w = charvar.Weight.parse(args.weight, normalize=args.normalize_weight)
+    w = charvar.Weight.parse(args.weight)
     signs = covering.SignChoice.parse(args.signs)
     report = covering.covering_triviality_check(w, signs)
     return {
@@ -351,14 +347,7 @@ def cmd_locus(args):
     from . import abelmono
 
     chi0 = _chi0_value(args.chi0, args.tau)
-    result = abelmono.real_locus_sweep(
-        args.r,
-        args.tau,
-        chi0,
-        (args.a_min, args.a_max),
-        args.n,
-        refine=not args.no_refine,
-    )
+    result = abelmono.real_locus_sweep(args.r, args.tau, chi0, (args.a_min, args.a_max), args.n)
     csv_text = locus_rows_to_csv(result)
     if args.csv:
         _write_file(args.csv, csv_text)
@@ -468,12 +457,13 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error as CliInputError, i.e. one ``E:input`` line.
 
     Flags must be spelled out: a prefix of a flag is an unknown flag.  An
-    unknown flag before the first positional is named as such; argparse
-    would take its value for that positional and name the value instead.
-    A token that starts with '-' and then a digit, '.' or ',' is a value (no
-    flag starts that way), so ``--coords -1,1,1``, ``--chi -0.3+0.2i`` and
-    ``--state -,+`` need no '=' (argparse takes only a plain -1 or -.5 for a
-    value).
+    unknown flag is named as such wherever it stands among a verb's tokens
+    (the top-level parser stops at the verb, whose own parser reads the
+    rest); argparse would take its value for a positional and name the
+    value, or call it an unrecognized argument.  A token that starts with
+    '-' and then a digit, '.' or ',' is a value (no flag starts that way),
+    so ``--coords -1,1,1``, ``--chi -0.3+0.2i`` and ``--state -,+`` need no
+    '=' (argparse takes only a plain -1 or -.5 for a value).
     """
 
     def __init__(self, *args, **kwargs):
@@ -482,8 +472,12 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args, namespace):
         i = 0
-        while (i < len(args) and args[i].startswith("-") and args[i] != "--"
-               and not self._negative_number_matcher.match(args[i])):
+        while i < len(args) and args[i] != "--":
+            if not args[i].startswith("-") or self._negative_number_matcher.match(args[i]):
+                if self._subparsers is not None:  # the verb
+                    break
+                i += 1
+                continue
             flag, eq, _ = args[i].partition("=")
             action = self._option_string_actions.get(flag)
             if action is None:
@@ -513,8 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", choices=("torus", "sphere"), help="residual only; default torus")
     p.add_argument("--coords", required=True, help="x,y,z (complex entries RE+IMi)")
     p.add_argument("--weight", required=True, help="parabolic weight l/k")
-    p.add_argument("--normalize-weight", action="store_true",
-                   help="fold weights in (0,1/4) to 1/2 - rt instead of rejecting")
     p.set_defaults(func=cmd_charvar)
 
     p = sub.add_parser("lorentz", help="hyperboloid-model data")
@@ -525,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("check",))
     p.add_argument("--weight", required=True)
     p.add_argument("--signs", default="1,-1,-1", help="s2,s3,s4 with 1+s2+s3+s4=0")
-    p.add_argument("--normalize-weight", action="store_true")
     p.set_defaults(func=cmd_covering)
 
     p = sub.add_parser("monodromy", help="monodromy of one connection")
@@ -543,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-min", dest="a_min", type=finite_float, default=0.05)
     p.add_argument("--a-max", dest="a_max", type=finite_float, default=1.6)
     p.add_argument("--n", type=int, default=60)
-    p.add_argument("--no-refine", action="store_true")
     p.add_argument("--csv", help="write the table to this path")
     p.add_argument("--svg", help="write the locus figure to this path")
     p.set_defaults(func=cmd_locus)

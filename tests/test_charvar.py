@@ -44,7 +44,8 @@ def test_weight_validation():
         charvar.Weight(2, 10)  # not coprime
     with pytest.raises(charvar.CharVarError):
         charvar.Weight(1, 10)  # outside (1/4, 1/2)
-    assert charvar.Weight.parse("1/10", normalize=True) == charvar.Weight(2, 5)
+    with pytest.raises(charvar.CharVarError):
+        charvar.Weight.parse("1/10")  # the caller passes 1/2 - 1/10 = 2/5 itself
     assert charvar.Weight.from_torus("1/10") == charvar.Weight(3, 10)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import inspect
@@ -156,7 +157,7 @@ def test_non_generic_chi_prints_one_form(capsys):
     """jacobian and locus build the same slice chi, and name it the same way."""
     _, _, jacobian = run(capsys, "jacobian", "--a", "500", "--tau", "1", "--r", "0.1")
     _, _, locus = run(capsys, "locus", "--r", "0.1", "--a-min", "400", "--a-max", "700",
-                      "--n", "8", "--no-refine")
+                      "--n", "8")
     assert jacobian == locus
     assert jacobian.startswith("E:input:chi = (0.7853981633974483+0j): ")
 
@@ -250,15 +251,15 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         (["match", "--y-target", "2.6", "--r", "0.1", "--on-locus", "--tau-min", "nan"], "input"),
         (["match", "--y-target", "nan", "--r", "0.1"], "input"),
         (["match", "--y-target", "1.8", "--r", "0.1", "--bracket", "nan,0.5"], "input"),
-        (["locus", "--r", "0.1", "--n", "3", "--a-min", "nan", "--no-refine"], "input"),
+        (["locus", "--r", "0.1", "--n", "3", "--a-min", "nan"], "input"),
         (["locus", "--r", "0.1", "--n", "0"], "input"),
         (["locus", "--r", "0.1", "--n=-3"], "input"),
         (["spin", "--state", "+,-", "--tau", "nan"], "input"),
         (["charvar", "residual", "--coords", "nan,1,1", "--weight", "1/10"], "input"),
         (["charvar", "classify", "--coords", "nan,1,1", "--weight", "1/10"], "input"),
         # an output file that cannot be written: its directory is a file
-        (["locus", "--r", "0.1", "--n", "2", "--no-refine", f"--csv={os.devnull}/x.csv"], "input"),
-        (["locus", "--r", "0.1", "--n", "2", "--no-refine", f"--svg={os.devnull}/x.svg"], "input"),
+        (["locus", "--r", "0.1", "--n", "2", f"--csv={os.devnull}/x.csv"], "input"),
+        (["locus", "--r", "0.1", "--n", "2", f"--svg={os.devnull}/x.svg"], "input"),
         # below the step floor 1e-8 max(1, |a|, tau): tau + h rounds to tau
         (["jacobian", "--a", "0.3", "--tau", "1", "--r", "0.1", "--h", "1e-16"], "input"),
         # sigma(p) overflows far from the lattice: the panel product is not finite
@@ -267,8 +268,7 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         (["covering", "check", "--weight", "0.30000001"], "input"),
         (["locus", "--r", "0.1", "--n", "10001"], "input"),  # past abelmono.MAX_SWEEP_POINTS
         # member 1 is ill-conditioned; member 7's product overflows, but member 1 fails first
-        (["locus", "--r", "0.1", "--a-min", "5", "--a-max", "800", "--n", "8", "--no-refine"],
-         "input"),
+        (["locus", "--r", "0.1", "--a-min", "5", "--a-max", "800", "--n", "8"], "input"),
         # entries past ~1.3e154: the condition number overflows to inf
         (["monodromy", "--a", "500", "--chi", "0.3", "--r", "0.1", "--tau", "1"], "input"),
         (["jacobian", "--a", "500", "--tau", "1", "--r", "0.1"], "input"),
@@ -281,6 +281,10 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         (["monodromy", "--a", "0.2", "--chi", "-x", "--r", "0.1", "--tau", "1"], "input"),
         # tau = TAU_MAX is in the domain, but the stencil tau + h is not
         (["jacobian", "--a", "0.3", "--tau", "12", "--r", "0.1"], "input"),
+        # |Im chi| past the theta series' reach at tau = 0.1: the monodromies would be wrong
+        (["locus", "--r", "0.1", "--tau", "0.1", "--chi0", "0.5+20.420352248333657i", "--n", "4"],
+         "input"),
+        (["monodromy", "--a", "0.2", "--chi", "0.3+20i", "--r", "0.1", "--tau", "0.1"], "input"),
     ],
 )
 def test_parameter_errors_are_typed(capsys, argv, kind):
@@ -324,11 +328,11 @@ FIXED_TAU = ["match", "--y-target", "1.8", "--r", "0.1", "--bracket", "0.05,0.7"
         (["charvar", "classify", "--surface", "torus", *DODECA_TORUS], "--surface"),
         (["charvar", "lift", "--surface", "sphere", "--coords", "1,1,1", "--weight", "3/10"],
          "--surface"),
-        (["charvar", "abelianize", "--normalize-weight", *TORUS_POINT], "--normalize-weight"),
-        (["charvar", "classify", "--normalize-weight", *DODECA_TORUS], "--normalize-weight"),
-        (["charvar", "residual", "--normalize-weight", *TORUS_POINT], "--normalize-weight"),
-        (["charvar", "residual", "--surface", "torus", "--normalize-weight", *TORUS_POINT],
-         "--normalize-weight"),
+        (["charvar", "abelianize", "--surface", "sphere", *TORUS_POINT], "--surface"),
+        (["charvar", "classify", "--surface", "sphere", *DODECA_TORUS], "--surface"),
+        (["charvar", "lift", "--surface", "torus", "--coords", "1,1,1", "--weight", "3/10"],
+         "--surface"),
+        ([*ON_LOCUS, "--chi0", "pi/(4tau)"], "--chi0"),  # its default value, but given
         ([*ON_LOCUS, "--tau", "1"], "--tau"),
         ([*ON_LOCUS, "--chi0", "ipi/4"], "--chi0"),
         ([*ON_LOCUS, "--bracket", "0.05,0.7"], "--bracket"),
@@ -406,9 +410,31 @@ def test_removed_options_rejected(capsys, removed):
         (["charvar", "--bogus", "3", "residual", *TORUS_POINT], "--bogus"),
         (["--steps=100", "lorentz", "angles"], "--steps"),
         (["-x", "3", "lorentz", "angles"], "-x"),
+        (["verify", "dodeca", "--frob"], "--frob"),
+        (["covering", "check", "--weight", "3/10", "--sign", "1,-1,-1"], "--sign"),
+        (["charvar", "residual", *TORUS_POINT, "--bogus=1"], "--bogus"),
+        (["lorentz", "angles", "-x"], "-x"),
     ],
 )
 def test_unknown_flag_is_named(capsys, argv, flag):
+    """Before or after a verb's positional action, an unknown flag is named as such."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"E:input:unknown flag {flag}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["charvar", "abelianize", "--normalize-weight", *TORUS_POINT], "--normalize-weight"),
+        (["charvar", "classify", "--normalize-weight", *DODECA_TORUS], "--normalize-weight"),
+        (["charvar", "residual", "--normalize-weight", *TORUS_POINT], "--normalize-weight"),
+        (["charvar", "residual", "--surface", "torus", "--normalize-weight", *TORUS_POINT],
+         "--normalize-weight"),
+        (["locus", "--r", "0.1", "--n", "2", "--no-refine"], "--no-refine"),
+    ],
+)
+def test_removed_verb_flags_are_unknown(capsys, argv, flag):
+    """Flags that only tests set are gone: the sweep always refines, and a weight never folds."""
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"E:input:unknown flag {flag}\n")
 
@@ -483,7 +509,7 @@ def test_non_finite_tolerance_flag_rejected(capsys, flag):
     [
         ["--format", "csv", *MONODROMY],
         ["--format", "text", "locus", "--r", "0.1", "--n", "3"],
-        ["--format", "json", "locus", "--r", "0.1", "--n", "2", "--no-refine"],
+        ["--format", "json", "locus", "--r", "0.1", "--n", "2"],
     ],
 )
 def test_format_the_verb_cannot_write_rejected(capsys, argv):
@@ -497,7 +523,7 @@ def test_format_the_verb_cannot_write_rejected(capsys, argv):
     [
         ["verify", "dodeca", "--js"],
         ["--form", "json", "lorentz", "angles"],
-        ["locus", "--r", "0.1", "--n", "2", "--no-ref"],
+        ["locus", "--r", "0.1", "--n", "2", "--a-mi", "0.1"],
     ],
 )
 def test_flag_prefixes_rejected(capsys, argv):
@@ -618,3 +644,20 @@ def test_every_error_class_has_an_exit_code():
                     if cls.__module__ == module.__name__ and issubclass(cls, BaseException)]
     assert classes
     assert [cls.__qualname__ for cls in classes if not issubclass(cls, handled)] == []
+
+
+def test_every_flag_is_in_the_readme():
+    """Each option string that build_parser registers, globally or on a verb, is in README.md."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    top = cli.build_parser()
+    verbs = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        flag
+        for parser in (top, *verbs.choices.values())
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+    assert flags
+    missing = [f for f in sorted(flags) if not re.search(rf"(?<![\w-]){re.escape(f)}(?![\w-])", readme)]
+    assert missing == []

@@ -13,7 +13,7 @@ the tests that passes it.
 import ast
 from pathlib import Path
 
-OPTION_BUDGET = 9
+OPTION_BUDGET = 7
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fricke"
 

@@ -21,7 +21,6 @@ SRC = ROOT / "src" / "fricke"
 
 KEEP = {
     "charvar.reconstruct_rep": "the planned verify bridge rebuilds (X, Y) from monodromy traces",
-    "charvar.traces_of_pair": "the planned verify bridge reads the traces of the rebuilt pair",
     "charvar.solve_z": "acceptance criteria 3 and 5 compare z with both roots",
     "covering.admissible_weights": "acceptance criterion 6 checks every admissible weight",
     "spingraft.verify_spin_dictionary": "acceptance criterion 10 checks the spin dictionary",
