@@ -11,9 +11,8 @@ commutator trace then has to be 2 cos(2 pi r) and the trace triple has to
 satisfy the character equation, which is what every consumer of this
 module checks.
 
-Elliptic ingredients (Weierstrass sigma and the quasi-periods) are built
-from theta series in the real nome q = exp(-pi tau); the rectangular case
-keeps everything real-coefficient and well-conditioned for tau in [0.2, 5].
+The Baker sections are built from theta1 alone, as a series in the real
+nome q = exp(-pi tau), real-coefficient for tau in [TAU_MIN, TAU_MAX].
 The series is separable: with z = exp(i pi w), sin(odd_n pi (w - s)) mixes
 z^odd_n and z^-odd_n, so theta1 at w, w - p and w + p costs one exp per
 point, a running product of powers and two small matrix products.
@@ -48,8 +47,6 @@ BATCH_CHUNK = 8  # a values transported in one array by monodromy_batch
 MAX_SWEEP_POINTS = 10_000
 GRAZE_SCAN, GRAZE_POINTS = (0.02, 1.8), 30  # match_on_locus's graze-point scan over a
 
-TWO_PI_I = 2j * math.pi
-
 
 # ---------------------------------------------------------------------------
 # Elliptic machinery
@@ -58,25 +55,21 @@ TWO_PI_I = 2j * math.pi
 class RectangularLattice:
     """Theta-series data for the lattice Z + i tau Z, TAU_MIN <= tau <= TAU_MAX.
 
-    Provides the odd entire function sigma with sigma(w)/w -> 1 at 0 and
-    sigma(w + omega_i) = -exp(eta_i (w + omega_i/2)) sigma(w) for the full
-    periods omega_1 = 1, omega_2 = i tau.  The quasi-periods satisfy the
-    Legendre relation eta_1 omega_2 - eta_2 omega_1 = 2 pi i, which is
-    checked at construction against an independent series for eta_2.
     theta1(w, shifts) is the series at pi (w - s) for several shifts in one
-    pass of the separable kernel; sigma is its one-shift case.  The series
-    holds for |Im(w - s)| <= reach = tau (N + 1/2 - sqrt(36/(pi tau))) with
-    N terms: there the first omitted term is below exp(-36) times the largest.
+    pass of the separable kernel.  The quasi-period eta1 is checked at
+    construction through Legendre's relation eta1 i tau - eta2 = 2 pi i,
+    with eta2 from the independent series at 1/tau.  The series holds for
+    |Im(w - s)| <= reach = tau (N + 1/2 - sqrt(36/(pi tau))) with N terms:
+    there the first omitted term is below exp(-36) times the largest.
     """
 
     def __init__(self, tau: float):
         check_tau(tau)
         self.tau = float(tau)
         self._odd, self._coef, self._theta1_d0, self.eta1 = _theta_series(self.tau)
-        self.eta2 = self.eta1 * (1j * tau) - TWO_PI_I
         self.reach = self.tau * (self._odd.size + 0.5 - math.sqrt(36.0 / (math.pi * self.tau)))
         self.legendre_residual = abs(
-            self.eta1 * (1j * tau) - _theta_series(1.0 / tau)[3] / (1j * tau) - TWO_PI_I
+            self.eta1 * (1j * tau) - _theta_series(1.0 / tau)[3] / (1j * tau) - 2j * math.pi
         )
         if not self.legendre_residual <= 1e-10:
             raise AbelMonoError(
@@ -102,12 +95,6 @@ class RectangularLattice:
         arg = 1j * math.pi * np.multiply.outer(self._odd, shifts)
         half = (self._coef / 2j)[:, None]
         return powers @ (half * np.exp(-arg)) - (1.0 / powers) @ (half * np.exp(arg))
-
-    def sigma(self, w):
-        w = np.asarray(w, dtype=complex)
-        return np.exp(0.5 * self.eta1 * w * w) * self.theta1(w, [0.0])[..., 0] / (
-            math.pi * self._theta1_d0
-        )
 
     def lattice_distance(self, w):
         w = np.asarray(w, dtype=complex)
@@ -167,18 +154,13 @@ class ConnectionForm:
     A_w = [[a, psi_-],[psi_+, -a]] has a simple pole at lattice points;
     A_wbar = diag(chi, -chi) is constant.  The off-diagonal entries are one
     doubly periodic Baker-type section taken at chi and at -chi:
-    psi_+(w) = scale exp(phi) sigma(w - p)/sigma(w) and
-    psi_-(w) = -scale exp(-phi) sigma(w + p)/sigma(w), with
-    phi = beta w - lam wbar, lam = -2 chi, p = -tau lam/pi and
-    scale = -r/sigma(p); lam, p, beta and scale all change sign with chi.
-    The multiplier equations exp(beta omega_i - eta_i p) = exp(lam conj(omega_i))
-    are solved exactly (k = 0 branch, beta = lam + eta1 p), which makes
-    psi_+ and psi_- literally periodic; both residues at the origin are r,
-    so the quadratic residue of the product is r^2.  With
-    sigma(w -+ p)/sigma(w) = exp(eta1 (p^2/2 -+ p w)) theta1(pi (w -+ p))/theta1(pi w)
-    the Gaussian factors cancel against phi:
-    psi_+-(w) = +-scale exp(eta1 p^2/2) exp(+-lam (w - wbar)) theta1(pi (w -+ p))/theta1(pi w),
-    which coefficient evaluates with one theta1 call and one further exp per node.
+    psi_+-(w) = +-scale exp(+-lam (w - wbar)) theta1(pi (w -+ p))/theta1(pi w),
+    with lam = -2 chi, p = -tau lam/pi and scale = -r pi theta1'(0)/theta1(pi p);
+    lam, p and scale all change sign with chi.  Both sections are doubly
+    periodic (the theta1 ratio gains exp(+-2 pi i p) over i tau, which
+    exp(+-lam (w - wbar)) undoes) and both residues at the origin are r, so the
+    quadratic residue of the product is r^2.  coefficient evaluates them
+    with one theta1 call and one further exp per node.
 
     params may also be a list of ConnectionParams that share (chi, r, tau):
     a stack along a.  The ndarray a is 0-d for one ConnectionParams and 1-D
@@ -208,8 +190,8 @@ class ConnectionForm:
             raise ParameterOutOfRange(
                 f"chi = {params.chi}: |Im chi| is past the theta series' reach at tau = {params.tau}"
             )
-        with np.errstate(all="ignore"):  # an overflowing sigma(p) fails in the transport
-            self.scale = -params.r / lat.sigma(self.p)
+        with np.errstate(all="ignore"):  # a non-finite theta1(pi p) fails in the transport
+            self.scale = -params.r * math.pi * lat._theta1_d0 / lat.theta1(self.p, [0.0])[0]
 
     def coefficient(self, w, wdot):
         """-(A_w wdot + A_wbar conj(wdot)), the traceless right-hand side of the ODE.
@@ -222,7 +204,7 @@ class ConnectionForm:
         theta_w, theta_minus, theta_plus = np.moveaxis(
             self.lat.theta1(w, [0.0, self.p, -self.p]), -1, 0
         )
-        scale = self.scale * np.exp(0.5 * self.lat.eta1 * self.p * self.p) / theta_w * wdot
+        scale = self.scale / theta_w * wdot
         phase = np.exp(2j * self.lam * w.imag)
         a = self.a.reshape(self.a.shape + (1,) * w.ndim)
         c00 = -(a * wdot + self.chi * wdot.conj())

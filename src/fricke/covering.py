@@ -81,11 +81,6 @@ def kernel_generators(n: int):
             for i in range(n) for g in range(3) if g or i == n - 1]
 
 
-def word_character_value(word, n):
-    """Image of a word in Z_n under gamma_1, gamma_2 -> 1, gamma_3 -> -1."""
-    return sum(_CHARACTER[idx] * exp for idx, exp in word) % n
-
-
 @dataclass
 class TrivialityReport:
     sheets: int

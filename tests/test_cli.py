@@ -262,8 +262,9 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         (["locus", "--r", "0.1", "--n", "2", f"--svg={os.devnull}/x.svg"], "input"),
         # below the step floor 1e-8 max(1, |a|, tau): tau + h rounds to tau
         (["jacobian", "--a", "0.3", "--tau", "1", "--r", "0.1", "--h", "1e-16"], "input"),
-        # sigma(p) overflows far from the lattice: the panel product is not finite
-        (["monodromy", "--a", "0.2", "--chi", "40", "--r", "0.1", "--tau", "1"], "check"),
+        # far from the lattice theta1(pi p) is finite, but the monodromy is too
+        # ill-conditioned to check (condition number 8.2e34)
+        (["monodromy", "--a", "0.2", "--chi", "40", "--r", "0.1", "--tau", "1"], "input"),
         # read exactly, 30000001/100000000 needs 5e7 sheets, past covering.MAX_SHEETS
         (["covering", "check", "--weight", "0.30000001"], "input"),
         (["locus", "--r", "0.1", "--n", "10001"], "input"),  # past abelmono.MAX_SWEEP_POINTS
@@ -285,6 +286,8 @@ def test_match_rejects_malformed_bracket(capsys, bracket):
         (["locus", "--r", "0.1", "--tau", "0.1", "--chi0", "0.5+20.420352248333657i", "--n", "4"],
          "input"),
         (["monodromy", "--a", "0.2", "--chi", "0.3+20i", "--r", "0.1", "--tau", "0.1"], "input"),
+        # condition number 3.1e17: ill-conditioned, as at chi = 40
+        (["monodromy", "--a", "0.2", "--chi", "20", "--r", "0.3", "--tau", "3"], "input"),
     ],
 )
 def test_parameter_errors_are_typed(capsys, argv, kind):
@@ -552,6 +555,19 @@ def test_non_finite_product_fails_at_the_first_level(capsys):
     """Near a half-lattice chi the 16-panel product overflows; the fused first pass names 16."""
     code, out, err = run(capsys, "monodromy", "--a", "0.2", "--chi", "1e-7", "--r", "0.1", "--tau", "1")
     assert (code, out, err) == (1, "", "E:check:gamma_x: non-finite panel product at 16 panels\n")
+
+
+@pytest.mark.parametrize("chi", ["3+0.3i", "3-0.3i", "-3+0.3i", "-3-0.3i"])
+def test_large_chi_at_tau_max_is_a_result(capsys, chi):
+    """At tau = 12, exp(eta1 p^2/2) overflows a double; the theta1-only sections never build it.
+
+    Measured residuals are 1.0e-11 to 1.2e-10.
+    """
+    code, out, err = run(capsys, "monodromy", "--a", "0.2", f"--chi={chi}", "--r", "0.1",
+                         "--tau", "12")
+    assert (code, err) == (0, "")
+    residuals = json.loads(out)["residuals"]
+    assert residuals["character_equation"] <= 1e-9 and residuals["commutator_trace"] <= 1e-9
 
 
 def _stdout_writes(node):
