@@ -148,6 +148,52 @@ class ConnectionParams:
             raise ParameterOutOfRange("r must lie in (0, 1/2)")
 
 
+class _BakerSections:
+    """The a-independent part of ConnectionForm at one (chi, r, tau).
+
+    Holds lam, p and scale (see ConnectionForm) once the input checks pass:
+    chi at a half-lattice point, or with theta1(pi p) not finite or 0 in
+    double precision, raises NonGenericChi; an |Im chi| that takes gamma_y
+    past the theta series' reach raises ParameterOutOfRange.  off_diagonal
+    evaluates the sections at any nodes.  nodes memoizes, per (paths,
+    levels) of _magnus_product, the read-only velocities and (C01, C10) at
+    that call's Gauss nodes, for the 8 newest pairs; only calls that pass
+    the pole check are stored.
+    Built through _baker_sections, so every ConnectionForm at the same
+    (chi, r, tau) shares one.
+    """
+
+    def __init__(self, chi: complex, r: float, tau: float):
+        self.lat = lat = lattice(tau)
+        self.lam = -2.0 * chi
+        self.p = -tau * self.lam / math.pi
+        if lat.lattice_distance(self.p) < 1e-8:
+            raise NonGenericChi(f"chi = {chi} is (numerically) a half-lattice point of the Jacobian")
+        if abs(self.p.imag) + 1.25 * tau > lat.reach:  # 5 tau/4: the top of gamma_y
+            raise ParameterOutOfRange(
+                f"chi = {chi}: |Im chi| is past the theta series' reach at tau = {tau}"
+            )
+        with np.errstate(all="ignore"):  # high up the reach at large tau it overflows: refused below
+            theta_p = lat.theta1(self.p, [0.0])[0]
+        if not (cmath.isfinite(theta_p) and theta_p != 0.0):
+            raise NonGenericChi(f"chi = {chi}: theta1(pi p) = {theta_p} is beyond double precision")
+        self.scale = -r * math.pi * lat._theta1_d0 / theta_p
+        self.nodes = {}
+
+    def off_diagonal(self, w, wdot):
+        """(C01, C10) = (-psi_- wdot, -psi_+ wdot) at w, with one theta1 call."""
+        theta = self.lat.theta1(w, [0.0, self.p, -self.p])
+        theta_w, theta_minus, theta_plus = theta[..., 0], theta[..., 1], theta[..., 2]
+        scale = self.scale / theta_w * wdot
+        phase = np.exp(2j * self.lam * w.imag)
+        return scale / phase * theta_plus, -scale * phase * theta_minus
+
+
+@functools.lru_cache(maxsize=8)
+def _baker_sections(chi: complex, r: float, tau: float) -> _BakerSections:
+    return _BakerSections(chi, r, tau)
+
+
 class ConnectionForm:
     """The matrix-valued 1-form A_w dw + A_wbar dwbar of the family.
 
@@ -169,6 +215,9 @@ class ConnectionForm:
     (3,) + a.shape + w.shape, with psi_+- evaluated once for all members.
     Members never leave the stack: parallel_transport carries every member
     along a loop to the panel level of the last one to pass on that loop.
+
+    Nothing but C00 depends on a: the rest is sections, shared by every form
+    at the same (chi, r, tau) while it is among the 8 most recently used.
     """
 
     def __init__(self, params: ConnectionParams | list):
@@ -179,19 +228,7 @@ class ConnectionForm:
             raise ParameterOutOfRange("a stack of connections must share chi, r and tau")
         self.a = np.array([p.a for p in stack] if stacked else params.a, dtype=complex)
         self.chi = complex(params.chi)
-        self.lat = lat = lattice(params.tau)
-        self.lam = -2.0 * self.chi
-        self.p = -params.tau * self.lam / math.pi
-        if lat.lattice_distance(self.p) < 1e-8:
-            raise NonGenericChi(
-                f"chi = {params.chi} is (numerically) a half-lattice point of the Jacobian"
-            )
-        if abs(self.p.imag) + 1.25 * params.tau > lat.reach:  # 5 tau/4: the top of gamma_y
-            raise ParameterOutOfRange(
-                f"chi = {params.chi}: |Im chi| is past the theta series' reach at tau = {params.tau}"
-            )
-        with np.errstate(all="ignore"):  # a non-finite theta1(pi p) fails in the transport
-            self.scale = -params.r * math.pi * lat._theta1_d0 / lat.theta1(self.p, [0.0])[0]
+        self.sections = _baker_sections(self.chi, float(params.r), float(params.tau))
 
     def coefficient(self, w, wdot):
         """-(A_w wdot + A_wbar conj(wdot)), the traceless right-hand side of the ODE.
@@ -201,16 +238,15 @@ class ConnectionForm:
         """
         w = np.asarray(w, dtype=complex)
         wdot = np.asarray(wdot, dtype=complex)
-        theta_w, theta_minus, theta_plus = np.moveaxis(
-            self.lat.theta1(w, [0.0, self.p, -self.p]), -1, 0
-        )
-        scale = self.scale / theta_w * wdot
-        phase = np.exp(2j * self.lam * w.imag)
-        a = self.a.reshape(self.a.shape + (1,) * w.ndim)
+        return self._coordinates(wdot, w.ndim, *self.sections.off_diagonal(w, wdot))
+
+    def _coordinates(self, wdot, ndim, c01, c10):
+        """(C00, C01, C10) on axis 0, with C00 built per member: a's axes, then ndim node axes."""
+        a = self.a.reshape(self.a.shape + (1,) * ndim)
         c00 = -(a * wdot + self.chi * wdot.conj())
-        c01 = scale / phase * theta_plus
-        c10 = -scale * phase * theta_minus
-        return np.stack(np.broadcast_arrays(c00, c01, c10))
+        x = np.empty((3,) + np.broadcast_shapes(c00.shape, c01.shape), dtype=complex)
+        x[0], x[1], x[2] = c00, c01, c10
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +275,14 @@ def basepoint(tau: float) -> complex:
     return (1.0 + 1j * tau) / 4.0
 
 
+# One object per tau, so a pass over gamma_x(tau) finds the nodes memo of an earlier one
+@functools.lru_cache(maxsize=8)
 def gamma_x(tau: float) -> TorusPath:
     p0 = basepoint(tau)
     return TorusPath(lambda s: p0 + s, lambda s: 1.0 + 0.0j, tau, "gamma_x")
 
 
+@functools.lru_cache(maxsize=8)
 def gamma_y(tau: float) -> TorusPath:
     p0 = basepoint(tau)
     return TorusPath(lambda s: p0 + 1j * tau * s, lambda s: 1j * tau, tau, "gamma_y")
@@ -292,30 +331,45 @@ def _magnus_product(form: ConnectionForm, paths: list, levels: tuple) -> list:
     alpha2 = (sqrt(15) h/3)(A3 - A1), alpha3 = (10 h/3)(A3 - 2 A2 + A1),
     C1 = [alpha1, alpha2], C2 = -[alpha1, 2 alpha3 + C1]/60 and
     Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240.
-    Every term is traceless, so the A_k come from form.coefficient as sl(2)
-    coordinates (A00, A01, A10), the brackets act on them, and
+    Every term is traceless, so the A_k are sl(2) coordinates (A00, A01, A10),
+    the brackets act on them, and
     exp Omega = cosh d I + (sinh d / d) Omega with d^2 = Omega00^2 + Omega01 Omega10
     (sinh d / d is sinc(d / (i pi)), which is 1 at d = 0).  The paths' nodes
     are stacked on a leading loop axis and the levels' panels are
-    concatenated on the panel axis, each with its own h, so one coefficient
-    call and one Magnus pass cover every (member, loop, level).  Each
-    level's panel factors are then multiplied pairwise, later panels on the
-    left.  Returns one product array per level, in the order of levels, of
-    shape form.a.shape + (len(paths), 2, 2): one product per member and loop.
+    concatenated on the panel axis, each with its own h, so one Magnus pass
+    covers every (member, loop, level).  The a-independent (A01, A10) and
+    the velocities come from form.sections.nodes under (paths, levels); on
+    a miss, the nodes pass the pole check (PathTooCloseToPole, nothing
+    stored) and one form.coefficient call fills the entry.  Only
+    A00 = -(a wdot + chi conj(wdot)) is built per member.  Each level's
+    panel factors are then multiplied pairwise, later panels on the left.
+    Returns one product array per level, in the order of levels, of shape
+    form.a.shape + (len(paths), 2, 2): one product per member and loop.
     """
-    s = np.concatenate([(np.arange(n) + _GAUSS_NODES[:, None]) * (1.0 / n) for n in levels],
-                       axis=-1)  # each node set contiguous
     h = np.concatenate([np.full(n, 1.0 / n) for n in levels])
-    w = np.stack([path.point(s) for path in paths])
-    dist = form.lat.lattice_distance(w)
-    near = np.min(dist, axis=(1, 2)) < [path.delta for path in paths]
-    if near.any():
-        k = int(np.argmax(near))
-        raise PathTooCloseToPole(
-            f"{paths[k].label}: point {w[k].flat[np.argmin(dist[k])]} within {paths[k].delta} of the lattice"
-        )
-    wdot = np.stack([np.broadcast_to(path.velocity(s), s.shape) for path in paths])
-    x = form.coefficient(w, wdot)
+    key = (tuple(paths), levels)
+    nodes = form.sections.nodes.get(key)
+    if nodes is None:
+        s = np.concatenate([(np.arange(n) + _GAUSS_NODES[:, None]) * (1.0 / n) for n in levels],
+                           axis=-1)  # each node set contiguous
+        w = np.stack([path.point(s) for path in paths])
+        dist = form.sections.lat.lattice_distance(w)
+        near = np.min(dist, axis=(1, 2)) < [path.delta for path in paths]
+        if near.any():
+            k = int(np.argmax(near))
+            raise PathTooCloseToPole(
+                f"{paths[k].label}: point {w[k].flat[np.argmin(dist[k])]} within {paths[k].delta} of the lattice"
+            )
+        wdot = np.stack([np.broadcast_to(path.velocity(s), s.shape) for path in paths])
+        # (C01, C10) of the first member: every member has the same
+        off = form.coefficient(w, wdot)[1:].reshape((2, -1) + w.shape)[:, 0].copy()
+        for array in (wdot, off):
+            array.flags.writeable = False
+        if len(form.sections.nodes) == 8:  # caller-made paths each add an entry: keep the 8 newest
+            del form.sections.nodes[next(iter(form.sections.nodes))]
+        nodes = form.sections.nodes[key] = wdot, off
+    wdot, off = nodes
+    x = form._coordinates(wdot, wdot.ndim, *off)
     a1, a2, a3 = x[..., 0, :], x[..., 1, :], x[..., 2, :]
     alpha1 = h * a2
     alpha2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
@@ -426,11 +480,14 @@ def monodromy_batch(stack: list) -> list:
     """monodromies for every ConnectionParams of stack; all share (chi, r, tau).
 
     BATCH_CHUNK members at a time go through one stacked ConnectionForm and
-    one parallel_transport call over (gamma_x, gamma_y), so the Baker
-    sections are evaluated once per pass for the chunk and both loops (the
-    first pass covers 16 and 32 panels, each later pass one level) until
-    gamma_x or gamma_y closes, then for the open loop alone.
-    Every member's result, panel counts included, equals its batch of one.
+    one parallel_transport call over (gamma_x, gamma_y): one pass for the
+    chunk and both loops per level (the first covers 16 and 32 panels) until
+    gamma_x or gamma_y closes, then for the open loop alone.  Every chunk
+    shares the sections of (chi, r, tau), so the Baker sections are
+    evaluated once per (open loops, level) for the whole stack, and not
+    again for a later call at the same (chi, r, tau) while the sections stay
+    cached.  Every member's result, panel counts included, equals its batch
+    of one.
     When a chunk's transport fails, its members are run again one at a time,
     so the error raised is the one the first failing member raises alone.
     """

@@ -272,7 +272,7 @@ def test_baker_dbar_equation():
             dbar = (
                 (psi(w0 + h) - psi(w0 - h)) + 1j * (psi(w0 + 1j * h) - psi(w0 - 1j * h))
             ) / (4.0 * h)
-            assert abs(dbar + sign * FORM.lam * psi(w0)) <= 1e-7
+            assert abs(dbar + sign * FORM.sections.lam * psi(w0)) <= 1e-7
 
 
 def test_coefficient_makes_one_theta1_call(monkeypatch):
@@ -308,19 +308,29 @@ def test_connection_form_simple_pole():
     assert abs(maxima[1] - R) <= 0.05  # residue magnitude dominates
 
 
+class _NoSections:
+    """Baker sections that vanish everywhere, with a nodes memo of their own."""
+
+    def __init__(self, tau):
+        self.lat = am.lattice(tau)
+        self.nodes = {}
+
+    def off_diagonal(self, w, wdot):
+        zero = np.zeros(np.broadcast_shapes(np.shape(w), np.shape(wdot)), dtype=complex)
+        return zero, zero
+
+
 class _DiagonalForm(am.ConnectionForm):
-    """The connection with its off-diagonal Baker sections dropped: a scalar test double."""
+    """The connection with its off-diagonal Baker sections dropped: a scalar test double.
+
+    It swaps the shared a-independent part for _NoSections, so no chi is refused
+    and its zero coordinates never reach the memo of the real sections.
+    """
 
     def __init__(self, params):
         self.a = np.array(params.a, dtype=complex)
-        self.lat = am.lattice(params.tau)
         self.chi = complex(params.chi)
-
-    def coefficient(self, w, wdot):
-        w, wdot = np.asarray(w, dtype=complex), np.asarray(wdot, dtype=complex)
-        out = np.zeros((3,) + self.a.shape + w.shape, dtype=complex)
-        out[0] = -(self.a.reshape(self.a.shape + (1,) * w.ndim) * wdot + self.chi * wdot.conj())
-        return out
+        self.sections = _NoSections(params.tau)
 
 
 def test_transport_zero_form_is_identity():
@@ -374,26 +384,43 @@ def test_transport_det_drift_small():
         assert res.det_drift <= 1e-12
 
 
-def test_transport_evaluates_each_panel_level_at_once(monkeypatch):
-    """One coefficient call for the first pass (16 and 32 panels), then one per level.
+def _cold():
+    """Drop every cached sections object and loop, as in a fresh interpreter."""
+    for cache in (am._baker_sections, am.gamma_x, am.gamma_y):
+        cache.cache_clear()
 
-    The loops' node sets are stacked on a leading axis and the first pass's two levels
-    on the panel axis (16 + 32 = 48 panels); gamma_x closes at 32 panels here and
-    leaves the call, so the 64-panel level carries gamma_y's nodes alone.
-    """
+
+def _spy_coefficient(monkeypatch):
+    """Record (members, loops, nodes per panel, panel columns) of every ConnectionForm.coefficient call."""
     calls = []
     coefficient = am.ConnectionForm.coefficient
 
     def spy(self, w, wdot):
-        calls.append(np.shape(w))
+        calls.append((self.a.size, *np.shape(w)))
         return coefficient(self, w, wdot)
 
     monkeypatch.setattr(am.ConnectionForm, "coefficient", spy)
+    return calls
+
+
+def test_transport_evaluates_each_panel_level_at_once(monkeypatch):
+    """One coefficient call per (chi, r, tau, open loops, level), across forms and calls.
+
+    The loops' node sets are stacked on a leading axis and the first pass's two levels
+    on the panel axis (16 + 32 = 48 panels); gamma_x closes at 32 panels here and
+    leaves the call, so the 64-panel level carries gamma_y's nodes alone.  A second
+    form and monodromies at the same point read those nodes from the memo.
+    """
+    _cold()
+    calls = _spy_coefficient(monkeypatch)
     a, tau = DODECA_ROOT
-    form = am.ConnectionForm(am._on_slice(a, tau, 0.1))
-    rx, ry = am.parallel_transport(form, (am.gamma_x(tau), am.gamma_y(tau)))
+    params = am._on_slice(a, tau, 0.1)
+    rx, ry = am.parallel_transport(am.ConnectionForm(params), (am.gamma_x(tau), am.gamma_y(tau)))
     assert (rx.panels, ry.panels) == (32, 64)
-    assert calls == [(2, 3, 48), (1, 3, 64)]  # (loops, nodes per panel, panels)
+    assert calls == [(1, 2, 3, 48), (1, 1, 3, 64)]
+    am.parallel_transport(am.ConnectionForm(params), (am.gamma_x(tau), am.gamma_y(tau)))
+    assert am.monodromies(params).panels == (32, 64)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("tau", [0.2, 1.0, 5.0])
@@ -649,7 +676,7 @@ def test_fused_levels_equal_levels_alone():
     stacks += [_scatter_point(rng, i * SCATTER_POINTS // 20) for i in range(20)]
     for stack in stacks:
         form = am.ConnectionForm(stack)
-        paths = [am.gamma_x(form.lat.tau), am.gamma_y(form.lat.tau)]
+        paths = [am.gamma_x(form.sections.lat.tau), am.gamma_y(form.sections.lat.tau)]
         fused = am._magnus_product(form, paths, (16, 32))
         alone = [am._magnus_product(form, paths, (n,))[0] for n in (16, 32)]
         assert [p.shape for p in fused] == [form.a.shape + (2, 2, 2)] * 2
@@ -711,30 +738,33 @@ def test_batch_members_equal_batches_of_one():
 
 @pytest.mark.parametrize("members", [1, 3, 8, 20])
 def test_batch_evaluates_each_panel_level_once_per_chunk(monkeypatch, members):
-    """One coefficient call per pass for a whole chunk of members and both loops.
+    """One coefficient call per (open loops, level) for a whole batch, then none for a single call.
 
-    A chunk's first call carries both loops at 16 + 32 = 48 panel columns; each later
-    level is one call that carries the loops still open, so a chunk makes
-    log2(max panels over both loops / 32) + 1 calls.
+    A chunk's first pass carries both loops at 16 + 32 = 48 panel columns and each
+    later level the loops still open in that chunk.  Only the first chunk to reach a
+    (open loops, level) pair evaluates it; the later chunks, and single calls at a
+    member of the batch, read it from the memo of the shared sections.
     """
-    calls = []
-    coefficient = am.ConnectionForm.coefficient
-
-    def spy(self, w, wdot):
-        calls.append((len(self.a), np.shape(w)[0], np.shape(w)[-1]))
-        return coefficient(self, w, wdot)
-
-    monkeypatch.setattr(am.ConnectionForm, "coefficient", spy)
-    batch = am.monodromy_batch(_slice_stack(R, TAU, members, (0.3, 0.5)))
-    expected = []
+    _cold()
+    calls = _spy_coefficient(monkeypatch)
+    stack = _slice_stack(0.3, 1.2, members)  # the third chunk closes gamma_y at 64 panels
+    batch = am.monodromy_batch(stack)
+    expected, seen = [], set()
     for start in range(0, members, am.BATCH_CHUNK):
         chunk = batch[start : start + am.BATCH_CHUNK]
         closing = [max(res.panels[loop] for res in chunk) for loop in (0, 1)]
-        expected.append((len(chunk), 2, 48))
-        n = 64
-        while n <= max(closing):
-            expected.append((len(chunk), sum(c >= n for c in closing), n))
+        n, loops = 32, (0, 1)
+        while loops:
+            if (loops, n) not in seen:
+                seen.add((loops, n))
+                expected.append((len(chunk), len(loops), 3, 48 if n == 32 else n))
             n *= 2
+            loops = tuple(loop for loop in loops if closing[loop] >= n)
+    assert calls == expected
+    if members == 20:  # one call per chunk and level would be 4
+        assert calls == [(8, 2, 3, 48), (4, 1, 3, 64)]
+    for params in stack:
+        am.monodromies(params)
     assert calls == expected
 
 
@@ -780,6 +810,143 @@ def test_mixed_chunk_raises_its_first_members_error():
         am.monodromies(stack[7])
     with pytest.raises(am.NonGenericChi, match=r"condition number 4\.7e\+103 "):
         am.monodromy_batch(stack)
+
+
+def _fingerprint(m):
+    return (m.X.tobytes(), m.Y.tobytes(), m.K.tobytes(), m.x, m.y, m.z, m.char_residual,
+            m.commutator_residual, m.det_drift, m.panels, m.error_estimate)
+
+
+def _transport_fingerprint(res):
+    return res.matrix.tobytes(), res.det_drift, res.panels, res.error_estimate
+
+
+def test_warm_cache_changes_no_bit():
+    """Oracle: results read through warm caches equal cold ones bit for bit, in any order.
+
+    A 60-point slice stack forwards and then reversed (other chunks, every node set
+    already in the memo), four single calls at its (chi, r, tau) warm and after the
+    caches are cleared, SCATTER_POINTS scatter-domain points with a neighbour at
+    another r and one at conj(chi), each twice in a row, against each alone from
+    cold, and gamma_x and a wiggled gamma_x, each from cold and then both warm.
+    """
+    _cold()
+    stack = _slice_stack(0.3, 1.2, 60)
+    forward = [_fingerprint(m) for m in am.monodromy_batch(stack)]
+    backward = [_fingerprint(m) for m in am.monodromy_batch(stack[::-1])][::-1]
+    assert backward == forward
+    singles = range(3, 60, 17)
+    assert [_fingerprint(am.monodromies(stack[i])) for i in singles] == [forward[i] for i in singles]
+    for i in singles:
+        _cold()
+        assert _fingerprint(am.monodromies(stack[i])) == forward[i]
+
+    rng = np.random.default_rng(32)
+    points = []
+    for i in range(SCATTER_POINTS):
+        params = _scatter_point(rng, i)
+        points += [params, dataclasses.replace(params, r=0.5 - params.r),
+                   dataclasses.replace(params, chi=params.chi.conjugate())]
+    cold = []
+    for params in points:
+        _cold()
+        cold.append(_fingerprint(am.monodromies(params)))
+    _cold()
+    assert [_fingerprint(am.monodromies(params)) for params in points for _ in "ab"] == [
+        fingerprint for fingerprint in cold for _ in "ab"]
+
+    params = am.ConnectionParams(0.2, CHI, R, TAU)
+    wiggled = am.gamma_x_wiggled(TAU, 0.05, 2)
+    cold = []
+    for path in (am.gamma_x, lambda tau: wiggled):
+        _cold()
+        cold.append(_transport_fingerprint(am.parallel_transport(am.ConnectionForm(params), path(TAU))))
+    warm = [_transport_fingerprint(am.parallel_transport(am.ConnectionForm(params), path))
+            for path in (am.gamma_x(TAU), wiggled)]
+    assert warm == cold
+
+
+def test_nodes_memo_is_read_only():
+    """Every array the memo hands out refuses writes, so no caller can change a later result."""
+    _cold()
+    form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
+    am.parallel_transport(form, (am.gamma_x(TAU), am.gamma_y(TAU)))
+    arrays = [array for entry in form.sections.nodes.values() for array in entry]
+    assert arrays
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+
+
+def test_nodes_memo_keeps_the_eight_newest_passes():
+    """Each caller-made path adds memo entries (one per panel level); the sections keep the 8 newest."""
+    _cold()
+    form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
+    paths = [am.gamma_x_wiggled(TAU, 0.05, cycles) for cycles in range(1, 21)]
+    for path in paths:
+        am.parallel_transport(form, path)
+    keys = list(form.sections.nodes)
+    assert len(keys) == 8 and keys[-1][0] == (paths[-1],)
+    assert not any((path,) in {key[0] for key in keys} for path in paths[:10])
+
+
+def test_failures_are_raised_on_every_call():
+    """A pole error and the construction checks are never cached: each call raises again."""
+    form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
+    bad = am.TorusPath(lambda s: 0.001 + 0.001j + s, lambda s: 1.0 + 0.0j, TAU, "bad")
+    for _ in range(3):
+        with pytest.raises(am.PathTooCloseToPole, match="^bad: "):
+            am.parallel_transport(form, bad)
+    assert not any(bad in paths for paths, _levels in form.sections.nodes)
+    for chi, error in ((math.pi / 2.0, am.NonGenericChi), (0.3 + 3j, am.NonGenericChi),
+                       (0.3 + 7j, am.ParameterOutOfRange)):
+        for _ in range(2):
+            with pytest.raises(error):
+                am.ConnectionForm(am.ConnectionParams(0.2, chi, R, 12.0 if chi.imag else TAU))
+
+
+def test_theta1_at_p_past_double_precision_is_non_generic():
+    """At tau = 12, Im chi in [2.7, 6.7]: a result or NonGenericChi, never StepLimitExceeded.
+
+    From Im chi ~ 2.72 theta1(pi p) is not finite in double precision, well inside
+    the reach (Im chi up to 6.71), and the sections are refused with it; below, the
+    monodromy's condition number refuses them.  Results keep residuals below 1e-9.
+    """
+    for re in (0.0, 0.3, 0.9, -1.5):
+        for im in np.linspace(2.7, 6.7, 21):
+            try:
+                m = am.monodromies(am.ConnectionParams(0.2, complex(re, im), R, 12.0))
+            except am.NonGenericChi:
+                continue
+            assert m.char_residual <= 1e-9 and m.commutator_residual <= 1e-9
+
+
+def test_retained_memory_is_bounded():
+    """200 monodromies at distinct (chi, r, tau) leave at most 8 sections objects behind.
+
+    Measured: 0.43e6 bytes still held afterwards (tracemalloc current), against a
+    bound of that plus a 0.37e6 margin; an unbounded sections cache holds 7.4e6.
+    """
+    rng = np.random.default_rng(200)
+    taus = (0.2, 0.5, 1.0, 2.0, 5.0)
+    points = []
+    while len(points) < 200:
+        tau = taus[len(points) % len(taus)]
+        chi = complex(*rng.uniform(-1.0, 1.0, 2))
+        if am.lattice(tau).lattice_distance(2.0 * tau * chi / math.pi) >= 0.1:
+            a = complex(*rng.uniform(-1.0, 1.0, 2))
+            points.append(am.ConnectionParams(a, chi, rng.uniform(0.05, 0.45), tau))
+    am.monodromies(points[0])
+    _cold()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for params in points:
+            am.monodromies(params)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 0.43e6 + 0.37e6
 
 
 def test_sweep_memory_peak():

@@ -570,6 +570,18 @@ def test_large_chi_at_tau_max_is_a_result(capsys, chi):
     assert residuals["character_equation"] <= 1e-9 and residuals["commutator_trace"] <= 1e-9
 
 
+def test_theta1_at_p_past_double_precision_is_an_input_error(capsys):
+    """At tau = 12 and Im chi = 3, theta1(pi p) is not finite: NonGenericChi, exit 2.
+
+    Im chi = 3 is inside the reach (up to 6.71); the transport used to fail with
+    E:check on a non-finite 16-panel product.
+    """
+    code, out, err = run(capsys, "monodromy", "--a", "0.2", "--chi", "0.3+3i", "--r", "0.1",
+                         "--tau", "12")
+    assert (code, out) == (2, "")
+    assert err == "E:input:chi = (0.3+3j): theta1(pi p) = (nan+nanj) is beyond double precision\n"
+
+
 def _stdout_writes(node):
     """The calls under node that write stdout: print, sys.stdout.write and write_json."""
     for call in ast.walk(node):
