@@ -124,11 +124,6 @@ def _theta_series(tau: float):
     return odd, coef, theta1_d0, -(math.pi**2 / 3.0) * theta1_d3 / theta1_d0
 
 
-@functools.lru_cache(maxsize=256)
-def lattice(tau: float) -> RectangularLattice:
-    return RectangularLattice(float(tau))
-
-
 # ---------------------------------------------------------------------------
 # Connection data
 
@@ -155,16 +150,15 @@ class _BakerSections:
     chi at a half-lattice point, or with theta1(pi p) not finite or 0 in
     double precision, raises NonGenericChi; an |Im chi| that takes gamma_y
     past the theta series' reach raises ParameterOutOfRange.  off_diagonal
-    evaluates the sections at any nodes.  nodes memoizes, per (paths,
-    levels) of _magnus_product, the read-only velocities and (C01, C10) at
-    that call's Gauss nodes, for the 8 newest pairs; only calls that pass
-    the pole check are stored.
+    evaluates the sections at any nodes.  nodes memoizes the read-only
+    velocities, C01 and C10 of each (paths, levels) pass of _magnus_product
+    over gamma_x(tau) and gamma_y(tau) alone that cleared the pole check.
     Built through _baker_sections, so every ConnectionForm at the same
     (chi, r, tau) shares one.
     """
 
     def __init__(self, chi: complex, r: float, tau: float):
-        self.lat = lat = lattice(tau)
+        self.lat = lat = RectangularLattice(tau)
         self.lam = -2.0 * chi
         self.p = -tau * self.lam / math.pi
         if lat.lattice_distance(self.p) < 1e-8:
@@ -238,11 +232,11 @@ class ConnectionForm:
         """
         w = np.asarray(w, dtype=complex)
         wdot = np.asarray(wdot, dtype=complex)
-        return self._coordinates(wdot, w.ndim, *self.sections.off_diagonal(w, wdot))
+        return self._coordinates(wdot, *self.sections.off_diagonal(w, wdot))
 
-    def _coordinates(self, wdot, ndim, c01, c10):
-        """(C00, C01, C10) on axis 0, with C00 built per member: a's axes, then ndim node axes."""
-        a = self.a.reshape(self.a.shape + (1,) * ndim)
+    def _coordinates(self, wdot, c01, c10):
+        """(C00, C01, C10) on axis 0, with C00 built per member: a's axes, then c01's node axes."""
+        a = self.a.reshape(self.a.shape + (1,) * c01.ndim)
         c00 = -(a * wdot + self.chi * wdot.conj())
         x = np.empty((3,) + np.broadcast_shapes(c00.shape, c01.shape), dtype=complex)
         x[0], x[1], x[2] = c00, c01, c10
@@ -337,19 +331,22 @@ def _magnus_product(form: ConnectionForm, paths: list, levels: tuple) -> list:
     (sinh d / d is sinc(d / (i pi)), which is 1 at d = 0).  The paths' nodes
     are stacked on a leading loop axis and the levels' panels are
     concatenated on the panel axis, each with its own h, so one Magnus pass
-    covers every (member, loop, level).  The a-independent (A01, A10) and
-    the velocities come from form.sections.nodes under (paths, levels); on
-    a miss, the nodes pass the pole check (PathTooCloseToPole, nothing
-    stored) and one form.coefficient call fills the entry.  Only
-    A00 = -(a wdot + chi conj(wdot)) is built per member.  Each level's
-    panel factors are then multiplied pairwise, later panels on the left.
+    covers every (member, loop, level).  A pass found in form.sections.nodes
+    under (paths, levels) builds only A00 = -(a wdot + chi conj(wdot)) per
+    member.  Any other is pole-checked (PathTooCloseToPole, nothing stored)
+    and takes every A_k from one form.coefficient call; over gamma_x(tau)
+    and gamma_y(tau) alone it then stores its velocities and the first
+    member's (A01, A10).  Each level's panel factors are then multiplied
+    pairwise, later panels on the left.
     Returns one product array per level, in the order of levels, of shape
     form.a.shape + (len(paths), 2, 2): one product per member and loop.
     """
     h = np.concatenate([np.full(n, 1.0 / n) for n in levels])
     key = (tuple(paths), levels)
     nodes = form.sections.nodes.get(key)
-    if nodes is None:
+    if nodes is not None:
+        x = form._coordinates(*nodes)
+    else:
         s = np.concatenate([(np.arange(n) + _GAUSS_NODES[:, None]) * (1.0 / n) for n in levels],
                            axis=-1)  # each node set contiguous
         w = np.stack([path.point(s) for path in paths])
@@ -361,15 +358,14 @@ def _magnus_product(form: ConnectionForm, paths: list, levels: tuple) -> list:
                 f"{paths[k].label}: point {w[k].flat[np.argmin(dist[k])]} within {paths[k].delta} of the lattice"
             )
         wdot = np.stack([np.broadcast_to(path.velocity(s), s.shape) for path in paths])
-        # (C01, C10) of the first member: every member has the same
-        off = form.coefficient(w, wdot)[1:].reshape((2, -1) + w.shape)[:, 0].copy()
-        for array in (wdot, off):
-            array.flags.writeable = False
-        if len(form.sections.nodes) == 8:  # caller-made paths each add an entry: keep the 8 newest
-            del form.sections.nodes[next(iter(form.sections.nodes))]
-        nodes = form.sections.nodes[key] = wdot, off
-    wdot, off = nodes
-    x = form._coordinates(wdot, wdot.ndim, *off)
+        x = form.coefficient(w, wdot)
+        tau = form.sections.lat.tau
+        if all(path is gamma_x(tau) or path is gamma_y(tau) for path in paths):  # others never recur
+            # (C01, C10) of the first member: every member has the same
+            off = x[1:].reshape((2, -1) + w.shape)[:, 0].copy()
+            for array in (wdot, off):
+                array.flags.writeable = False
+            form.sections.nodes[key] = wdot, *off
     a1, a2, a3 = x[..., 0, :], x[..., 1, :], x[..., 2, :]
     alpha1 = h * a2
     alpha2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
@@ -518,7 +514,8 @@ def _monodromy_result(params, tx: TransportResult, ty: TransportResult) -> Monod
     kappa = norm * norm  # inf, not OverflowError, past ~1.3e154
     if kappa * np.finfo(float).eps > TOL_MONO:
         raise NonGenericChi(
-            f"chi = {params.chi}: monodromy condition number {kappa:.1e} is beyond double precision"
+            f"chi = {params.chi}, a = {complex(params.a)}: monodromy condition number {kappa:.1e}"
+            " is beyond double precision"
         )
     K = _inverse(Y) @ _inverse(X) @ Y @ X
     x, y, z = charvar.traces_of_pair(X, Y).astuple()

@@ -31,12 +31,12 @@ def sigma(lat, w):
 
 
 def test_sigma_normalization():
-    lat = am.lattice(1.0)
+    lat = am.RectangularLattice(1.0)
     assert abs(sigma(lat, 1e-4) / 1e-4 - 1.0) < 1e-7
 
 
 def test_sigma_odd():
-    lat = am.lattice(1.3)
+    lat = am.RectangularLattice(1.3)
     rng = np.random.default_rng(0)
     for _ in range(10):
         w = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.5, 0.5))
@@ -49,7 +49,7 @@ def test_sigma_quasi_periodicity(tau):
 
     eta2 comes from Legendre's relation eta1 i tau - eta2 = 2 pi i.
     """
-    lat = am.lattice(tau)
+    lat = am.RectangularLattice(tau)
     eta2 = lat.eta1 * (1j * tau) - 2j * math.pi
     rng = np.random.default_rng(1)
     for _ in range(6):
@@ -62,13 +62,13 @@ def test_sigma_quasi_periodicity(tau):
 
 @pytest.mark.parametrize("tau", [0.2, 0.7, 1.0, 3.0, 5.0])
 def test_legendre_relation(tau):
-    lat = am.lattice(tau)
+    lat = am.RectangularLattice(tau)
     assert lat.legendre_residual <= 1e-10
 
 
 def test_eta1_square_lattice():
     # the square lattice quasi-period is exactly pi
-    assert abs(am.lattice(1.0).eta1 - math.pi) <= 1e-12
+    assert abs(am.RectangularLattice(1.0).eta1 - math.pi) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -157,7 +157,7 @@ def test_lattice_and_connection_match_mpmath(tau):
     def rel(got, expected):
         return float(abs(mp.mpc(complex(got)) - expected) / abs(expected))
 
-    lat = am.lattice(tau)
+    lat = am.RectangularLattice(tau)
     rng = np.random.default_rng(3)
     cell = [complex(x, tau * y) for x, y in rng.uniform(0.1, 0.9, (8, 2))]
     base = am.basepoint(tau)
@@ -193,7 +193,7 @@ def test_theta1_matches_mpmath_up_to_its_reach(tau):
     is why ConnectionForm refuses a chi that takes gamma_y past the reach.
     """
     mpmath = pytest.importorskip("mpmath")
-    lat = am.lattice(tau)
+    lat = am.RectangularLattice(tau)
     ws = [complex(x, sign * f * lat.reach)
           for x in (0.1, 0.3, 0.5) for f in np.linspace(0.25, 1.0, 7) for sign in (1, -1)]
     got = lat.theta1(np.array(ws), [0.0])[:, 0]
@@ -312,7 +312,7 @@ class _NoSections:
     """Baker sections that vanish everywhere, with a nodes memo of their own."""
 
     def __init__(self, tau):
-        self.lat = am.lattice(tau)
+        self.lat = am.RectangularLattice(tau)
         self.nodes = {}
 
     def off_diagonal(self, w, wdot):
@@ -615,7 +615,7 @@ def test_monodromy_keeps_transport_data():
     while len(points) < 42:
         a, chi = complex(*rng.uniform(-1.0, 1.0, 2)), complex(*rng.uniform(-1.0, 1.0, 2))
         params = am.ConnectionParams(a, chi, rng.uniform(0.05, 0.45), rng.uniform(0.2, 5.0))
-        if am.lattice(params.tau).lattice_distance(2.0 * params.tau * chi / math.pi) >= 0.1:
+        if am.RectangularLattice(params.tau).lattice_distance(2.0 * params.tau * chi / math.pi) >= 0.1:
             points.append(params)
     for params in points:
         m = am.monodromies(params)
@@ -878,16 +878,39 @@ def test_nodes_memo_is_read_only():
             array[...] = 0.0
 
 
-def test_nodes_memo_keeps_the_eight_newest_passes():
-    """Each caller-made path adds memo entries (one per panel level); the sections keep the 8 newest."""
+def test_nodes_memo_holds_only_gamma_x_and_gamma_y():
+    """A caller-made path leaves no memo entry; every stored pass is over gamma_x(tau), gamma_y(tau).
+
+    A wiggled gamma_x transports bit for bit as from cold through sections that hold
+    the canonical loops' passes, and adds no key.  Over the scatter-domain oracle
+    points, each with a straight and a wiggled gamma_x beside its monodromies, every
+    key of every memo names those two loop objects alone.
+    """
     _cold()
-    form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
-    paths = [am.gamma_x_wiggled(TAU, 0.05, cycles) for cycles in range(1, 21)]
-    for path in paths:
-        am.parallel_transport(form, path)
-    keys = list(form.sections.nodes)
-    assert len(keys) == 8 and keys[-1][0] == (paths[-1],)
-    assert not any((path,) in {key[0] for key in keys} for path in paths[:10])
+    params = am.ConnectionParams(0.2, CHI, R, TAU)
+    wiggled = am.gamma_x_wiggled(TAU, 0.05, 2)
+    cold = _transport_fingerprint(am.parallel_transport(am.ConnectionForm(params), wiggled))
+    form = am.ConnectionForm(params)
+    assert form.sections.nodes == {}
+    am.monodromies(params)
+    keys = set(form.sections.nodes)
+    assert keys
+    for _ in range(2):
+        assert _transport_fingerprint(am.parallel_transport(form, wiggled)) == cold
+        assert set(form.sections.nodes) == keys
+
+    rng = np.random.default_rng(2024)
+    for i in range(SCATTER_POINTS):
+        params = _scatter_point(rng, i)
+        tau = params.tau
+        form = am.ConnectionForm(params)
+        am.monodromies(params)
+        am.parallel_transport(form, am.gamma_x(tau))
+        am.parallel_transport(form, am.gamma_x_wiggled(tau, 0.05 * min(1.0, tau), 2))
+        loops = (am.gamma_x(tau), am.gamma_y(tau))
+        assert form.sections.nodes
+        for paths, _levels in form.sections.nodes:
+            assert all(any(path is loop for loop in loops) for path in paths), (i, paths)
 
 
 def test_failures_are_raised_on_every_call():
@@ -933,7 +956,7 @@ def test_retained_memory_is_bounded():
     while len(points) < 200:
         tau = taus[len(points) % len(taus)]
         chi = complex(*rng.uniform(-1.0, 1.0, 2))
-        if am.lattice(tau).lattice_distance(2.0 * tau * chi / math.pi) >= 0.1:
+        if am.RectangularLattice(tau).lattice_distance(2.0 * tau * chi / math.pi) >= 0.1:
             a = complex(*rng.uniform(-1.0, 1.0, 2))
             points.append(am.ConnectionParams(a, chi, rng.uniform(0.05, 0.45), tau))
     am.monodromies(points[0])
@@ -965,7 +988,7 @@ def test_sweep_memory_peak():
 def test_monodromies_memory_peak():
     """The separable kernel holds two nodes x terms arrays, not (3 x nodes) x terms."""
     params = am.ConnectionParams(0.5 - 0.5j, 0.9 + 0.9j, 0.45, 0.2)
-    am.lattice(params.tau)
+    am.RectangularLattice(params.tau)
     tracemalloc.start()
     try:
         am.monodromies(params)

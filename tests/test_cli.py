@@ -154,12 +154,19 @@ def test_spin_exit_status_follows_its_residuals(capsys, monkeypatch):
 
 
 def test_non_generic_chi_prints_one_form(capsys):
-    """jacobian and locus build the same slice chi, and name it the same way."""
+    """jacobian and locus build the same slice chi, name it the same way, and name the failing a."""
     _, _, jacobian = run(capsys, "jacobian", "--a", "500", "--tau", "1", "--r", "0.1")
     _, _, locus = run(capsys, "locus", "--r", "0.1", "--a-min", "400", "--a-max", "700",
                       "--n", "8")
-    assert jacobian == locus
-    assert jacobian.startswith("E:input:chi = (0.7853981633974483+0j): ")
+    assert jacobian == ("E:input:chi = (0.7853981633974483+0j), a = (500.0001+0j): "
+                        "monodromy condition number inf is beyond double precision\n")
+    assert locus == jacobian.replace("500.0001+0j", "400-0j")
+    _, _, sweep = run(capsys, "locus", "--r", "0.1", "--n", "10000", "--a-min", "-100",
+                      "--a-max", "100")
+    assert sweep.startswith("E:input:chi = (0.7853981633974483+0j), a = (-100-0j): ")
+    _, _, single = run(capsys, "monodromy", "--a", "500", "--chi", "0.3", "--r", "0.1",
+                       "--tau", "1")
+    assert single.startswith("E:input:chi = (0.3+0j), a = (500+0j): ")
 
 
 def test_unknown_flag_rejected(capsys):
@@ -466,6 +473,26 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
         assert code == 0, f"{line}: {err}"
         if line.startswith("fricke charvar lift"):
             assert json.loads(out)["count"] == 4, line
+
+
+def test_readme_numeric_lines_print_the_same_bytes_warm(tmp_path, monkeypatch, capsys):
+    """Each README monodromy, match, locus and jacobian line, run twice in one process from
+    cold caches, prints the same bytes and writes the same files the second time."""
+    lines = [line for line in _readme_cli_lines()
+             if line.split()[1] in ("monodromy", "match", "locus", "jacobian")]
+    assert len(lines) == 5
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        for cache in (abelmono._baker_sections, abelmono.gamma_x, abelmono.gamma_y):
+            cache.cache_clear()
+        outputs = []
+        for _ in range(2):
+            code, out, err = run(capsys, *shlex.split(line)[1:])
+            files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+            outputs.append((code, out, err, files))
+        code, out, _err, files = outputs[0]
+        assert code == 0 and (out or files), line
+        assert outputs[1] == outputs[0], line
 
 
 MONODROMY = ["monodromy", "--a", "0.2", "--chi", "0.3+0.2i", "--r", "0.1", "--tau", "1"]

@@ -8,12 +8,18 @@ Only defaults are counted.  A required parameter is a value callers can
 still set, so turning a default into a required parameter lowers this
 count without removing the knob; such a parameter needs a caller outside
 the tests that passes it.
+
+The cache budget counts the functools.lru_cache and functools.cache
+decorators in src/fricke, and also only goes down.  A new cache needs a
+workload whose single pass hits it: replaying the same task list, as a
+benchmark does, does not count.
 """
 
 import ast
 from pathlib import Path
 
 OPTION_BUDGET = 7
+CACHE_BUDGET = 3
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fricke"
 
@@ -32,3 +38,21 @@ def _options():
 def test_optional_parameters_within_budget():
     options = _options()
     assert len(options) <= OPTION_BUDGET, sorted(options)
+
+
+def _caches():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                    if name in ("lru_cache", "cache"):
+                        found.append(f"{path.name}:{node.name}")
+    return found
+
+
+def test_caches_within_budget():
+    caches = _caches()
+    assert len(caches) <= CACHE_BUDGET, sorted(caches)
