@@ -20,7 +20,9 @@ class ParameterOutOfRange(AbelMonoError):
 
 
 class NonGenericChi(AbelMonoError):
-    """chi is, or is numerically too near, a half-lattice point of the Jacobian."""
+    """The monodromy is beyond double precision: chi at or numerically near a
+    half-lattice point of the Jacobian, theta1(pi p) not finite or 0, or a
+    monodromy condition number past TOL_MONO / eps, as a large |a| also gives."""
 
 
 class StepLimitExceeded(AbelMonoError):

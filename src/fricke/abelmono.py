@@ -249,51 +249,47 @@ class ConnectionForm:
 
 @dataclass(frozen=True)
 class TorusPath:
-    """Parametrized path s in [0,1] -> C avoiding the lattice Z + i tau Z.
+    """The loop s in [0,1] -> basepoint(tau) + step s + i amplitude sin(2 pi cycles s).
 
-    point and velocity are applied to arrays of s elementwise; velocity may
-    return a scalar when it is constant.
+    A value: equal fields make the same loop, so a pass over a freshly built
+    gamma_x(tau) finds the nodes memo of an earlier one.  point and velocity
+    act on arrays of s; velocity is the constant step when amplitude is 0.
     """
 
-    point: object  # callable s -> w
-    velocity: object  # callable s -> dw/ds
     tau: float
     label: str
+    step: complex
+    amplitude: float
+    cycles: int
 
     @property
     def delta(self):
         return 0.05 * min(1.0, self.tau)
+
+    def point(self, s):
+        w = basepoint(self.tau) + self.step * s
+        return w + 1j * self.amplitude * np.sin(2.0 * math.pi * self.cycles * s) if self.amplitude else w
+
+    def velocity(self, s):
+        k = 2.0 * math.pi * self.cycles
+        return self.step + 1j * self.amplitude * k * np.cos(k * s) if self.amplitude else self.step
 
 
 def basepoint(tau: float) -> complex:
     return (1.0 + 1j * tau) / 4.0
 
 
-# One object per tau, so a pass over gamma_x(tau) finds the nodes memo of an earlier one
-@functools.lru_cache(maxsize=8)
 def gamma_x(tau: float) -> TorusPath:
-    p0 = basepoint(tau)
-    return TorusPath(lambda s: p0 + s, lambda s: 1.0 + 0.0j, tau, "gamma_x")
+    return TorusPath(tau, "gamma_x", 1.0 + 0.0j, 0.0, 0)
 
 
-@functools.lru_cache(maxsize=8)
 def gamma_y(tau: float) -> TorusPath:
-    p0 = basepoint(tau)
-    return TorusPath(lambda s: p0 + 1j * tau * s, lambda s: 1j * tau, tau, "gamma_y")
+    return TorusPath(tau, "gamma_y", 1j * tau, 0.0, 0)
 
 
 def gamma_x_wiggled(tau: float, amplitude: float, cycles: int) -> TorusPath:
     """A homotopic deformation of gamma_x with the same endpoints."""
-    p0 = basepoint(tau)
-    k = 2.0 * math.pi * cycles
-
-    def pt(s):
-        return p0 + s + 1j * amplitude * np.sin(k * s)
-
-    def vel(s):
-        return 1.0 + 1j * amplitude * k * np.cos(k * s)
-
-    return TorusPath(pt, vel, tau, "gamma_x~")
+    return TorusPath(tau, "gamma_x~", 1.0 + 0.0j, amplitude, cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +356,7 @@ def _magnus_product(form: ConnectionForm, paths: list, levels: tuple) -> list:
         wdot = np.stack([np.broadcast_to(path.velocity(s), s.shape) for path in paths])
         x = form.coefficient(w, wdot)
         tau = form.sections.lat.tau
-        if all(path is gamma_x(tau) or path is gamma_y(tau) for path in paths):  # others never recur
+        if all(path in (gamma_x(tau), gamma_y(tau)) for path in paths):  # caller-made loops are not kept
             # (C01, C10) of the first member: every member has the same
             off = x[1:].reshape((2, -1) + w.shape)[:, 0].copy()
             for array in (wdot, off):
@@ -405,13 +401,17 @@ def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> Transp
     array.  A pair keeps the product of the level at which it first passed
     its own test, so its entry equals the result for that path alone and a
     form over that member alone.  A path whose members have all passed
-    leaves the array.  A path within its delta of the lattice at any node
-    of a pass raises PathTooCloseToPole before the pass is tested; the
-    budget, or a non-finite product of an open (member, path), raises
+    leaves the array.  A path at another tau than the form's raises
+    ParameterOutOfRange before any pass, one within its delta of the
+    lattice at any node of a pass PathTooCloseToPole before it is tested;
+    the budget, or a non-finite product of an open (member, path), raises
     StepLimitExceeded for the whole call, named after the first such path.
     """
     several = isinstance(paths, tuple)
     paths = paths if several else (paths,)
+    for path in paths:
+        if path.tau != form.sections.lat.tau:
+            raise ParameterOutOfRange(f"{path.label}: a loop at tau = {path.tau}, not {form.sections.lat.tau}")
     out = [[None] * form.a.size for _ in paths]
     n, pending, coarse = _FIRST_PANELS, [], None
     with np.errstate(all="ignore"):
@@ -465,8 +465,10 @@ def monodromies(params: ConnectionParams) -> MonodromyResult:
 
     K = Y^-1 X^-1 Y X is the commutator-loop monodromy (loops composed
     right-to-left); its trace must equal 2 cos(2 pi r), and (x, y, z) must
-    satisfy the character equation.  NonGenericChi is raised when the
-    condition number max|entry|^2 of X or Y times eps exceeds TOL_MONO.
+    satisfy the character equation: one check reported twice, as Fricke's
+    identity tr K = x^2 + y^2 + z^2 - xyz - 2 holds for det X = det Y = 1.
+    NonGenericChi is raised when the condition number max|entry|^2 of X or
+    Y times eps exceeds TOL_MONO: near a half-lattice chi or at a large |a|.
     This is monodromy_batch on a batch of one.
     """
     return monodromy_batch([params])[0]
@@ -618,6 +620,8 @@ def real_locus_sweep(
         raise ParameterOutOfRange(f"a sweep needs n >= 1 samples, got {n}")
     if n > MAX_SWEEP_POINTS:
         raise ParameterOutOfRange(f"{n} sweep samples exceed the cap of {MAX_SWEEP_POINTS}")
+    if not math.isfinite(float(a_range[1]) - float(a_range[0])):
+        raise ParameterOutOfRange(f"the a range {tuple(a_range)} must have a finite span")
     line = _slice_parametrization(chi0, tau)
 
     def params(t):
@@ -672,7 +676,8 @@ def _require_finite(*values):
 @dataclass
 class MatchResult:
     a: complex
-    t: float
+    t: float  # the slice's line parameter: a = line(t), and t = a on the chi0 = pi/(4 tau) slice
+    tau: float
     result: MonodromyResult
     evaluations: int
 
@@ -706,24 +711,16 @@ def match_y(
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     f_lo, res_lo = g(t_lo)
     if abs(f_lo) <= TOL_ROOT:
-        return MatchResult(line(t_lo), t_lo, res_lo, evals)
+        return MatchResult(line(t_lo), t_lo, tau, res_lo, evals)
     f_hi, res_hi = g(t_hi)
     if abs(f_hi) <= TOL_ROOT:
-        return MatchResult(line(t_hi), t_hi, res_hi, evals)
+        return MatchResult(line(t_hi), t_hi, tau, res_hi, evals)
     if f_lo * f_hi > 0:
         raise BracketDoesNotStraddle(
             f"y - y* has the same sign at both bracket ends ({f_lo:+.3e}, {f_hi:+.3e})"
         )
     t, res = _illinois(g, t_lo, f_lo, t_hi, f_hi, TOL_ROOT)
-    return MatchResult(line(t), t, res, evals)
-
-
-@dataclass
-class LocusMatchResult:
-    tau: float
-    a: complex
-    result: MonodromyResult
-    evaluations: int
+    return MatchResult(line(t), t, tau, res, evals)
 
 
 def _on_slice(a, tau, r) -> ConnectionParams:
@@ -761,7 +758,7 @@ def match_on_locus(
     y_target: float,
     r: float,
     tau_bracket=(2.0, 3.5),
-) -> LocusMatchResult:
+) -> MatchResult:
     """Match tr Y on the real locus itself by moving the modulus tau.
 
     The trivializing slice chi0 = pi/(4 tau) meets the real locus in one
@@ -819,7 +816,7 @@ def match_on_locus(
         else:
             raise MaxIterations("no step along the Newton direction decreases |F|")
         a, tau, m, f = float(a_new), float(tau_new), m_new, f_new
-    return LocusMatchResult(tau, complex(a, 0.0), m, evals)
+    return MatchResult(complex(a, 0.0), a, tau, m, evals)
 
 
 @dataclass

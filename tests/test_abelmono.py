@@ -333,6 +333,39 @@ class _DiagonalForm(am.ConnectionForm):
         self.sections = _NoSections(params.tau)
 
 
+class _Curve:
+    """Any curve s -> point(s) with the interface of a TorusPath: a test-local path double."""
+
+    delta = am.TorusPath.delta
+
+    def __init__(self, point, velocity, tau, label):
+        self.point, self.velocity, self.tau, self.label = point, velocity, tau, label
+
+
+def test_torus_path_is_a_value():
+    """A loop is its fields: equal loops compare and hash equal, and no field is callable or defaulted."""
+    assert am.gamma_x(1.0) == am.gamma_x(1.0) and am.gamma_x(1.0) is not am.gamma_x(1.0)
+    assert hash(am.gamma_x(1.0)) == hash(am.gamma_x(1.0))
+    assert am.gamma_y(1.0) == am.gamma_y(1.0)
+    assert len({am.gamma_x(1.0), am.gamma_y(1.0), am.gamma_x(2.0), am.gamma_x_wiggled(1.0, 0.05, 2),
+                am.gamma_x_wiggled(1.0, 0.0, 2)}) == 5
+    for path in (am.gamma_x(1.0), am.gamma_y(1.0), am.gamma_x_wiggled(1.0, 0.05, 2)):
+        fields = dataclasses.fields(path)
+        assert not any(callable(getattr(path, field.name)) for field in fields)
+        assert all(field.default is field.default_factory is dataclasses.MISSING for field in fields)
+
+
+def test_transport_refuses_a_loop_of_another_tau(monkeypatch):
+    """gamma_y(1) is not closed on the torus at tau = 2: ParameterOutOfRange before any pass."""
+    calls = _spy_coefficient(monkeypatch)
+    form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, 2.0))
+    for paths in (am.gamma_y(1.0), (am.gamma_x(2.0), am.gamma_y(1.0))):
+        with pytest.raises(am.ParameterOutOfRange, match=r"^gamma_y: a loop at tau = 1\.0, not 2\.0$"):
+            am.parallel_transport(form, paths)
+    assert calls == []
+    assert am.parallel_transport(form, am.gamma_y(2.0)).panels == 64
+
+
 def test_transport_zero_form_is_identity():
     zero_form = _DiagonalForm(am.ConnectionParams(0.0, 0.0, R, TAU))
     res = am.parallel_transport(zero_form, am.gamma_x(TAU))
@@ -355,9 +388,7 @@ def test_transport_diagonal_truncation_closed_form():
 def test_transport_reversed_path_inverts():
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
     path = am.gamma_x(TAU)
-    reversed_path = am.TorusPath(
-        lambda s: path.point(1.0 - s), lambda s: -path.velocity(1.0 - s), TAU, "gamma_x^-1"
-    )
+    reversed_path = _Curve(lambda s: path.point(1.0 - s), lambda s: -path.velocity(1.0 - s), TAU, "gamma_x^-1")
     fwd = am.parallel_transport(form, path)
     bwd = am.parallel_transport(form, reversed_path)
     assert np.max(np.abs(fwd.matrix @ bwd.matrix - np.eye(2))) <= 1e-8
@@ -372,7 +403,7 @@ def test_transport_step_budget(monkeypatch):
 
 def test_transport_path_too_close_to_pole():
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
-    bad = am.TorusPath(lambda s: 0.001 + 0.001j + s, lambda s: 1.0 + 0.0j, TAU, "bad")
+    bad = _Curve(lambda s: 0.001 + 0.001j + s, lambda s: 1.0 + 0.0j, TAU, "bad")
     with pytest.raises(am.PathTooCloseToPole):
         am.parallel_transport(form, bad)
 
@@ -385,9 +416,8 @@ def test_transport_det_drift_small():
 
 
 def _cold():
-    """Drop every cached sections object and loop, as in a fresh interpreter."""
-    for cache in (am._baker_sections, am.gamma_x, am.gamma_y):
-        cache.cache_clear()
+    """Drop every cached sections object, as in a fresh interpreter."""
+    am._baker_sections.cache_clear()
 
 
 def _spy_coefficient(monkeypatch):
@@ -632,10 +662,10 @@ def test_stacked_transport_errors_name_the_failing_loop(monkeypatch):
     params = am._on_slice(a, tau, 0.1)  # gamma_x closes at 32 panels, gamma_y at 64
     form = am.ConnectionForm(params)
     x_path = am.gamma_x(tau)
-    bad = am.TorusPath(lambda s: 0.001 + 0.001j + s, x_path.velocity, tau, "bad")
+    bad = _Curve(lambda s: 0.001 + 0.001j + s, x_path.velocity, tau, "bad")
     with pytest.raises(am.PathTooCloseToPole, match="^bad: "):
         am.parallel_transport(form, (x_path, bad))
-    huge = am.TorusPath(x_path.point, lambda s: 1e300 + 0j, tau, "huge")
+    huge = _Curve(x_path.point, lambda s: 1e300 + 0j, tau, "huge")
     with pytest.raises(am.StepLimitExceeded, match="^huge: non-finite panel product at 16 panels"):
         am.parallel_transport(form, (x_path, huge))
     monkeypatch.setattr(am, "PANEL_BUDGET", 32)
@@ -654,8 +684,7 @@ def test_pole_check_covers_the_whole_first_pass():
     """
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
     p0 = am.basepoint(TAU)
-    spiky = am.TorusPath(lambda s: p0 * np.cos(32.0 * math.pi * s) ** 2, lambda s: 1e300 + 0j,
-                         TAU, "spiky")
+    spiky = _Curve(lambda s: p0 * np.cos(32.0 * math.pi * s) ** 2, lambda s: 1e300 + 0j, TAU, "spiky")
     with np.errstate(all="ignore"):
         (coarse,) = am._magnus_product(form, [spiky], (16,))
     assert not np.all(np.isfinite(coarse))
@@ -881,23 +910,26 @@ def test_nodes_memo_is_read_only():
 def test_nodes_memo_holds_only_gamma_x_and_gamma_y():
     """A caller-made path leaves no memo entry; every stored pass is over gamma_x(tau), gamma_y(tau).
 
-    A wiggled gamma_x transports bit for bit as from cold through sections that hold
-    the canonical loops' passes, and adds no key.  Over the scatter-domain oracle
-    points, each with a straight and a wiggled gamma_x beside its monodromies, every
-    key of every memo names those two loop objects alone.
+    A wiggled gamma_x, and a test double that traces gamma_x under its label, transport
+    bit for bit as from cold through sections that hold the canonical loops' passes,
+    and add no key.  Over the scatter-domain oracle points, each with a straight and a
+    wiggled gamma_x beside its monodromies, every key of every memo holds loops equal
+    to those two alone.
     """
     _cold()
     params = am.ConnectionParams(0.2, CHI, R, TAU)
-    wiggled = am.gamma_x_wiggled(TAU, 0.05, 2)
-    cold = _transport_fingerprint(am.parallel_transport(am.ConnectionForm(params), wiggled))
-    form = am.ConnectionForm(params)
-    assert form.sections.nodes == {}
-    am.monodromies(params)
-    keys = set(form.sections.nodes)
-    assert keys
-    for _ in range(2):
-        assert _transport_fingerprint(am.parallel_transport(form, wiggled)) == cold
-        assert set(form.sections.nodes) == keys
+    x_path = am.gamma_x(TAU)
+    for path in (am.gamma_x_wiggled(TAU, 0.05, 2), _Curve(x_path.point, x_path.velocity, TAU, "gamma_x")):
+        _cold()
+        cold = _transport_fingerprint(am.parallel_transport(am.ConnectionForm(params), path))
+        form = am.ConnectionForm(params)
+        assert form.sections.nodes == {}
+        am.monodromies(params)
+        keys = set(form.sections.nodes)
+        assert keys
+        for _ in range(2):
+            assert _transport_fingerprint(am.parallel_transport(form, path)) == cold
+            assert set(form.sections.nodes) == keys
 
     rng = np.random.default_rng(2024)
     for i in range(SCATTER_POINTS):
@@ -910,13 +942,31 @@ def test_nodes_memo_holds_only_gamma_x_and_gamma_y():
         loops = (am.gamma_x(tau), am.gamma_y(tau))
         assert form.sections.nodes
         for paths, _levels in form.sections.nodes:
-            assert all(any(path is loop for loop in loops) for path in paths), (i, paths)
+            assert all(path in loops for path in paths), (i, paths)
+
+
+def test_fresh_gamma_x_finds_the_memo(monkeypatch):
+    """A second transport along a freshly built gamma_x(tau), by a new form at the same point,
+    makes no coefficient call and gives the same bits; a wiggled gamma_x pays every time."""
+    _cold()
+    calls = _spy_coefficient(monkeypatch)
+    params = am.ConnectionParams(0.2, CHI, R, TAU)
+    first = am.parallel_transport(am.ConnectionForm(params), am.gamma_x(TAU))
+    assert len(calls) == 1
+    again = am.parallel_transport(am.ConnectionForm(params), am.gamma_x(TAU))
+    assert len(calls) == 1
+    assert _transport_fingerprint(again) == _transport_fingerprint(first)
+    am.parallel_transport(am.ConnectionForm(params), am.gamma_x_wiggled(TAU, 0.05, 2))
+    per_call = len(calls) - 1
+    assert per_call >= 1
+    am.parallel_transport(am.ConnectionForm(params), am.gamma_x_wiggled(TAU, 0.05, 2))
+    assert len(calls) == 1 + 2 * per_call
 
 
 def test_failures_are_raised_on_every_call():
     """A pole error and the construction checks are never cached: each call raises again."""
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
-    bad = am.TorusPath(lambda s: 0.001 + 0.001j + s, lambda s: 1.0 + 0.0j, TAU, "bad")
+    bad = _Curve(lambda s: 0.001 + 0.001j + s, lambda s: 1.0 + 0.0j, TAU, "bad")
     for _ in range(3):
         with pytest.raises(am.PathTooCloseToPole, match="^bad: "):
             am.parallel_transport(form, bad)
@@ -1108,6 +1158,14 @@ def test_sweep_rows_ascend_on_a_reversed_range():
     assert sum(not row.refined for row in res.rows) == 6
 
 
+@pytest.mark.parametrize("a_range", [(-1e308, 1e308), (1e308, -1e308), (0.05, math.inf), (math.nan, 1.6)])
+@pytest.mark.parametrize("n", [1, 3])
+def test_sweep_range_without_a_finite_span_is_refused(a_range, n):
+    """A range whose span overflows is ParameterOutOfRange naming the range, before any sample."""
+    with pytest.raises(am.ParameterOutOfRange, match=r"^the a range \("):
+        am.real_locus_sweep(R, TAU, math.pi / (4.0 * TAU), a_range, n)
+
+
 def test_sweep_requires_admissible_chi0():
     with pytest.raises(am.SlicePreconditionError):
         am.real_locus_sweep(R, TAU, 0.123 + 0.456j, (0.1, 0.2), 3)
@@ -1131,6 +1189,15 @@ def test_match_y_returns_endpoint():
     res = am.match_y(target, R, TAU, chi0, (0.3, 0.7))
     assert res.t == 0.3
     assert res.evaluations == 1
+
+
+def test_both_matchers_return_one_result_type():
+    """match_y and match_on_locus both give a MatchResult; on the locus the line parameter t is a."""
+    fixed = am.match_y(1.8, R, TAU, math.pi / (4.0 * TAU), (0.05, 0.7))
+    on_locus = am.match_on_locus(YSTAR, R, tau_bracket=(2.6, 3.2))
+    assert type(fixed) is type(on_locus) is am.MatchResult
+    assert (fixed.tau, fixed.a) == (TAU, complex(fixed.t, 0.0))
+    assert on_locus.a == complex(on_locus.t, 0.0) and 2.9 < on_locus.tau < 3.0
 
 
 def test_match_y_bracket_must_straddle():

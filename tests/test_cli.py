@@ -483,8 +483,7 @@ def test_readme_numeric_lines_print_the_same_bytes_warm(tmp_path, monkeypatch, c
     assert len(lines) == 5
     monkeypatch.chdir(tmp_path)
     for line in lines:
-        for cache in (abelmono._baker_sections, abelmono.gamma_x, abelmono.gamma_y):
-            cache.cache_clear()
+        abelmono._baker_sections.cache_clear()
         outputs = []
         for _ in range(2):
             code, out, err = run(capsys, *shlex.split(line)[1:])
@@ -657,13 +656,38 @@ print(json.dumps([code, sorted({"numpy", "fricke.abelmono"} & set(sys.modules))]
 """
 
 
-def _cold_run(argv):
+def _fresh_interpreter(*args):
+    """Run python with args on this checkout's src, as a subprocess."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", _COLD_PROBE, *argv], capture_output=True,
-                          text=True, env=env, timeout=60, check=True)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+
+def _cold_run(argv):
+    proc = _fresh_interpreter("-c", _COLD_PROBE, *argv)
+    proc.check_returncode()
     return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "locus --r 0.1 --a-min -1e308 --a-max 1e308 --n 3",
+        "locus --r 0.1 --a-min -1e308 --a-max 1e308 --n 1",
+        "monodromy --a 1e200 --chi 0.3 --r 0.1 --tau 1",
+        "monodromy --a 0.2 --chi 0.3+3i --r 0.1 --tau 12",
+        "locus --r 0.45 --tau 12 --n 20",
+        "match --y-target 1e300 --r 0.1 --on-locus",
+    ],
+)
+def test_stderr_holds_only_tagged_lines(line):
+    """The stderr contract at edge inputs, in a fresh interpreter with the default warning filters:
+    every stderr line starts with E: or W:, and at most one with E:."""
+    proc = _fresh_interpreter("-m", "fricke.cli", *line.split())
+    lines = proc.stderr.splitlines()
+    assert lines and all(entry.startswith(("E:", "W:")) for entry in lines), proc.stderr
+    assert sum(entry.startswith("E:") for entry in lines) <= 1, proc.stderr
 
 
 @pytest.mark.parametrize(
