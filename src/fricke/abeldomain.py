@@ -21,12 +21,13 @@ class ParameterOutOfRange(AbelMonoError):
 
 class NonGenericChi(AbelMonoError):
     """The monodromy is beyond double precision: chi at or numerically near a
-    half-lattice point of the Jacobian, theta1(pi p) not finite or 0, or a
-    monodromy condition number past TOL_MONO / eps, as a large |a| also gives."""
+    half-lattice point of the Jacobian, theta1(pi p) not finite or 0, a
+    non-finite panel product, or a monodromy condition number past
+    TOL_MONO / eps, as a large |a| also gives."""
 
 
 class StepLimitExceeded(AbelMonoError):
-    pass
+    """A loop's transport did not converge within PANEL_BUDGET panels."""
 
 
 class PathTooCloseToPole(AbelMonoError):

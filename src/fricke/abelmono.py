@@ -333,7 +333,8 @@ def _magnus_product(form: ConnectionForm, paths: list, levels: tuple) -> list:
     and takes every A_k from one form.coefficient call; over gamma_x(tau)
     and gamma_y(tau) alone it then stores its velocities and the first
     member's (A01, A10).  Each level's panel factors are then multiplied
-    pairwise, later panels on the left.
+    pairwise, later panels on the left, as L[:, :1] R[:1] + L[:, 1:] R[1:] over
+    the whole array (a stacked matmul hands BLAS one 2x2 product at a time).
     Returns one product array per level, in the order of levels, of shape
     form.a.shape + (len(paths), 2, 2): one product per member and loop.
     """
@@ -376,7 +377,8 @@ def _magnus_product(form: ConnectionForm, paths: list, levels: tuple) -> list:
     products = []
     for product in np.split(factors.reshape(o0.shape + (2, 2)), np.cumsum(levels)[:-1], axis=-3):
         while product.shape[-3] > 1:
-            product = product[..., 1::2, :, :] @ product[..., 0::2, :, :]
+            left, right = product[..., 1::2, :, :], product[..., 0::2, :, :]
+            product = left[..., :, :1] * right[..., :1, :] + left[..., :, 1:] * right[..., 1:, :]
         products.append(product[..., 0, :, :])
     return products
 
@@ -403,9 +405,9 @@ def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> Transp
     form over that member alone.  A path whose members have all passed
     leaves the array.  A path at another tau than the form's raises
     ParameterOutOfRange before any pass, one within its delta of the
-    lattice at any node of a pass PathTooCloseToPole before it is tested;
-    the budget, or a non-finite product of an open (member, path), raises
-    StepLimitExceeded for the whole call, named after the first such path.
+    lattice at any node of a pass PathTooCloseToPole before it is tested.
+    For the whole call, named after the first such path, a non-finite product
+    of an open (member, path) raises NonGenericChi, the budget StepLimitExceeded.
     """
     several = isinstance(paths, tuple)
     paths = paths if several else (paths,)
@@ -426,7 +428,8 @@ def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> Transp
             failed = todo & ~np.all(np.isfinite(fine), axis=(2, 3))
             if failed.any():
                 k = open_[int(np.argmax(failed.any(axis=1)))]
-                raise StepLimitExceeded(f"{paths[k].label}: non-finite panel product at {n} panels")
+                raise NonGenericChi(f"{paths[k].label}: non-finite panel product at {n} panels:"
+                                    " the monodromy is beyond double precision")
             if coarse is not None:
                 err = np.max(np.abs(fine - coarse[open_]), axis=(2, 3)) / 63.0
                 tol = TRANSPORT_ATOL + TRANSPORT_RTOL * np.max(np.abs(fine), axis=(2, 3))
@@ -468,7 +471,8 @@ def monodromies(params: ConnectionParams) -> MonodromyResult:
     satisfy the character equation: one check reported twice, as Fricke's
     identity tr K = x^2 + y^2 + z^2 - xyz - 2 holds for det X = det Y = 1.
     NonGenericChi is raised when the condition number max|entry|^2 of X or
-    Y times eps exceeds TOL_MONO: near a half-lattice chi or at a large |a|.
+    Y times eps exceeds TOL_MONO, or a panel product overflows: near a
+    half-lattice chi or at a large |a|.
     This is monodromy_batch on a batch of one.
     """
     return monodromy_batch([params])[0]
@@ -496,7 +500,7 @@ def monodromy_batch(stack: list) -> list:
         form = ConnectionForm(chunk)
         try:
             tx, ty = parallel_transport(form, (gamma_x(tau), gamma_y(tau)))
-        except StepLimitExceeded:  # the one transport error that depends on the member
+        except (NonGenericChi, StepLimitExceeded):  # the transport errors that depend on the member
             if len(chunk) > 1:
                 for params in chunk:
                     monodromies(params)
@@ -505,27 +509,22 @@ def monodromy_batch(stack: list) -> list:
     return results
 
 
-def _inverse(m):
-    """Adjugate of a 2x2 array, its inverse when det m = 1."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
-
-
 def _monodromy_result(params, tx: TransportResult, ty: TransportResult) -> MonodromyResult:
-    X, Y = tx.matrix, ty.matrix
-    norm = max(float(np.max(np.abs(X))), float(np.max(np.abs(Y))))
+    X, Y = (algebra.Mat2(*t.matrix.ravel().tolist()) for t in (tx, ty))
+    norm = max(math.hypot(e.real, e.imag) for e in (*X, *Y))  # abs(e) raises OverflowError past DBL_MAX
     kappa = norm * norm  # inf, not OverflowError, past ~1.3e154
     if kappa * np.finfo(float).eps > TOL_MONO:
         raise NonGenericChi(
             f"chi = {params.chi}, a = {complex(params.a)}: monodromy condition number {kappa:.1e}"
             " is beyond double precision"
         )
-    K = _inverse(Y) @ _inverse(X) @ Y @ X
+    K = algebra.inverse(Y) @ algebra.inverse(X) @ Y @ X
     x, y, z = charvar.traces_of_pair(X, Y).astuple()
     char_res = abs(charvar.fricke_torus_residual(x, y, z, params.r))
     comm_res = abs(algebra.trace(K) - 2.0 * math.cos(2.0 * math.pi * params.r))
     return MonodromyResult(
-        X, Y, K, x, y, z, char_res, comm_res, max(tx.det_drift, ty.det_drift),
-        (tx.panels, ty.panels), (tx.error_estimate, ty.error_estimate),
+        tx.matrix, ty.matrix, np.array([[K.a, K.b], [K.c, K.d]]), x, y, z, char_res, comm_res,
+        max(tx.det_drift, ty.det_drift), (tx.panels, ty.panels), (tx.error_estimate, ty.error_estimate),
     )
 
 

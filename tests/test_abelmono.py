@@ -488,12 +488,13 @@ def test_magnus_step_is_sixth_order():
 
 
 def test_transport_fails_fast_near_half_lattice_chi():
-    """chi = 1e-7 passes the genericity gate; the overflowing product fails at once."""
+    """chi = 1e-7 passes the half-lattice check; the overflowing product is NonGenericChi at once."""
     params = am.ConnectionParams(0.2, 1e-7, R, TAU)
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(am.StepLimitExceeded, match="non-finite"):
+        with pytest.raises(am.NonGenericChi, match="^gamma_x: non-finite panel product at 16 panels: "
+                           "the monodromy is beyond double precision$"):
             am.monodromies(params)
     assert time.perf_counter() - t0 < 1.0
 
@@ -600,6 +601,52 @@ def test_scatter_domain_meets_benchmark_bounds():
     assert max(worst.values()) <= REL_BOUND, worst
 
 
+def test_monodromy_tail_matches_numpy_oracle():
+    """Oracle: K, x, y, z and both residuals equal numpy's, from the same X and Y.
+
+    The oracle is np.linalg.inv(Y) @ np.linalg.inv(X) @ Y @ X, np.trace and the two
+    residuals built from them, over SCATTER_POINTS seeded scatter-domain points and three
+    60-point slice stacks.  With s(M) = max(1, max|M_ij|), the measured maxima at this
+    seed are 9.3e-15 for max|K - K_oracle| / (s(X)^2 s(Y)^2) (np.linalg.inv divides
+    by det, which drifts from 1 by up to 5.2e-15), 3.4e-16 for |z - z_oracle| / (s(X) s(Y)),
+    1.7e-16 for the character residual over its terms and 8.5e-16 for the commutator
+    residual over s(X)^2 s(Y)^2; x and y are the same sums and agree bit for bit.
+    """
+    rng = np.random.default_rng(35)
+    cases = [(p, am.monodromies(p)) for p in (_scatter_point(rng, i) for i in range(SCATTER_POINTS))]
+    for r, tau in ((0.3, 1.2), (0.1, 1.0), (0.45, 0.8)):
+        stack = _slice_stack(r, tau, 60)
+        cases += zip(stack, am.monodromy_batch(stack))
+    worst = {"K": 0.0, "z": 0.0, "character": 0.0, "commutator": 0.0}
+    for params, m in cases:
+        X, Y = m.X, m.Y
+        c = 2.0 * math.cos(2.0 * math.pi * params.r)
+        K = np.linalg.inv(Y) @ np.linalg.inv(X) @ Y @ X
+        x, y, z = np.trace(X), np.trace(Y), np.trace(Y @ X)
+        assert (m.x, m.y) == (x, y)
+        scale = _scale(X) ** 2 * _scale(Y) ** 2
+        terms = abs(x) ** 2 + abs(y) ** 2 + abs(z) ** 2 + abs(x * y * z) + 2.0 + abs(c)
+        for name, value in {
+            "K": float(np.max(np.abs(m.K - K))) / scale,
+            "z": abs(m.z - z) / (_scale(X) * _scale(Y)),
+            "character": abs(m.char_residual - abs(x * x + y * y + z * z - x * y * z - 2.0 - c)) / terms,
+            "commutator": abs(m.commutator_residual - abs(np.trace(K) - c)) / scale,
+        }.items():
+            worst[name] = max(worst[name], value)
+    assert worst["K"] <= 1e-13 and worst["commutator"] <= 1e-14, worst
+    assert worst["z"] <= 1e-15 and worst["character"] <= 1e-15, worst
+
+
+def test_condition_gate_reads_inf_past_dbl_max():
+    """A finite entry whose modulus is past DBL_MAX gives condition number inf, not OverflowError."""
+    params = am.ConnectionParams(0.2, CHI, R, TAU)
+    huge = np.array([[complex(1.5e308, 1.5e308), 0.0], [0.0, 1.0]])
+    tx = am.TransportResult(huge, 0.0, 32, 0.0)
+    ty = am.TransportResult(np.eye(2, dtype=complex), 0.0, 32, 0.0)
+    with pytest.raises(am.NonGenericChi, match="condition number inf is beyond double precision$"):
+        am._monodromy_result(params, tx, ty)
+
+
 def test_monodromy_eta_case_real():
     w = charvar.Weight.from_torus("1/10")
     m = am.monodromies(am.ConnectionParams(0.2, 0.3, R, TAU))
@@ -666,7 +713,7 @@ def test_stacked_transport_errors_name_the_failing_loop(monkeypatch):
     with pytest.raises(am.PathTooCloseToPole, match="^bad: "):
         am.parallel_transport(form, (x_path, bad))
     huge = _Curve(x_path.point, lambda s: 1e300 + 0j, tau, "huge")
-    with pytest.raises(am.StepLimitExceeded, match="^huge: non-finite panel product at 16 panels"):
+    with pytest.raises(am.NonGenericChi, match="^huge: non-finite panel product at 16 panels: "):
         am.parallel_transport(form, (x_path, huge))
     monkeypatch.setattr(am, "PANEL_BUDGET", 32)
     with pytest.raises(am.StepLimitExceeded, match="^gamma_y: budget of 32 panels"):
@@ -680,7 +727,7 @@ def test_pole_check_covers_the_whole_first_pass():
     at the 16-panel nodes, and its huge velocity makes the 16-panel product non-finite.
     The first pass checks the nodes of both its levels before it tests either product,
     so the call raises PathTooCloseToPole where a 16-panel pass alone would have
-    raised StepLimitExceeded.
+    raised NonGenericChi.
     """
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
     p0 = am.basepoint(TAU)
@@ -835,7 +882,8 @@ def test_mixed_chunk_raises_its_first_members_error():
     """Member 1 alone is ill-conditioned; member 7's product overflows in the stack first."""
     stack = [am.ConnectionParams(complex(t, 0.0), math.pi / 4.0, R, 1.0)
              for t in np.linspace(5.0, 800.0, 8)]
-    with pytest.raises(am.StepLimitExceeded):
+    with pytest.raises(am.NonGenericChi, match="^gamma_x: non-finite panel product at 16 panels: "
+                       "the monodromy is beyond double precision$"):
         am.monodromies(stack[7])
     with pytest.raises(am.NonGenericChi, match=r"condition number 4\.7e\+103 "):
         am.monodromy_batch(stack)

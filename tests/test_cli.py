@@ -578,9 +578,11 @@ def test_monodromy_budget_of_one_level(monkeypatch, capsys):
 
 
 def test_non_finite_product_fails_at_the_first_level(capsys):
-    """Near a half-lattice chi the 16-panel product overflows; the fused first pass names 16."""
+    """Near a half-lattice chi the 16-panel product overflows: NonGenericChi, and the fused first pass names 16."""
     code, out, err = run(capsys, "monodromy", "--a", "0.2", "--chi", "1e-7", "--r", "0.1", "--tau", "1")
-    assert (code, out, err) == (1, "", "E:check:gamma_x: non-finite panel product at 16 panels\n")
+    assert (code, out) == (2, "")
+    assert err == ("E:input:gamma_x: non-finite panel product at 16 panels:"
+                   " the monodromy is beyond double precision\n")
 
 
 @pytest.mark.parametrize("chi", ["3+0.3i", "3-0.3i", "-3+0.3i", "-3-0.3i"])
