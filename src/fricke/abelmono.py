@@ -42,9 +42,14 @@ TRANSPORT_ATOL = 1e-13
 PANEL_BUDGET = 10_000  # panels per loop past which parallel_transport gives up
 MAX_EVALS = 60  # monodromy evaluations per trace-matching solve
 BATCH_CHUNK = 8  # a values transported in one array by monodromy_batch
-# The most samples real_locus_sweep takes (locus --n): a CLI sweep took 0.6 s
-# at 600 samples (2-vCPU x86 host), 1.2 s at 3000 and 5.6 s at 10000.
+# The most samples real_locus_sweep takes (locus --n), an input check: the samples
+# are series values, so a CLI sweep took 0.16 s at 600 samples (2-vCPU x86 host,
+# interpreter start included), 0.18 s at 3000 and 0.24 s at 10000.
 MAX_SWEEP_POINTS = 10_000
+# The most Chebyshev nodes real_locus_sweep transports for one range.  The widest
+# range the condition gate lets through at TAU_MAX, a in (-11, 11) on the slice
+# chi0 = pi/(4 tau) (a = +-11.5 fails it), resolves at exactly 257 nodes (0.45 s).
+MAX_SWEEP_NODES = 257
 GRAZE_SCAN, GRAZE_POINTS = (0.02, 1.8), 30  # match_on_locus's graze-point scan over a
 
 
@@ -557,7 +562,7 @@ class SweepRow:
     z: complex
     eta_residual: float
     is_real: bool
-    refined: bool = False
+    refined: bool
 
 
 @dataclass
@@ -598,6 +603,45 @@ def _illinois(f, t_lo, f_lo, t_hi, f_hi, tol):
             side = +1
 
 
+def _lobatto(degree: int):
+    """cos(pi j / degree) for j = 0..degree: the Chebyshev-Lobatto points, from 1 down to -1."""
+    return np.cos(math.pi / degree * np.arange(degree + 1))
+
+
+def _chebyshev_coefficients(values):
+    """Coefficients c_k of sum c_k T_k through values (rows) at _lobatto(len(values) - 1).
+
+    A DCT-I written as one cosine-matrix product: c_k = (2/N) sum'' f_j
+    cos(pi j k / N), halved at k = 0 and k = N (the double prime halves the
+    terms j = 0 and j = N).  jk is reduced mod 2N so every angle is in [0, 2 pi).
+    """
+    degree = len(values) - 1
+    k = np.arange(degree + 1)
+    ends = np.ones(degree + 1)
+    ends[[0, -1]] = 0.5
+    cosines = np.cos(math.pi / degree * (np.outer(k, k) % (2 * degree)))
+    return (2.0 / degree) * ends[:, None] * (cosines @ (ends[:, None] * values))
+
+
+def _chebyshev_real_roots(coef, tol):
+    """The real roots in [-1, 1] of sum coef_k T_k (coef real), cut after its last |coef_k| > tol.
+
+    They are the eigenvalues of the colleague matrix (Good, Q. J. Math. 12,
+    1961), from x T_0 = T_1, x T_k = (T_{k+1} + T_{k-1}) / 2 and T_m
+    eliminated with the series.  The matrix is real, so LAPACK returns a
+    real eigenvalue with imaginary part exactly 0.
+    """
+    kept = np.flatnonzero(np.abs(coef) > tol)
+    m = kept[-1] if kept.size else 0
+    if m < 1:
+        return np.empty(0)
+    colleague = 0.5 * (np.eye(m, k=1) + np.eye(m, k=-1))
+    colleague[-1] -= 0.5 * coef[:m] / coef[m]
+    colleague[0] *= 2.0  # x T_0 = T_1; for m = 1 the row is x = -coef_0 / coef_1
+    roots = np.linalg.eigvals(colleague)
+    return np.sort(roots.real[(roots.imag == 0.0) & (np.abs(roots.real) <= 1.0)])
+
+
 def real_locus_sweep(
     r: float,
     tau: float,
@@ -608,62 +652,72 @@ def real_locus_sweep(
     """Sweep a along the admissible line through chi0, flagging real points.
 
     Rows carry (a, x, y, z, eta-locus residual, real flag) in the order of
-    the line parameter t.  The real locus meets a fixed-tau slice in
-    isolated points, so where Im z changes sign between two samples that
-    are not flagged real, Illinois closes the crossing to |Im z| <= TOL_MONO
-    and the point is inserted as a refined row; a crossing that 48
-    evaluations do not close adds no row.
+    the line parameter t, with t running over n equally spaced samples of
+    a_range; a row is flagged real when |Im z| <= TOL_MONO.  On the
+    admissible line a enters only C00, so x, y and z are entire in t, and
+    they are taken from one Chebyshev interpolant over the range:
+    - nested Chebyshev-Lobatto sets of 17, 33, 65, ... nodes, the first at
+      a_range[0], go through monodromy_batch, each level transporting only
+      its new nodes;
+    - the level is resolved when the last three coefficients of each of
+      x, y and z are within TRANSPORT_ATOL + TRANSPORT_RTOL times that
+      trace's largest coefficient, the transport's own tolerance (Aurentz and
+      Trefethen, ACM TOMS 43, 2017, chop a series at its tolerance); a
+      series that is not resolved at MAX_SWEEP_NODES nodes raises
+      MaxIterations naming the range;
+    - the n sample rows are the series evaluated at the samples;
+    - every real root of Im z in the range (the series of Im z cut after
+      its last coefficient above z's tolerance, rooted by its colleague
+      matrix) is transported once more, all in one batch, and added as a
+      refined row, flagged real by its own |Im z|.
+    So a sweep costs its nodes plus its roots, whatever n is, and a pair of
+    crossings between two samples is found.
     """
     check_tau(tau)
     if n < 1:
         raise ParameterOutOfRange(f"a sweep needs n >= 1 samples, got {n}")
     if n > MAX_SWEEP_POINTS:
         raise ParameterOutOfRange(f"{n} sweep samples exceed the cap of {MAX_SWEEP_POINTS}")
-    if not math.isfinite(float(a_range[1]) - float(a_range[0])):
+    lo, hi = float(a_range[0]), float(a_range[1])
+    if not math.isfinite(hi - lo):
         raise ParameterOutOfRange(f"the a range {tuple(a_range)} must have a finite span")
     line = _slice_parametrization(chi0, tau)
 
-    def params(t):
-        return ConnectionParams(line(t), chi0, r, tau)
+    def at(x):  # x in [-1, 1] to t, x = 1 at a_range[0]
+        return lo + 0.5 * (1.0 - x) * (hi - lo)
 
-    def sweep_row(t, res):
-        return SweepRow(
-            t,
-            line(t),
-            res.x,
-            res.y,
-            res.z,
-            charvar.eta_locus_residual(complex(res.x).real, complex(res.y).real, r),
-            abs(complex(res.z).imag) <= TOL_MONO,
-        )
+    def transport(ts):
+        return monodromy_batch([ConnectionParams(line(t), chi0, r, tau) for t in ts])
 
-    def crossing_row(lo, hi):
-        evals = 0
+    def traces(results):
+        return np.array([(m.x, m.y, m.z) for m in results], dtype=complex)
 
-        def im_z(t):
-            nonlocal evals
-            evals += 1
-            if evals > 48:
-                raise MaxIterations("crossing not closed in 48 evaluations")
-            row = sweep_row(t, monodromies(params(t)))
-            return complex(row.z).imag, row
+    values = traces(transport(at(_lobatto(16))))
+    while True:
+        coef = _chebyshev_coefficients(values)
+        tol = TRANSPORT_ATOL + TRANSPORT_RTOL * np.max(np.abs(coef), axis=0)
+        if np.all(np.abs(coef[-3:]) <= tol):
+            break
+        degree = 2 * (len(values) - 1)
+        if degree + 1 > MAX_SWEEP_NODES:
+            raise MaxIterations(
+                f"the a range {tuple(a_range)} is not resolved by {len(values)} Chebyshev nodes"
+            )
+        finer = np.empty((degree + 1, 3), dtype=complex)
+        finer[0::2] = values
+        finer[1::2] = traces(transport(at(_lobatto(degree)[1::2])))
+        values = finer
 
-        try:
-            _t, row = _illinois(im_z, lo.t, complex(lo.z).imag, hi.t, complex(hi.z).imag, TOL_MONO)
-        except MaxIterations:
-            return None
-        row.refined = True
-        return row
+    def sweep_row(t, x, y, z, refined):
+        return SweepRow(t, line(t), x, y, z, charvar.eta_locus_residual(x.real, y.real, r),
+                        abs(z.imag) <= TOL_MONO, refined)
 
-    grid = np.linspace(a_range[0], a_range[1], n)
-    results = monodromy_batch([params(t) for t in grid])
-    rows = [sweep_row(t, res) for t, res in zip(grid, results)]
-    crossings = [
-        crossing_row(lo, hi)
-        for lo, hi in zip(rows, rows[1:])
-        if not (lo.is_real or hi.is_real) and complex(lo.z).imag * complex(hi.z).imag < 0
-    ]
-    rows += [row for row in crossings if row]
+    grid = np.linspace(lo, hi, n)
+    angles = np.arccos(np.linspace(1.0, -1.0, n))  # the samples' x, as in at(x)
+    series = np.cos(np.outer(angles, np.arange(len(coef)))) @ coef
+    rows = [sweep_row(t, *row, False) for t, row in zip(grid.tolist(), series.tolist())]
+    roots = at(_chebyshev_real_roots(coef[:, 2].imag, tol[2]))
+    rows += [sweep_row(t, m.x, m.y, m.z, True) for t, m in zip(roots.tolist(), transport(roots))]
     return SweepResult(sorted(rows, key=lambda row: row.t), r)
 
 
@@ -760,9 +814,12 @@ def match_on_locus(
 ) -> MatchResult:
     """Match tr Y on the real locus itself by moving the modulus tau.
 
-    The trivializing slice chi0 = pi/(4 tau) meets the real locus in one
-    point per tau, and tr Y is a global coordinate on the locus, so the
-    matched point is a regular root of F(a, tau) = (Im z, Re y - y_target).
+    The trivializing slice chi0 = pi/(4 tau) can meet the real locus in
+    several points per tau (at r = 0.1, a in (0.05, 1.6) holds 3 at tau = 5
+    and 4 at tau = 8).  The solve follows the one _graze_point finds, the
+    smallest-a point with y > 1, and tr Y is a global coordinate on the
+    locus, so the matched point is a regular root of
+    F(a, tau) = (Im z, Re y - y_target).
     The dodecahedral representation is recovered at y_target =
     sqrt(3 + sqrt 5) with r = 1/10.
 

@@ -1164,38 +1164,76 @@ def _count_monodromies(monkeypatch):
     return calls
 
 
-def test_sweep_closes_crossing_with_illinois(monkeypatch):
-    """The one Im z crossing of the tau = 1 slice closes within 4 evaluations past the grid."""
+def test_sweep_transports_nodes_and_roots_once(monkeypatch):
+    """The tau = 1 slice is resolved by 17 Lobatto nodes, and its one Im z root is transported once.
+
+    18 members in all.  |Im z| at the refined row measured 5e-11, so the bound
+    is 1e-9, well inside TOL_MONO = 1e-6.
+    """
     calls = _count_monodromies(monkeypatch)
     res = am.real_locus_sweep(R, TAU, math.pi / (4.0 * TAU), (0.05, 1.6), 60)
     refined = [row for row in res.rows if row.refined]
-    assert len(calls) <= 64
-    assert refined
+    assert len(refined) == 1 and len(calls) == 17 + len(refined)
+    assert len(res.rows) == 60 + len(refined)
     for row in refined:
-        assert row.is_real and abs(complex(row.z).imag) <= 1e-6
+        assert row.is_real and abs(complex(row.z).imag) <= 1e-9
         assert abs(row.eta_residual) <= 1e-6
     assert [row.t for row in res.rows] == sorted(row.t for row in res.rows)
 
 
-def test_sweep_crossing_budget_adds_no_row(monkeypatch):
-    """A crossing that 48 evaluations cannot close is left without a refined row.
+def test_sweep_past_the_node_ceiling_raises(monkeypatch):
+    """A series that is not resolved at MAX_SWEEP_NODES nodes raises MaxIterations naming the range.
 
-    Each refinement sees Im z pushed out to 2 TOL_MONO with its sign kept, so
-    no Illinois point, not even one where Im z is exactly 0, closes it.
+    Every transported z gets a rough 1e-6 term, so no level's tail ever falls
+    below the tolerance: the sweep transports the nested levels up to the
+    ceiling, 257 nodes, and not one member more.
     """
     calls = _count_monodromies(monkeypatch)
-    monodromies = am.monodromies
+    monodromy_batch = am.monodromy_batch
 
-    def never_real(params):
-        res = monodromies(params)
-        z = complex(res.z)
-        im = math.copysign(max(abs(z.imag), 2.0 * am.TOL_MONO), z.imag)
-        return dataclasses.replace(res, z=complex(z.real, im))
+    def rough(stack):
+        return [dataclasses.replace(res, z=res.z + 1e-6 * math.sin(1e6 * params.a.real))
+                for params, res in zip(stack, monodromy_batch(stack))]
 
-    monkeypatch.setattr(am, "monodromies", never_real)
-    res = am.real_locus_sweep(R, TAU, math.pi / (4.0 * TAU), (0.7, 0.95), 4)
-    assert len(calls) == 4 + 48
-    assert len(res.rows) == 4 and not any(row.refined for row in res.rows)
+    monkeypatch.setattr(am, "monodromy_batch", rough)
+    with pytest.raises(am.MaxIterations, match=r"^the a range \(0\.7, 0\.95\) is not resolved by 257 "):
+        am.real_locus_sweep(R, TAU, math.pi / (4.0 * TAU), (0.7, 0.95), 4)
+    assert len(calls) == am.MAX_SWEEP_NODES == 257
+
+
+def test_widest_gated_range_resolves_at_the_node_ceiling(monkeypatch):
+    """MAX_SWEEP_NODES is the node count of the widest range the condition gate lets through at TAU_MAX.
+
+    On the chi0 = pi/(4 tau) slice at tau = 12, a = +-11.5 fails the gate and
+    (-11, 11) passes: its series oscillates ~tau |a| radians and resolves at
+    exactly 257 nodes.
+    """
+    calls = _count_monodromies(monkeypatch)
+    res = am.real_locus_sweep(R, am.TAU_MAX, math.pi / (4.0 * am.TAU_MAX), (-11.0, 11.0), 60)
+    roots = sum(row.refined for row in res.rows)
+    assert len(calls) == am.MAX_SWEEP_NODES + roots
+    with pytest.raises(am.NonGenericChi, match="condition number"):
+        am.real_locus_sweep(R, am.TAU_MAX, math.pi / (4.0 * am.TAU_MAX), (-11.5, 11.5), 60)
+
+
+@pytest.mark.parametrize(("r", "tau", "n"), [(0.1, 8.0, 4), (0.1, 5.0, 60), (0.3, 1.0, 60)])
+def test_sweep_finds_every_crossing_of_a_scan(r, tau, n):
+    """Each sign change of Im z in a 1201-point scan of (0.05, 1.6) holds exactly one refined row.
+
+    At tau = 8 two of the four crossings (a ~ 0.568 and 0.931) fall between
+    two of the 4 samples, where a sampled sweep cannot see them; tau = 5 has
+    three crossings and the r = 0.3, tau = 1 slice one.
+    """
+    chi0 = math.pi / (4.0 * tau)
+    scan = np.linspace(0.05, 1.6, 1201)
+    im_z = np.array([complex(m.z).imag for m in
+                     am.monodromy_batch([am.ConnectionParams(t, chi0, r, tau) for t in scan])])
+    changes = np.nonzero(im_z[:-1] * im_z[1:] < 0)[0]
+    refined = [row for row in am.real_locus_sweep(r, tau, chi0, (0.05, 1.6), n).rows if row.refined]
+    assert len(refined) == len(changes) > 0
+    for row, i in zip(refined, changes):
+        assert scan[i] <= row.t <= scan[i + 1]
+        assert row.is_real and abs(complex(row.z).imag) <= 1e-9
 
 
 def test_sweep_rows_ascend_on_a_reversed_range():

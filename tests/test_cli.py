@@ -169,6 +169,25 @@ def test_non_generic_chi_prints_one_form(capsys):
     assert single.startswith("E:input:chi = (0.3+0j), a = (500+0j): ")
 
 
+def test_locus_edge_ranges(capsys):
+    """An empty span, one sample and a reversed range are results: the series never divides by the span."""
+    code, out, err = run(capsys, "locus", "--r", "0.1", "--a-min", "0.5", "--a-max", "0.5", "--n", "3")
+    rows = out.splitlines()[1:]
+    assert (code, len(rows)) == (0, 3) and rows[0] == rows[1] == rows[2]
+    assert rows[0].startswith("0.5,-0,3.76511679574,")
+    code, out, err = run(capsys, "locus", "--r", "0.1", "--n", "1")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 0 and err == ""
+    assert len(rows) == 2 and rows[0][0] == "0.05"  # the sample, then the slice's real point
+    assert abs(float(rows[1][0]) - 0.808516475) <= 1e-8
+    code, forward, _ = run(capsys, "locus", "--r", "0.1", "--n", "7")
+    code_reversed, backward, _ = run(capsys, "locus", "--r", "0.1", "--n", "7", "--a-min", "1.6",
+                                     "--a-max", "0.05")
+    assert code == code_reversed == 0
+    assert [line.split(",")[0] for line in backward.splitlines()] == [
+        line.split(",")[0] for line in forward.splitlines()]
+
+
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run(capsys, "verify", "dodeca", "--frobnicate")
     assert code == 2
@@ -648,13 +667,14 @@ def test_verbs_do_not_write_stdout():
 
 
 # Runs one verb in a fresh interpreter and prints its exit code and which of
-# numpy and fricke.abelmono the run loaded.
+# numpy, numpy.fft, numpy.polynomial and fricke.abelmono the run loaded.
 _COLD_PROBE = """
 import contextlib, io, json, sys
 from fricke import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.dispatch(sys.argv[1:])
-print(json.dumps([code, sorted({"numpy", "fricke.abelmono"} & set(sys.modules))]))
+print(json.dumps([code, sorted({"numpy", "numpy.fft", "numpy.polynomial", "fricke.abelmono"}
+                                & set(sys.modules))]))
 """
 
 
@@ -712,6 +732,12 @@ def test_exact_verbs_run_without_numpy(argv):
 
 def test_monodromy_still_loads_numpy():
     assert _cold_run(MONODROMY) == [0, ["fricke.abelmono", "numpy"]]
+
+
+def test_locus_loads_neither_fft_nor_polynomial():
+    """The sweep's Chebyshev series is a cosine-matrix product and a hand-built colleague matrix:
+    a locus run imports nothing of numpy past numpy.linalg (numpy.polynomial costs ~3 ms at import)."""
+    assert _cold_run(["locus", "--r", "0.1"]) == [0, ["fricke.abelmono", "numpy"]]
 
 
 def test_every_error_class_has_an_exit_code():
