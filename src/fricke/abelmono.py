@@ -40,13 +40,13 @@ RANK_FLOOR = 1e3 * TOL_MONO  # jacobian_rank's floor on the smaller singular val
 TRANSPORT_RTOL = 1e-10
 TRANSPORT_ATOL = 1e-13
 PANEL_BUDGET = 10_000  # panels per loop past which parallel_transport gives up
-MAX_EVALS = 60  # monodromy evaluations per trace-matching solve
+MAX_EVALS = 60  # monodromy evaluations per match_on_locus solve
 BATCH_CHUNK = 8  # a values transported in one array by monodromy_batch
 # The most samples real_locus_sweep takes (locus --n), an input check: the samples
 # are series values, so a CLI sweep took 0.16 s at 600 samples (2-vCPU x86 host,
 # interpreter start included), 0.18 s at 3000 and 0.24 s at 10000.
 MAX_SWEEP_POINTS = 10_000
-# The most Chebyshev nodes real_locus_sweep transports for one range.  The widest
+# The most Chebyshev nodes _slice_series transports for one range.  The widest
 # range the condition gate lets through at TAU_MAX, a in (-11, 11) on the slice
 # chi0 = pi/(4 tau) (a = +-11.5 fails it), resolves at exactly 257 nodes (0.45 s).
 MAX_SWEEP_NODES = 257
@@ -574,35 +574,6 @@ class SweepResult:
         return [row for row in self.rows if row.is_real]
 
 
-def _illinois(f, t_lo, f_lo, t_hi, f_hi, tol):
-    """Illinois regula falsi inside a straddling bracket (f_lo * f_hi < 0).
-
-    f(t) returns (value, payload) and owns the evaluation budget; the first
-    t with |value| <= tol is returned with its payload.  Halving the value
-    kept at the stale end after two steps on the same side makes the
-    convergence superlinear; a secant point that rounds onto the bracket
-    falls back to the midpoint.
-    """
-    side = 0
-    while True:
-        t_new = (t_lo * f_hi - t_hi * f_lo) / (f_hi - f_lo)
-        if not min(t_lo, t_hi) < t_new < max(t_lo, t_hi):
-            t_new = 0.5 * (t_lo + t_hi)
-        f_new, res_new = f(t_new)
-        if abs(f_new) <= tol:
-            return t_new, res_new
-        if f_lo * f_new < 0:
-            t_hi, f_hi = t_new, f_new
-            if side == -1:
-                f_lo *= 0.5
-            side = -1
-        else:
-            t_lo, f_lo = t_new, f_new
-            if side == +1:
-                f_hi *= 0.5
-            side = +1
-
-
 def _lobatto(degree: int):
     """cos(pi j / degree) for j = 0..degree: the Chebyshev-Lobatto points, from 1 down to -1."""
     return np.cos(math.pi / degree * np.arange(degree + 1))
@@ -629,17 +600,68 @@ def _chebyshev_real_roots(coef, tol):
     They are the eigenvalues of the colleague matrix (Good, Q. J. Math. 12,
     1961), from x T_0 = T_1, x T_k = (T_{k+1} + T_{k-1}) / 2 and T_m
     eliminated with the series.  The matrix is real, so LAPACK returns a
-    real eigenvalue with imaginary part exactly 0.
+    real eigenvalue with imaginary part exactly 0.  A constant term larger
+    than the sum of the others leaves no root in [-1, 1] (|T_k| <= 1 there),
+    and no matrix is built: its last row, coef_0 / coef_m, can overflow.
     """
     kept = np.flatnonzero(np.abs(coef) > tol)
     m = kept[-1] if kept.size else 0
-    if m < 1:
+    if m < 1 or abs(coef[0]) > np.sum(np.abs(coef[1 : m + 1])):
         return np.empty(0)
     colleague = 0.5 * (np.eye(m, k=1) + np.eye(m, k=-1))
     colleague[-1] -= 0.5 * coef[:m] / coef[m]
     colleague[0] *= 2.0  # x T_0 = T_1; for m = 1 the row is x = -coef_0 / coef_1
     roots = np.linalg.eigvals(colleague)
     return np.sort(roots.real[(roots.imag == 0.0) & (np.abs(roots.real) <= 1.0)])
+
+
+def _lobatto_t(x, lo, hi):
+    """The line parameter t at x in [-1, 1]: lo at x = 1 and hi, exactly, at x = -1."""
+    return np.where(x == -1.0, hi, lo + 0.5 * (1.0 - x) * (hi - lo))
+
+
+def _slice_series(transport, lo: float, hi: float):
+    """The traces (x, y, z) over t in [lo, hi] on a slice as one resolved Chebyshev series in x.
+
+    On the admissible line a enters only C00, so x, y and z are entire in
+    t.  transport(ts) returns the monodromies at the line parameters ts, as
+    one batch.  Nested Chebyshev-Lobatto sets of 17, 33, 65, ... nodes at
+    t = _lobatto_t(x, lo, hi) go through it, each level only its new nodes,
+    until the last three coefficients of each of x, y and z are within
+    TRANSPORT_ATOL + TRANSPORT_RTOL times that trace's largest coefficient,
+    the transport's own tolerance (Aurentz and Trefethen, ACM TOMS 43, 2017,
+    chop a series at its tolerance).  A series not resolved at
+    MAX_SWEEP_NODES nodes raises MaxIterations naming the range, and a range
+    whose span is not a finite double ParameterOutOfRange, before any
+    transport.  An empty range (lo == hi) is one node, a constant series.
+    Returns (coef, tol, ends): coef has a row per coefficient and the
+    columns x, y, z, tol is each trace's chop, and ends holds the
+    monodromies of the first and the last node, transported at lo and hi.
+    """
+    if not math.isfinite(hi - lo):
+        raise ParameterOutOfRange(f"the a range {(lo, hi)} must have a finite span")
+
+    def traces(results):
+        return np.array([(m.x, m.y, m.z) for m in results], dtype=complex)
+
+    if lo == hi:
+        (end,) = transport([lo])
+        coef = traces([end])
+        return coef, TRANSPORT_ATOL + TRANSPORT_RTOL * np.abs(coef[0]), (end, end)
+    results = transport(_lobatto_t(_lobatto(16), lo, hi))
+    values = traces(results)
+    while True:
+        coef = _chebyshev_coefficients(values)
+        tol = TRANSPORT_ATOL + TRANSPORT_RTOL * np.max(np.abs(coef), axis=0)
+        if np.all(np.abs(coef[-3:]) <= tol):
+            return coef, tol, (results[0], results[-1])
+        degree = 2 * (len(values) - 1)
+        if degree + 1 > MAX_SWEEP_NODES:
+            raise MaxIterations(f"the a range {(lo, hi)} is not resolved by {len(values)} Chebyshev nodes")
+        finer = np.empty((degree + 1, 3), dtype=complex)
+        finer[0::2] = values
+        finer[1::2] = traces(transport(_lobatto_t(_lobatto(degree)[1::2], lo, hi)))
+        values = finer
 
 
 def real_locus_sweep(
@@ -653,25 +675,15 @@ def real_locus_sweep(
 
     Rows carry (a, x, y, z, eta-locus residual, real flag) in the order of
     the line parameter t, with t running over n equally spaced samples of
-    a_range; a row is flagged real when |Im z| <= TOL_MONO.  On the
-    admissible line a enters only C00, so x, y and z are entire in t, and
-    they are taken from one Chebyshev interpolant over the range:
-    - nested Chebyshev-Lobatto sets of 17, 33, 65, ... nodes, the first at
-      a_range[0], go through monodromy_batch, each level transporting only
-      its new nodes;
-    - the level is resolved when the last three coefficients of each of
-      x, y and z are within TRANSPORT_ATOL + TRANSPORT_RTOL times that
-      trace's largest coefficient, the transport's own tolerance (Aurentz and
-      Trefethen, ACM TOMS 43, 2017, chop a series at its tolerance); a
-      series that is not resolved at MAX_SWEEP_NODES nodes raises
-      MaxIterations naming the range;
+    a_range; a row is flagged real when |Im z| <= TOL_MONO.  x, y and z come
+    from the one Chebyshev series of _slice_series over the range:
     - the n sample rows are the series evaluated at the samples;
     - every real root of Im z in the range (the series of Im z cut after
       its last coefficient above z's tolerance, rooted by its colleague
       matrix) is transported once more, all in one batch, and added as a
       refined row, flagged real by its own |Im z|.
-    So a sweep costs its nodes plus its roots, whatever n is, and a pair of
-    crossings between two samples is found.
+    So a sweep costs its nodes plus its roots, whatever n is (an empty range
+    one node), and a pair of crossings between two samples is found.
     """
     check_tau(tau)
     if n < 1:
@@ -679,44 +691,22 @@ def real_locus_sweep(
     if n > MAX_SWEEP_POINTS:
         raise ParameterOutOfRange(f"{n} sweep samples exceed the cap of {MAX_SWEEP_POINTS}")
     lo, hi = float(a_range[0]), float(a_range[1])
-    if not math.isfinite(hi - lo):
-        raise ParameterOutOfRange(f"the a range {tuple(a_range)} must have a finite span")
     line = _slice_parametrization(chi0, tau)
-
-    def at(x):  # x in [-1, 1] to t, x = 1 at a_range[0]
-        return lo + 0.5 * (1.0 - x) * (hi - lo)
 
     def transport(ts):
         return monodromy_batch([ConnectionParams(line(t), chi0, r, tau) for t in ts])
 
-    def traces(results):
-        return np.array([(m.x, m.y, m.z) for m in results], dtype=complex)
-
-    values = traces(transport(at(_lobatto(16))))
-    while True:
-        coef = _chebyshev_coefficients(values)
-        tol = TRANSPORT_ATOL + TRANSPORT_RTOL * np.max(np.abs(coef), axis=0)
-        if np.all(np.abs(coef[-3:]) <= tol):
-            break
-        degree = 2 * (len(values) - 1)
-        if degree + 1 > MAX_SWEEP_NODES:
-            raise MaxIterations(
-                f"the a range {tuple(a_range)} is not resolved by {len(values)} Chebyshev nodes"
-            )
-        finer = np.empty((degree + 1, 3), dtype=complex)
-        finer[0::2] = values
-        finer[1::2] = traces(transport(at(_lobatto(degree)[1::2])))
-        values = finer
+    coef, tol, _ = _slice_series(transport, lo, hi)
 
     def sweep_row(t, x, y, z, refined):
         return SweepRow(t, line(t), x, y, z, charvar.eta_locus_residual(x.real, y.real, r),
                         abs(z.imag) <= TOL_MONO, refined)
 
     grid = np.linspace(lo, hi, n)
-    angles = np.arccos(np.linspace(1.0, -1.0, n))  # the samples' x, as in at(x)
+    angles = np.arccos(np.linspace(1.0, -1.0, n))  # the samples' x, as in _lobatto_t
     series = np.cos(np.outer(angles, np.arange(len(coef)))) @ coef
     rows = [sweep_row(t, *row, False) for t, row in zip(grid.tolist(), series.tolist())]
-    roots = at(_chebyshev_real_roots(coef[:, 2].imag, tol[2]))
+    roots = _lobatto_t(_chebyshev_real_roots(coef[:, 2].imag, tol[2]), lo, hi)
     rows += [sweep_row(t, m.x, m.y, m.z, True) for t, m in zip(roots.tolist(), transport(roots))]
     return SweepResult(sorted(rows, key=lambda row: row.t), r)
 
@@ -741,39 +731,46 @@ def match_y(
     tau: float,
     chi0: complex,
     bracket,
-    max_evals: int = MAX_EVALS,
+    max_evals: int = MAX_SWEEP_NODES + 1,
 ) -> MatchResult:
-    """Root-find a on the admissible slice so that tr Y matches y_target.
+    """Find t in bracket on the admissible line through chi0 where Re tr Y = y_target.
 
-    Safeguarded secant (Illinois) inside a straddling bracket; the
-    returned monodromy satisfies |Re y - y_target| <= TOL_ROOT.
+    Re y is taken from the series of _slice_series over the bracket, whose
+    first node is at bracket[0] and last at bracket[1].  An end node within
+    TOL_ROOT of the target is returned as it is, bracket[0] first.
+    Otherwise the root of the series of Re y - y_target nearest bracket[0]
+    is transported once and returned; the ends need not differ in sign
+    (y_target = 2 on (0.05, 1.5) at r = 0.1, tau = 1 has roots at t ~ 0.652
+    and 0.925, and 0.652 is returned).  A series with no root in the
+    bracket raises BracketDoesNotStraddle.  evaluations counts the nodes
+    and the root; one more than max_evals raises MaxIterations before it
+    is transported.  The default covers every bracket the series resolves.
     """
     check_tau(tau)
     _require_finite(y_target, *bracket)
     line = _slice_parametrization(chi0, tau)
+    lo, hi = float(bracket[0]), float(bracket[1])
     evals = 0
 
-    def g(t):
+    def transport(ts):
         nonlocal evals
-        if evals >= max_evals:
+        evals += len(ts)
+        if evals > max_evals:
             raise MaxIterations(f"budget of {max_evals} monodromy evaluations")
-        evals += 1
-        res = monodromies(ConnectionParams(line(t), chi0, r, tau))
-        return complex(res.y).real - y_target, res
+        return monodromy_batch([ConnectionParams(line(t), chi0, r, tau) for t in ts])
 
-    t_lo, t_hi = float(bracket[0]), float(bracket[1])
-    f_lo, res_lo = g(t_lo)
-    if abs(f_lo) <= TOL_ROOT:
-        return MatchResult(line(t_lo), t_lo, tau, res_lo, evals)
-    f_hi, res_hi = g(t_hi)
-    if abs(f_hi) <= TOL_ROOT:
-        return MatchResult(line(t_hi), t_hi, tau, res_hi, evals)
-    if f_lo * f_hi > 0:
-        raise BracketDoesNotStraddle(
-            f"y - y* has the same sign at both bracket ends ({f_lo:+.3e}, {f_hi:+.3e})"
-        )
-    t, res = _illinois(g, t_lo, f_lo, t_hi, f_hi, TOL_ROOT)
-    return MatchResult(line(t), t, tau, res, evals)
+    coef, tol, ends = _slice_series(transport, lo, hi)
+    for t, m in zip((lo, hi), ends):
+        if abs(m.y.real - y_target) <= TOL_ROOT:
+            return MatchResult(line(t), t, tau, m, evals)
+    shifted = coef[:, 1].real.copy()
+    shifted[0] -= y_target
+    roots = _chebyshev_real_roots(shifted, tol[1])
+    if not roots.size:
+        raise BracketDoesNotStraddle(f"Re y - {y_target} has no root for t in the bracket {(lo, hi)}")
+    t = float(_lobatto_t(roots[-1], lo, hi))
+    (m,) = transport([t])
+    return MatchResult(line(t), t, tau, m, evals)
 
 
 def _on_slice(a, tau, r) -> ConnectionParams:

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -1269,12 +1270,88 @@ def test_match_y_converges_in_range():
 
 
 def test_match_y_returns_endpoint():
+    """An end within TOL_ROOT is returned as transported: its t exactly, its monodromy bit for bit.
+
+    0.2 + (0.9 - 0.2) rounds to 0.9000000000000001, so the last node must be
+    placed at bracket[1] itself.  The ends are the interpolant's first and
+    last nodes: 17 evaluations, and no root is transported.
+    """
     chi0 = math.pi / (4.0 * TAU)
-    probe = am.monodromies(am.ConnectionParams(0.3, chi0, R, TAU))
-    target = complex(probe.y).real
-    res = am.match_y(target, R, TAU, chi0, (0.3, 0.7))
-    assert res.t == 0.3
-    assert res.evaluations == 1
+    for bracket, end in [((0.3, 0.7), 0.3), ((0.2, 0.9), 0.9)]:
+        probe = am.monodromies(am.ConnectionParams(end, chi0, R, TAU))
+        res = am.match_y(probe.y.real, R, TAU, chi0, bracket)
+        assert res.t == end and res.a == complex(end, -0.0)
+        for name in ("X", "Y", "K"):
+            assert np.array_equal(getattr(res.result, name), getattr(probe, name))
+        assert (res.result.x, res.result.y, res.result.z) == (probe.x, probe.y, probe.z)
+        assert res.evaluations == 17
+
+
+@pytest.mark.parametrize(("bracket", "root"), [((0.05, 1.5), 0.6519), ((1.5, 0.05), 0.9248)])
+def test_match_y_takes_the_root_nearest_the_first_end(bracket, root):
+    """Ends of one sign do not stop the solve: y = 2 twice on (0.05, 1.5) at tau = 1, around its peak."""
+    chi0 = math.pi / (4.0 * TAU)
+    res = am.match_y(2.0, R, TAU, chi0, bracket)
+    assert abs(res.t - root) <= 1e-4
+    assert abs(res.result.y.real - 2.0) <= 1e-9 and res.evaluations == 18
+
+
+@pytest.mark.parametrize(("tau", "target", "straddle"),
+                         [(0.3, 1.55, (0.05, 0.7)), (1.0, 1.8, (0.05, 0.7)),
+                          (5.0, 2.0, (0.2, 0.45)), (12.0, 1.8, (0.2, 0.35))])
+@pytest.mark.parametrize("bracket", [(0.05, 0.7), (0.05, 1.5)])
+def test_match_y_agrees_with_brentq_on_direct_monodromies(tau, target, straddle, bracket):
+    """Oracle: scipy's brentq on direct monodromies, xtol 1e-13, over a bracket straddling the first root.
+
+    Re y - target keeps one sign on (bracket[0], straddle[0]) (checked on 16
+    points), so the brentq root is the one nearest bracket[0].  Measured worst
+    over these cases: |t - t_brentq| 2.0e-10 (tau = 0.3), |Re y - target|
+    8.8e-11 (tau = 12).
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    chi0 = math.pi / (4.0 * tau)
+
+    def f(t):
+        return am.monodromies(am.ConnectionParams(t, chi0, R, tau)).y.real - target
+
+    before = [m.y.real - target for m in am.monodromy_batch(
+        [am.ConnectionParams(t, chi0, R, tau) for t in np.linspace(bracket[0], straddle[0], 16)])]
+    assert all(v * before[0] > 0 for v in before)
+    t_brentq = optimize.brentq(f, *straddle, xtol=1e-13)
+    res = am.match_y(target, R, tau, chi0, bracket)
+    assert abs(res.t - t_brentq) <= 1e-8
+    assert abs(res.result.y.real - target) <= 1e-9
+
+
+def test_match_y_default_budget_covers_a_wide_bracket():
+    """(-3, 4) at TAU_MAX resolves at 129 nodes, past MAX_EVALS, and its root is matched."""
+    res = am.match_y(1.8, R, am.TAU_MAX, math.pi / (4.0 * am.TAU_MAX), (-3.0, 4.0))
+    assert res.evaluations == 129 + 1 > am.MAX_EVALS
+    assert -3.0 <= res.t <= 4.0 and abs(res.result.y.real - 1.8) <= 1e-9
+
+
+@pytest.mark.parametrize(("tau", "bracket", "max_evals", "members"),
+                         [(am.TAU_MAX, (-3.0, 4.0), 64, 33), (TAU, (0.05, 0.7), 17, 17)])
+def test_match_y_budget_counts_nodes_and_root(monkeypatch, tau, bracket, max_evals, members):
+    """A budget below the nodes, or below nodes plus root, raises MaxIterations naming it, before the transport."""
+    calls = _count_monodromies(monkeypatch)
+    with pytest.raises(am.MaxIterations, match=f"^budget of {max_evals} monodromy evaluations$"):
+        am.match_y(1.8, R, tau, math.pi / (4.0 * tau), bracket, max_evals=max_evals)
+    assert len(calls) == members
+
+
+def test_empty_range_transports_one_member(monkeypatch):
+    """An empty sweep range or match bracket is one node: one transport, not 17 (nor 2)."""
+    calls = _count_monodromies(monkeypatch)
+    chi0 = math.pi / (4.0 * TAU)
+    res = am.real_locus_sweep(R, TAU, chi0, (0.5, 0.5), 3)
+    probe = am.monodromies(am.ConnectionParams(0.5, chi0, R, TAU))
+    assert len(calls) == 2 and len(res.rows) == 3 and not any(row.refined for row in res.rows)
+    assert all((row.t, row.x, row.y, row.z) == (0.5, probe.x, probe.y, probe.z) for row in res.rows)
+    assert am.match_y(probe.y.real, R, TAU, chi0, (0.5, 0.5)).evaluations == 1
+    with pytest.raises(am.BracketDoesNotStraddle):
+        am.match_y(1.8, R, TAU, chi0, (0.5, 0.5))
+    assert len(calls) == 4
 
 
 def test_both_matchers_return_one_result_type():
@@ -1287,9 +1364,11 @@ def test_both_matchers_return_one_result_type():
 
 
 def test_match_y_bracket_must_straddle():
+    """A target the series never reaches, however far, raises BracketDoesNotStraddle naming it."""
     chi0 = math.pi / (4.0 * TAU)
-    with pytest.raises(am.BracketDoesNotStraddle):
-        am.match_y(50.0, R, TAU, chi0, (0.1, 0.5))
+    for target, bracket in [(50.0, (0.1, 0.5)), (1e308, (0.05, 1.5))]:
+        with pytest.raises(am.BracketDoesNotStraddle, match="^" + re.escape(f"Re y - {target} has no root")):
+            am.match_y(target, R, TAU, chi0, bracket)
 
 
 def test_match_y_monotone_on_bracket():

@@ -225,6 +225,14 @@ def test_match_fixed_tau(capsys):
     assert payload["evaluations"] <= 60
 
 
+def test_match_fixed_tau_ends_of_one_sign(capsys):
+    """The default bracket (0.05, 1.5) has y - 2 < 0 at both ends and two roots: the first is matched."""
+    code, out, _ = run(capsys, "match", "--y-target", "2.0", "--r", "0.1")
+    payload = json.loads(out)
+    assert code == 0 and abs(payload["t"] - 0.6519) <= 1e-4
+    assert payload["residuals"]["y_mismatch"] <= 1e-9 and payload["evaluations"] == 18
+
+
 def test_match_reports_straddle_failure(capsys):
     code, _, err = run(
         capsys, "match", "--y-target", "50", "--r", "0.1", "--tau", "1",

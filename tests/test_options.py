@@ -14,12 +14,13 @@ decorators in src/fricke, and also only goes down.  A new cache needs a
 workload whose single pass hits it: replaying the same task list, as a
 benchmark does, does not count.  The one cache left is abelmono's
 _baker_sections, and a single pass hits it.  On one pass of the
-benchmark's seed-1 task lists, each sweep's node chunks and root batch,
-and each match_y evaluation after the first, read the nodes memo of one
-cached sections object (sweep: 4 sections builds and 5 coefficient
-calls, 16 and 19 if every form built its own), and in locus_match the
-second match_y task reuses the first task's sections (23 builds instead
-of 24, 30 coefficient calls instead of 31).
+benchmark's seed-1 task lists, the node chunks and root batch of each
+sweep and of each match_y task read the nodes memo of one cached
+sections object: sweep makes 4 sections builds and 5 coefficient calls
+(16 and 19 if every form built its own), locus_match 24 and 31 (31 and
+39), of them 1 and 1 per match_y task.  The rank checks between the two
+match_y tasks, three moduli each, evict the first task's sections, so
+the second builds its own.
 """
 
 import ast
