@@ -743,8 +743,8 @@ def match_y(
     (y_target = 2 on (0.05, 1.5) at r = 0.1, tau = 1 has roots at t ~ 0.652
     and 0.925, and 0.652 is returned).  A series with no root in the
     bracket raises BracketDoesNotStraddle.  evaluations counts the nodes
-    and the root; one more than max_evals raises MaxIterations before it
-    is transported.  The default covers every bracket the series resolves.
+    and the root; a batch that would take it past max_evals (by default
+    enough for any bracket the series resolves) raises MaxIterations.
     """
     check_tau(tau)
     _require_finite(y_target, *bracket)
