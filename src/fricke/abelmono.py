@@ -50,7 +50,7 @@ MAX_SWEEP_POINTS = 10_000
 # range the condition gate lets through at TAU_MAX, a in (-11, 11) on the slice
 # chi0 = pi/(4 tau) (a = +-11.5 fails it), resolves at exactly 257 nodes (0.45 s).
 MAX_SWEEP_NODES = 257
-GRAZE_SCAN, GRAZE_POINTS = (0.02, 1.8), 30  # match_on_locus's graze-point scan over a
+GRAZE_SCAN, GRAZE_BATCHES = (0.02, 1.8), (8, 8, 8, 6)  # match_on_locus's graze-point scan over a
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ class _BakerSections:
         return scale / phase * theta_plus, -scale * phase * theta_minus
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _baker_sections(chi: complex, r: float, tau: float) -> _BakerSections:
     return _BakerSections(chi, r, tau)
 
@@ -216,7 +216,7 @@ class ConnectionForm:
     along a loop to the panel level of the last one to pass on that loop.
 
     Nothing but C00 depends on a: the rest is sections, shared by every form
-    at the same (chi, r, tau) while it is among the 8 most recently used.
+    at the same (chi, r, tau) until a form at another one is built.
     """
 
     def __init__(self, params: ConnectionParams | list):
@@ -411,8 +411,9 @@ def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> Transp
     leaves the array.  A path at another tau than the form's raises
     ParameterOutOfRange before any pass, one within its delta of the
     lattice at any node of a pass PathTooCloseToPole before it is tested.
-    For the whole call, named after the first such path, a non-finite product
-    of an open (member, path) raises NonGenericChi, the budget StepLimitExceeded.
+    For the whole call, a non-finite product of an open (member, path) raises
+    NonGenericChi naming chi and the first such member's a and first such
+    path, the budget StepLimitExceeded naming the first open path.
     """
     several = isinstance(paths, tuple)
     paths = paths if several else (paths,)
@@ -432,8 +433,9 @@ def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> Transp
             todo = np.array([[res is None for res in out[k]] for k in open_])
             failed = todo & ~np.all(np.isfinite(fine), axis=(2, 3))
             if failed.any():
-                k = open_[int(np.argmax(failed.any(axis=1)))]
-                raise NonGenericChi(f"{paths[k].label}: non-finite panel product at {n} panels:"
+                i, k = divmod(int(np.argmax(failed.T)), len(open_))  # the first failing member, then loop
+                raise NonGenericChi(f"chi = {form.chi}, a = {complex(form.a.flat[i])}: {paths[open_[k]].label}:"
+                                    f" non-finite panel product at {n} panels:"
                                     " the monodromy is beyond double precision")
             if coarse is not None:
                 err = np.max(np.abs(fine - coarse[open_]), axis=(2, 3)) / 63.0
@@ -492,11 +494,11 @@ def monodromy_batch(stack: list) -> list:
     gamma_x or gamma_y closes, then for the open loop alone.  Every chunk
     shares the sections of (chi, r, tau), so the Baker sections are
     evaluated once per (open loops, level) for the whole stack, and not
-    again for a later call at the same (chi, r, tau) while the sections stay
-    cached.  Every member's result, panel counts included, equals its batch
-    of one.
-    When a chunk's transport fails, its members are run again one at a time,
-    so the error raised is the one the first failing member raises alone.
+    again for a later call while they stay cached.  Every member's result,
+    panel counts included, equals its batch of one.  When a chunk's
+    transport fails, its members are run again one at a time, so the error
+    raised is the one the first failing member raises alone.  BATCH_CHUNK,
+    read here alone, sets speed and memory: no result or error depends on it.
     """
     results = []
     for start in range(0, len(stack), BATCH_CHUNK):
@@ -519,10 +521,8 @@ def _monodromy_result(params, tx: TransportResult, ty: TransportResult) -> Monod
     norm = max(math.hypot(e.real, e.imag) for e in (*X, *Y))  # abs(e) raises OverflowError past DBL_MAX
     kappa = norm * norm  # inf, not OverflowError, past ~1.3e154
     if kappa * np.finfo(float).eps > TOL_MONO:
-        raise NonGenericChi(
-            f"chi = {params.chi}, a = {complex(params.a)}: monodromy condition number {kappa:.1e}"
-            " is beyond double precision"
-        )
+        raise NonGenericChi(f"chi = {complex(params.chi)}, a = {complex(params.a)}: monodromy condition"
+                            f" number {kappa:.1e} is beyond double precision")
     K = algebra.inverse(Y) @ algebra.inverse(X) @ Y @ X
     x, y, z = charvar.traces_of_pair(X, Y).astuple()
     char_res = abs(charvar.fricke_torus_residual(x, y, z, params.r))
@@ -782,17 +782,16 @@ def _graze_point(ev):
     """Locate the isolated real point (Im z sign change) on a fixed-tau slice.
 
     ev(ts) returns the monodromies at a = t for every t of ts, as one batch.
-    The GRAZE_POINTS points of GRAZE_SCAN are scanned from its start,
-    BATCH_CHUNK at a time, up to the first chunk that holds a real point or a
-    bracket; points where y <= 1 neither end a bracket nor count as real.
+    The sum(GRAZE_BATCHES) points of GRAZE_SCAN are scanned from its start
+    in the batches of GRAZE_BATCHES, up to the first that holds a real point
+    or a bracket; points where y <= 1 neither end a bracket nor count as real.
     Returns (t, monodromy) at the first point with |Im z| <= TOL_IM, or else
     at the secant point of the first bracket, which costs one evaluation.
     """
     t0 = f0 = None
-    grid = np.linspace(GRAZE_SCAN[0], GRAZE_SCAN[1], GRAZE_POINTS)
-    for start in range(0, GRAZE_POINTS, BATCH_CHUNK):
-        chunk = grid[start : start + BATCH_CHUNK]
-        for t, m in zip(chunk, ev(chunk)):
+    grid = np.linspace(GRAZE_SCAN[0], GRAZE_SCAN[1], sum(GRAZE_BATCHES))
+    for batch in np.split(grid, np.cumsum(GRAZE_BATCHES)[:-1]):
+        for t, m in zip(batch, ev(batch)):
             f = complex(m.z).imag
             if complex(m.y).real > 1.0:
                 if abs(f) <= TOL_IM:

@@ -494,8 +494,9 @@ def test_transport_fails_fast_near_half_lattice_chi():
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(am.NonGenericChi, match="^gamma_x: non-finite panel product at 16 panels: "
-                           "the monodromy is beyond double precision$"):
+        with pytest.raises(am.NonGenericChi, match="^" + re.escape(
+                "chi = (1e-07+0j), a = (0.2+0j): gamma_x: non-finite panel product at 16 panels: "
+                "the monodromy is beyond double precision") + "$"):
             am.monodromies(params)
     assert time.perf_counter() - t0 < 1.0
 
@@ -705,7 +706,11 @@ def test_monodromy_keeps_transport_data():
 
 
 def test_stacked_transport_errors_name_the_failing_loop(monkeypatch):
-    """Budget, pole and non-finite errors of a stacked call name the loop that failed."""
+    """Budget, pole and non-finite errors of a stacked call name the loop that failed.
+
+    The non-finite product also names the connection: chi, and the a of the first
+    failing member of a stack, whose first failing loop it names.
+    """
     a, tau = DODECA_ROOT
     params = am._on_slice(a, tau, 0.1)  # gamma_x closes at 32 panels, gamma_y at 64
     form = am.ConnectionForm(params)
@@ -714,8 +719,14 @@ def test_stacked_transport_errors_name_the_failing_loop(monkeypatch):
     with pytest.raises(am.PathTooCloseToPole, match="^bad: "):
         am.parallel_transport(form, (x_path, bad))
     huge = _Curve(x_path.point, lambda s: 1e300 + 0j, tau, "huge")
-    with pytest.raises(am.NonGenericChi, match="^huge: non-finite panel product at 16 panels: "):
+    named = f"chi = {complex(params.chi)}, a = {complex(a)}: huge: non-finite panel product at 16 panels: "
+    with pytest.raises(am.NonGenericChi, match="^" + re.escape(named)):
         am.parallel_transport(form, (x_path, huge))
+    # member 1 overflows on gamma_y alone, member 2 on both loops: member 1 and gamma_y are named
+    stack = am.ConnectionForm([am._on_slice(b, tau, 0.1) for b in (a, 400j, 1e200)])
+    with pytest.raises(am.NonGenericChi, match="^" + re.escape(
+            f"chi = {complex(params.chi)}, a = 400j: gamma_y: non-finite panel product at 16 panels: ")):
+        am.parallel_transport(stack, (x_path, am.gamma_y(tau)))
     monkeypatch.setattr(am, "PANEL_BUDGET", 32)
     with pytest.raises(am.StepLimitExceeded, match="^gamma_y: budget of 32 panels"):
         am.monodromies(params)
@@ -879,20 +890,54 @@ def test_batch_raises_the_first_failing_members_error(monkeypatch):
         am.monodromy_batch(stack)
 
 
+def _mixed_chunk():
+    return [am.ConnectionParams(complex(t, 0.0), math.pi / 4.0, R, 1.0) for t in np.linspace(5.0, 800.0, 8)]
+
+
 def test_mixed_chunk_raises_its_first_members_error():
-    """Member 1 alone is ill-conditioned; member 7's product overflows in the stack first."""
-    stack = [am.ConnectionParams(complex(t, 0.0), math.pi / 4.0, R, 1.0)
-             for t in np.linspace(5.0, 800.0, 8)]
-    with pytest.raises(am.NonGenericChi, match="^gamma_x: non-finite panel product at 16 panels: "
-                       "the monodromy is beyond double precision$"):
+    """Member 1 alone is ill-conditioned; member 7's product overflows in the stack first.
+
+    Either error names chi and its member's a; the batch raises member 1's.
+    """
+    stack = _mixed_chunk()
+    chi = "chi = (0.7853981633974483+0j)"
+    with pytest.raises(am.NonGenericChi, match="^" + re.escape(
+            f"{chi}, a = (800+0j): gamma_x: non-finite panel product at 16 panels: "
+            "the monodromy is beyond double precision") + "$"):
         am.monodromies(stack[7])
-    with pytest.raises(am.NonGenericChi, match=r"condition number 4\.7e\+103 "):
+    with pytest.raises(am.NonGenericChi, match="^" + re.escape(
+            f"{chi}, a = (118.57142857142857+0j): monodromy condition number 4.7e+103 ")):
         am.monodromy_batch(stack)
 
 
 def _fingerprint(m):
     return (m.X.tobytes(), m.Y.tobytes(), m.K.tobytes(), m.x, m.y, m.z, m.char_residual,
             m.commutator_residual, m.det_drift, m.panels, m.error_estimate)
+
+
+def test_batch_chunk_changes_no_result(monkeypatch):
+    """BATCH_CHUNK sets speed and memory alone: no count, bit or error depends on it.
+
+    At chunks of 1, 8, 16 and 64 the dodecahedral solves from (2.6, 3.2) and (12, 12)
+    take 18 and 24 evaluations, and they, match_y at 1.8, a 60-point sweep and a
+    jacobian_rank give the same bits; the mixed-chunk stack raises the same error.
+    When the graze scan went BATCH_CHUNK points at a time, the first solve took 17,
+    18, 26 and 40 evaluations.
+    """
+    seen = []
+    for chunk in (1, 8, 16, 64):
+        monkeypatch.setattr(am, "BATCH_CHUNK", chunk)
+        _cold()
+        solves = [am.match_on_locus(YSTAR, R, tau_bracket=bracket) for bracket in ((2.6, 3.2), (12.0, 12.0))]
+        solves.append(am.match_y(1.8, R, 1.0, math.pi / 4.0, (0.05, 0.7)))
+        sweep = am.real_locus_sweep(0.3, 1.2, math.pi / 4.8, (0.05, 1.6), 60)
+        rank = am.jacobian_rank(0.3, 1.0, R)
+        with pytest.raises(am.NonGenericChi) as error:
+            am.monodromy_batch(_mixed_chunk())
+        seen.append(([(res.evaluations, res.a, res.t, res.tau, _fingerprint(res.result)) for res in solves],
+                     repr(sweep.rows), rank.jacobian.tobytes(), str(error.value)))
+        assert [res.evaluations for res in solves[:2]] == [18, 24]
+    assert seen[1:] == seen[:1] * 3
 
 
 def _transport_fingerprint(res):
@@ -1044,10 +1089,11 @@ def test_theta1_at_p_past_double_precision_is_non_generic():
 
 
 def test_retained_memory_is_bounded():
-    """200 monodromies at distinct (chi, r, tau) leave at most 8 sections objects behind.
+    """200 monodromies at distinct (chi, r, tau) leave at most one sections object behind.
 
-    Measured: 0.43e6 bytes still held afterwards (tracemalloc current), against a
-    bound of that plus a 0.37e6 margin; an unbounded sections cache holds 7.4e6.
+    Measured: 0.12e6 bytes still held afterwards (tracemalloc current; 0.19e6 in a
+    bare interpreter), against a bound of that plus a 0.18e6 margin; a sections
+    cache of 8 entries holds 0.40e6, an unbounded one 7.4e6.
     """
     rng = np.random.default_rng(200)
     taus = (0.2, 0.5, 1.0, 2.0, 5.0)
@@ -1068,7 +1114,7 @@ def test_retained_memory_is_bounded():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained <= 0.43e6 + 0.37e6
+    assert retained <= 0.12e6 + 0.18e6
 
 
 def test_sweep_memory_peak():
@@ -1421,11 +1467,13 @@ def test_match_on_locus_stays_in_tau_domain(monkeypatch):
 
 
 def test_match_on_locus_slice_without_graze_point(monkeypatch):
-    """A scan past the graze point (a ~ 0.45 at tau = 2) holds no real point."""
+    """A scan past the graze point (a ~ 0.45 at tau = 2) holds no real point: all its batches run."""
     monkeypatch.setattr(am, "GRAZE_SCAN", (1.0, 1.8))
-    monkeypatch.setattr(am, "GRAZE_POINTS", 5)
+    monkeypatch.setattr(am, "GRAZE_BATCHES", (3, 2))
+    calls = _count_monodromies(monkeypatch)
     with pytest.raises(am.BracketDoesNotStraddle):
         am.match_on_locus(YSTAR, R)
+    assert calls == np.linspace(1.0, 1.8, 5).tolist()
 
 
 def test_match_on_locus_stage_budget(monkeypatch):

@@ -605,11 +605,14 @@ def test_monodromy_budget_of_one_level(monkeypatch, capsys):
 
 
 def test_non_finite_product_fails_at_the_first_level(capsys):
-    """Near a half-lattice chi the 16-panel product overflows: NonGenericChi, and the fused first pass names 16."""
-    code, out, err = run(capsys, "monodromy", "--a", "0.2", "--chi", "1e-7", "--r", "0.1", "--tau", "1")
-    assert (code, out) == (2, "")
-    assert err == ("E:input:gamma_x: non-finite panel product at 16 panels:"
-                   " the monodromy is beyond double precision\n")
+    """Near a half-lattice chi, or at a huge a, the 16-panel product overflows: NonGenericChi,
+    naming chi, a and the loop, and the fused first pass names 16 (the README's two lines)."""
+    for a, chi, named in (("0.2", "1e-7", "chi = (1e-07+0j), a = (0.2+0j)"),
+                          ("1e200", "0.3", "chi = (0.3+0j), a = (1e+200+0j)")):
+        code, out, err = run(capsys, "monodromy", "--a", a, "--chi", chi, "--r", "0.1", "--tau", "1")
+        assert (code, out) == (2, "")
+        assert err == (f"E:input:{named}: gamma_x: non-finite panel product at 16 panels:"
+                       " the monodromy is beyond double precision\n")
 
 
 @pytest.mark.parametrize("chi", ["3+0.3i", "3-0.3i", "-3+0.3i", "-3-0.3i"])

@@ -9,18 +9,21 @@ still set, so turning a default into a required parameter lowers this
 count without removing the knob; such a parameter needs a caller outside
 the tests that passes it.
 
-The cache budget counts the functools.lru_cache and functools.cache
-decorators in src/fricke, and also only goes down.  A new cache needs a
-workload whose single pass hits it: replaying the same task list, as a
-benchmark does, does not count.  The one cache left is abelmono's
-_baker_sections, and a single pass hits it.  On one pass of the
-benchmark's seed-1 task lists, the node chunks and root batch of each
-sweep and of each match_y task read the nodes memo of one cached
+The cache budget counts the entries that the functools.lru_cache and
+functools.cache decorators in src/fricke may hold: each lru_cache adds its
+maxsize (128 when none is given), and an unbounded one (maxsize None, or
+functools.cache) fails the gate.  It also only goes down.  A new entry
+needs a workload whose single pass hits it: replaying the same task list,
+as a benchmark does, does not count.  The one cache left is abelmono's
+_baker_sections, with one entry, and a single pass hits it.  On one pass
+of the benchmark's seed-1 task lists, the node chunks and root batch of
+each sweep and of each match_y task read the nodes memo of the one cached
 sections object: sweep makes 4 sections builds and 5 coefficient calls
-(16 and 19 if every form built its own), locus_match 24 and 31 (31 and
-39), of them 1 and 1 per match_y task.  The rank checks between the two
-match_y tasks, three moduli each, evict the first task's sections, so
-the second builds its own.
+(16 and 19 if every form built its own), scatter 128 and 328, locus_match
+24 and 31 (31 and 39), of them 1 and 1 per match_y task.  Eight entries
+save no build and no call on any of the three: the rank checks between
+the two match_y tasks, three moduli each, evict the first task's sections
+from eight entries as from one, so the second task builds its own.
 """
 
 import ast
@@ -48,6 +51,20 @@ def test_optional_parameters_within_budget():
     assert len(options) <= OPTION_BUDGET, sorted(options)
 
 
+def _maxsize(decorator):
+    """The entries an lru_cache decorator may hold: None when unbounded or not a literal."""
+    args = []
+    if isinstance(decorator, ast.Call):
+        args = decorator.args or [kw.value for kw in decorator.keywords if kw.arg == "maxsize"]
+    if not args:
+        return 128  # lru_cache's default maxsize
+    try:
+        size = ast.literal_eval(args[0])
+    except ValueError:  # lru_cache(function) or a computed size
+        return None
+    return size if isinstance(size, int) else None
+
+
 def _caches():
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -56,11 +73,14 @@ def _caches():
                 for decorator in node.decorator_list:
                     target = decorator.func if isinstance(decorator, ast.Call) else decorator
                     name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-                    if name in ("lru_cache", "cache"):
-                        found.append(f"{path.name}:{node.name}")
+                    if name == "cache":
+                        found.append((f"{path.name}:{node.name}", None))
+                    elif name == "lru_cache":
+                        found.append((f"{path.name}:{node.name}", _maxsize(decorator)))
     return found
 
 
 def test_caches_within_budget():
     caches = _caches()
-    assert len(caches) <= CACHE_BUDGET, sorted(caches)
+    assert all(size is not None for _, size in caches), sorted(caches)
+    assert sum(max(size, 1) for _, size in caches) <= CACHE_BUDGET, sorted(caches)
