@@ -21,6 +21,7 @@ point, a running product of powers and two small matrix products.
 from __future__ import annotations
 
 import cmath
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ TRANSPORT_RTOL = 1e-10
 TRANSPORT_ATOL = 1e-13
 PANEL_BUDGET = 10_000  # panels per loop past which parallel_transport gives up
 MAX_EVALS = 60  # monodromy evaluations per match_on_locus solve
-BATCH_CHUNK = 8  # a values transported in one array by monodromy_batch
+BATCH_CHUNK = 32  # a values transported in one array by monodromy_batch
 # The most samples real_locus_sweep takes (locus --n), an input check: the samples
 # are series values, so a CLI sweep took 0.16 s at 600 samples (2-vCPU x86 host,
 # interpreter start included), 0.18 s at 3000 and 0.24 s at 10000.
@@ -212,8 +213,8 @@ class ConnectionForm:
     for a list; coefficient takes w of any shape and returns the sl(2)
     coordinates (C00, C01, C10) stacked on axis 0, shape
     (3,) + a.shape + w.shape, with psi_+- evaluated once for all members.
-    Members never leave the stack: parallel_transport carries every member
-    along a loop to the panel level of the last one to pass on that loop.
+    Members leave the stack: parallel_transport takes each later level
+    through a copy of the form over the members still open.
 
     Nothing but C00 depends on a: the rest is sections, shared by every form
     at the same (chi, r, tau) until a form at another one is built.
@@ -403,17 +404,19 @@ def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> Transp
     gives one TransportResult per path.  A tuple gives a tuple of those, in
     its order.  The first pass evaluates 16 and 32 panels in one
     _magnus_product call (16 panels are only ever the coarse side of a
-    comparison), each later pass the next level alone, for every open
-    (member, path) pair; each level is tested as one (open paths, members)
-    array.  A pair keeps the product of the level at which it first passed
-    its own test, so its entry equals the result for that path alone and a
-    form over that member alone.  A path whose members have all passed
-    leaves the array.  A path at another tau than the form's raises
-    ParameterOutOfRange before any pass, one within its delta of the
-    lattice at any node of a pass PathTooCloseToPole before it is tested.
-    For the whole call, a non-finite product of an open (member, path) raises
-    NonGenericChi naming chi and the first such member's a and first such
-    path, the budget StepLimitExceeded naming the first open path.
+    comparison), each later pass the next level alone; each level is tested
+    as one (open paths, live members) array.  A pair keeps the product of
+    the level at which it first passed its own test, so its entry equals the
+    result for that path alone and a form over that member alone.  A path
+    whose members have all passed leaves the array, and so does a member
+    that has passed on every open path: the next pass takes a copy of the
+    form over the live members' a (no copy while nobody leaves).  A path at
+    another tau than the form's raises ParameterOutOfRange before any pass,
+    one within its delta of the lattice at any node of a pass
+    PathTooCloseToPole before it is tested.  For the whole call, a
+    non-finite product of an open (member, path) raises NonGenericChi naming
+    chi and the first such member's a and first such path, the budget
+    StepLimitExceeded naming the first open path.
     """
     several = isinstance(paths, tuple)
     paths = paths if several else (paths,)
@@ -421,31 +424,39 @@ def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> Transp
         if path.tau != form.sections.lat.tau:
             raise ParameterOutOfRange(f"{path.label}: a loop at tau = {path.tau}, not {form.sections.lat.tau}")
     out = [[None] * form.a.size for _ in paths]
+    live, loops, members = form, np.arange(len(paths)), np.arange(form.a.size)  # what the next pass carries
+    todo = np.ones((loops.size, members.size), dtype=bool)  # its open (loop, member) pairs
     n, pending, coarse = _FIRST_PANELS, [], None
     with np.errstate(all="ignore"):
-        while open_ := [k for k, row in enumerate(out) if None in row]:
+        while todo.size:
             if n > PANEL_BUDGET:
-                raise StepLimitExceeded(f"{paths[open_[0]].label}: budget of {PANEL_BUDGET} panels")
+                raise StepLimitExceeded(f"{paths[loops[0]].label}: budget of {PANEL_BUDGET} panels")
             if not pending:
                 levels = (n,) if coarse is not None else (n, 2 * n)
-                pending = _magnus_product(form, [paths[k] for k in open_], levels)
-            fine = np.moveaxis(pending.pop(0).reshape(-1, len(open_), 2, 2), 1, 0)
-            todo = np.array([[res is None for res in out[k]] for k in open_])
+                pending = _magnus_product(live, [paths[k] for k in loops], levels)
+            fine = np.moveaxis(pending.pop(0).reshape(-1, len(loops), 2, 2), 1, 0)
             failed = todo & ~np.all(np.isfinite(fine), axis=(2, 3))
             if failed.any():
-                i, k = divmod(int(np.argmax(failed.T)), len(open_))  # the first failing member, then loop
-                raise NonGenericChi(f"chi = {form.chi}, a = {complex(form.a.flat[i])}: {paths[open_[k]].label}:"
+                i, k = divmod(int(np.argmax(failed.T)), len(loops))  # the first failing member, then loop
+                raise NonGenericChi(f"chi = {form.chi}, a = {complex(live.a.flat[i])}: {paths[loops[k]].label}:"
                                     f" non-finite panel product at {n} panels:"
                                     " the monodromy is beyond double precision")
             if coarse is not None:
-                err = np.max(np.abs(fine - coarse[open_]), axis=(2, 3)) / 63.0
+                err = np.max(np.abs(fine - coarse), axis=(2, 3)) / 63.0
                 tol = TRANSPORT_ATOL + TRANSPORT_RTOL * np.max(np.abs(fine), axis=(2, 3))
-                for j, i in zip(*np.nonzero(todo & (err <= tol))):
+                passed = todo & (err <= tol)
+                for j, i in zip(*np.nonzero(passed)):
                     p = fine[j, i]
-                    out[open_[j]][i] = TransportResult(p, abs(algebra.det(p) - 1.0), n, float(err[j, i]))
-            else:
-                coarse = np.empty_like(fine)  # every path is open at the first level
-            coarse[open_] = fine
+                    out[loops[j]][members[i]] = TransportResult(p, abs(algebra.det(p) - 1.0), n, float(err[j, i]))
+                if passed.any():  # retire the loops, then the members, that have no open pair left
+                    todo &= ~passed
+                    if not (keep := todo.any(axis=1)).all():
+                        loops, todo, fine = loops[keep], todo[keep], fine[keep]
+                    if todo.size and not (keep := todo.any(axis=0)).all():
+                        members, todo, fine = members[keep], todo[:, keep], fine[:, keep]
+                        live = copy.copy(live)
+                        live.a = live.a[keep]
+            coarse = fine
             n *= 2
     results = tuple(row if form.a.ndim else row[0] for row in out)
     return results if several else results[0]
@@ -489,9 +500,9 @@ def monodromy_batch(stack: list) -> list:
     """monodromies for every ConnectionParams of stack; all share (chi, r, tau).
 
     BATCH_CHUNK members at a time go through one stacked ConnectionForm and
-    one parallel_transport call over (gamma_x, gamma_y): one pass for the
-    chunk and both loops per level (the first covers 16 and 32 panels) until
-    gamma_x or gamma_y closes, then for the open loop alone.  Every chunk
+    one parallel_transport call over (gamma_x, gamma_y): one pass per level
+    (the first covers 16 and 32 panels) for the loops still open, carrying
+    only the members still open on one of them.  Every chunk
     shares the sections of (chi, r, tau), so the Baker sections are
     evaluated once per (open loops, level) for the whole stack, and not
     again for a later call while they stay cached.  Every member's result,

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import dataclasses
 import math
 import re
@@ -812,48 +813,97 @@ def _slice_stack(r, tau, n, a_range=(0.05, 1.6)):
     return [am.ConnectionParams(complex(t, 0.0), chi0, r, tau) for t in np.linspace(*a_range, n)]
 
 
+def _retiring_stack():
+    """40 members of (-3, 4) at r = 0.3, tau = 5: gamma_x closes at 32 panels, gamma_y at 128, 256 and 512."""
+    return _slice_stack(0.3, 5.0, 40, (-3.0, 4.0))
+
+
 def test_batch_members_equal_batches_of_one():
-    """Each member keeps the level where it first passes and equals its batch of one bit for bit."""
-    stack = _slice_stack(0.3, 1.2, 60)  # the last chunk closes gamma_y at 32 and at 64 panels
-    batch = am.monodromy_batch(stack)
-    assert len({res.panels[1] for res in batch}) >= 2
-    for params, res in zip(stack, batch):
-        alone = am.monodromies(params)
-        assert res.X.tobytes() == alone.X.tobytes()
-        assert res.Y.tobytes() == alone.Y.tobytes()
-        assert (res.panels, res.error_estimate) == (alone.panels, alone.error_estimate)
+    """Each member keeps the level where it first passes and equals its batch of one bit for bit.
+
+    On a tau = 1.2 slice stack, whose last chunk closes gamma_y at 32 and at 64
+    panels, and on the retiring stack, whose members leave the transport at three
+    levels.
+    """
+    for stack in (_slice_stack(0.3, 1.2, 60), _retiring_stack()):
+        batch = am.monodromy_batch(stack)
+        assert len({res.panels[1] for res in batch}) >= 2
+        for params, res in zip(stack, batch):
+            alone = am.monodromies(params)
+            assert res.X.tobytes() == alone.X.tobytes()
+            assert res.Y.tobytes() == alone.Y.tobytes()
+            assert (res.panels, res.error_estimate) == (alone.panels, alone.error_estimate)
 
 
-@pytest.mark.parametrize("members", [1, 3, 8, 20])
+def _open_at(panels, n):
+    """The loops, and then the members, still open at n panels, given every member's closing panels."""
+    loops = tuple(loop for loop in (0, 1) if any(p[loop] >= n for p in panels))
+    return loops, [i for i, p in enumerate(panels) if any(p[loop] >= n for loop in loops)]
+
+
+@pytest.mark.parametrize("members", [1, 3, 8, 20, 40])
 def test_batch_evaluates_each_panel_level_once_per_chunk(monkeypatch, members):
     """One coefficient call per (open loops, level) for a whole batch, then none for a single call.
 
-    A chunk's first pass carries both loops at 16 + 32 = 48 panel columns and each
-    later level the loops still open in that chunk.  Only the first chunk to reach a
-    (open loops, level) pair evaluates it; the later chunks, and single calls at a
-    member of the batch, read it from the memo of the shared sections.
+    A chunk's first pass carries every member on both loops at 16 + 32 = 48 panel
+    columns; each later level carries the loops still open in that chunk and, on
+    them, exactly the chunk's members still open on one of them.  Only the first
+    chunk to reach a (open loops, level) pair evaluates it; the later chunks, and
+    single calls at a member of the batch, read it from the memo of the shared
+    sections.
     """
     _cold()
     calls = _spy_coefficient(monkeypatch)
-    stack = _slice_stack(0.3, 1.2, members)  # the third chunk closes gamma_y at 64 panels
+    stack = _slice_stack(0.3, 1.2, members)
     batch = am.monodromy_batch(stack)
     expected, seen = [], set()
     for start in range(0, members, am.BATCH_CHUNK):
-        chunk = batch[start : start + am.BATCH_CHUNK]
-        closing = [max(res.panels[loop] for res in chunk) for loop in (0, 1)]
-        n, loops = 32, (0, 1)
-        while loops:
+        panels = [res.panels for res in batch[start : start + am.BATCH_CHUNK]]
+        n = 32
+        while (open_ := _open_at(panels, n))[0]:
+            loops, carried = open_
             if (loops, n) not in seen:
                 seen.add((loops, n))
-                expected.append((len(chunk), len(loops), 3, 48 if n == 32 else n))
+                expected.append((len(carried), len(loops), 3, 48 if n == 32 else n))
             n *= 2
-            loops = tuple(loop for loop in loops if closing[loop] >= n)
     assert calls == expected
-    if members == 20:  # one call per chunk and level would be 4
-        assert calls == [(8, 2, 3, 48), (4, 1, 3, 64)]
+    if members == 20:  # one chunk; gamma_y alone at 64 panels, for the last member alone
+        assert calls == [(20, 2, 3, 48), (1, 1, 3, 64)]
+    if members == 40:  # the second chunk reads its first pass from the memo; its last 2 members reach 64
+        assert calls == [(32, 2, 3, 48), (2, 1, 3, 64)]
     for params in stack:
         am.monodromies(params)
     assert calls == expected
+
+
+def test_transport_retires_closed_members(monkeypatch):
+    """Each pass after the first carries exactly the members still open on one of its loops.
+
+    The retiring stack goes through one stacked transport of both loops.  Every
+    _magnus_product pass is spied on: its form's a must be the a of the members
+    open at its finest level, in stack order, and its loops those still open.
+    gamma_x closes at 32 panels for every member, so the passes carry 40, 40, 40,
+    27 and 4 members.
+    """
+    passes = []
+    magnus_product = am._magnus_product
+
+    def spy(form, paths, levels):
+        passes.append((form.a.tolist(), [path.label for path in paths], levels[-1]))
+        return magnus_product(form, paths, levels)
+
+    monkeypatch.setattr(am, "_magnus_product", spy)
+    stack = _retiring_stack()
+    form = am.ConnectionForm(stack)
+    tx, ty = am.parallel_transport(form, (am.gamma_x(5.0), am.gamma_y(5.0)))
+    panels = [(rx.panels, ry.panels) for rx, ry in zip(tx, ty)]
+    assert sorted(collections.Counter(p[1] for p in panels).items()) == [(128, 13), (256, 23), (512, 4)]
+    expected = []
+    for n in (32, 64, 128, 256, 512):
+        loops, carried = _open_at(panels, n)
+        expected.append(([complex(stack[i].a) for i in carried], [("gamma_x", "gamma_y")[k] for k in loops], n))
+    assert passes == expected
+    assert [len(a) for a, _labels, _n in passes] == [40, 40, 40, 27, 4]
 
 
 @pytest.mark.parametrize("members", [None, 1, 8])
@@ -918,14 +968,14 @@ def _fingerprint(m):
 def test_batch_chunk_changes_no_result(monkeypatch):
     """BATCH_CHUNK sets speed and memory alone: no count, bit or error depends on it.
 
-    At chunks of 1, 8, 16 and 64 the dodecahedral solves from (2.6, 3.2) and (12, 12)
+    At chunks of 1, 8, 16, 32 and 64 the dodecahedral solves from (2.6, 3.2) and (12, 12)
     take 18 and 24 evaluations, and they, match_y at 1.8, a 60-point sweep and a
     jacobian_rank give the same bits; the mixed-chunk stack raises the same error.
     When the graze scan went BATCH_CHUNK points at a time, the first solve took 17,
     18, 26 and 40 evaluations.
     """
     seen = []
-    for chunk in (1, 8, 16, 64):
+    for chunk in (1, 8, 16, 32, 64):
         monkeypatch.setattr(am, "BATCH_CHUNK", chunk)
         _cold()
         solves = [am.match_on_locus(YSTAR, R, tau_bracket=bracket) for bracket in ((2.6, 3.2), (12.0, 12.0))]
@@ -937,7 +987,7 @@ def test_batch_chunk_changes_no_result(monkeypatch):
         seen.append(([(res.evaluations, res.a, res.t, res.tau, _fingerprint(res.result)) for res in solves],
                      repr(sweep.rows), rank.jacobian.tobytes(), str(error.value)))
         assert [res.evaluations for res in solves[:2]] == [18, 24]
-    assert seen[1:] == seen[:1] * 3
+    assert seen[1:] == seen[:1] * 4
 
 
 def _transport_fingerprint(res):
@@ -1118,7 +1168,10 @@ def test_retained_memory_is_bounded():
 
 
 def test_sweep_memory_peak():
-    """A 60-point sweep goes through the transport BATCH_CHUNK members at a time."""
+    """A 60-point sweep at tau = 1 transports its 17 first-level nodes in one pass of 17 members.
+
+    Measured: a 1.04e6-byte tracemalloc peak.
+    """
     chi0 = math.pi / (4.0 * TAU)
     am.real_locus_sweep(R, TAU, chi0, (0.05, 1.6), 2)
     tracemalloc.start()
@@ -1128,6 +1181,26 @@ def test_sweep_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 2e6
+
+
+def test_widest_sweep_memory_peak():
+    """The widest gated sweep holds at most 24e6 bytes: the memory that 32-member passes cost.
+
+    real_locus_sweep(0.1, 12, pi/48, (-11, 11), 60) transports 257 nodes, up to
+    32 members a pass, and gamma_y closes late at tau = 12.  Measured: a
+    20.7e6-byte tracemalloc peak, against 5.5e6 when the transport took 8
+    members at a time; in exchange each Lobatto level of 32 nodes or fewer is
+    one pass, and a 60-point (-3, 4) sweep at tau = 12 takes ~10% less time.
+    """
+    chi0 = math.pi / (4.0 * am.TAU_MAX)
+    am.real_locus_sweep(R, am.TAU_MAX, chi0, (0.05, 1.6), 2)
+    tracemalloc.start()
+    try:
+        am.real_locus_sweep(R, am.TAU_MAX, chi0, (-11.0, 11.0), 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6
 
 
 def test_monodromies_memory_peak():
@@ -1226,6 +1299,28 @@ def test_sweep_transports_nodes_and_roots_once(monkeypatch):
         assert row.is_real and abs(complex(row.z).imag) <= 1e-9
         assert abs(row.eta_residual) <= 1e-6
     assert [row.t for row in res.rows] == sorted(row.t for row in res.rows)
+
+
+def test_each_lobatto_level_is_one_transport(monkeypatch):
+    """The 17 first-level nodes go through one stacked transport, and the root through one more.
+
+    A 60-point sweep at r = 0.1, tau = 1 and match_y at 1.8 on (0.05, 0.7) each make
+    2 parallel_transport calls, of 17 and 1 members; match_y keeps its 18 evaluations.
+    """
+    calls = []
+    parallel_transport = am.parallel_transport
+
+    def spy(form, paths):
+        calls.append(form.a.size)
+        return parallel_transport(form, paths)
+
+    monkeypatch.setattr(am, "parallel_transport", spy)
+    chi0 = math.pi / (4.0 * TAU)
+    am.real_locus_sweep(R, TAU, chi0, (0.05, 1.6), 60)
+    assert calls == [17, 1]
+    calls.clear()
+    assert am.match_y(1.8, R, TAU, chi0, (0.05, 0.7)).evaluations == 18
+    assert calls == [17, 1]
 
 
 def test_sweep_past_the_node_ceiling_raises(monkeypatch):
