@@ -686,15 +686,14 @@ def real_locus_sweep(
 
     Rows carry (a, x, y, z, eta-locus residual, real flag) in the order of
     the line parameter t, with t running over n equally spaced samples of
-    a_range; a row is flagged real when |Im z| <= TOL_MONO.  x, y and z come
-    from the one Chebyshev series of _slice_series over the range:
-    - the n sample rows are the series evaluated at the samples;
-    - every real root of Im z in the range (the series of Im z cut after
-      its last coefficient above z's tolerance, rooted by its colleague
-      matrix) is transported once more, all in one batch, and added as a
-      refined row, flagged real by its own |Im z|.
-    So a sweep costs its nodes plus its roots, whatever n is (an empty range
-    one node), and a pair of crossings between two samples is found.
+    a_range; a row is flagged real when |Im z| <= TOL_MONO.  Every row is
+    read from the one Chebyshev series of _slice_series over the range, in
+    one cosine product: a sample row at each of the n samples, and a refined
+    row at each real root of Im z in the range (the series of Im z cut after
+    its last coefficient above z's tolerance, rooted by its colleague
+    matrix), flagged real by its own |Im z|.  So a sweep transports its
+    nodes alone, whatever n is (an empty range one node), and a pair of
+    crossings between two samples is found.
     """
     check_tau(tau)
     if n < 1:
@@ -713,12 +712,11 @@ def real_locus_sweep(
         return SweepRow(t, line(t), x, y, z, charvar.eta_locus_residual(x.real, y.real, r),
                         abs(z.imag) <= TOL_MONO, refined)
 
-    grid = np.linspace(lo, hi, n)
-    angles = np.arccos(np.linspace(1.0, -1.0, n))  # the samples' x, as in _lobatto_t
-    series = np.cos(np.outer(angles, np.arange(len(coef)))) @ coef
-    rows = [sweep_row(t, *row, False) for t, row in zip(grid.tolist(), series.tolist())]
-    roots = _lobatto_t(_chebyshev_real_roots(coef[:, 2].imag, tol[2]), lo, hi)
-    rows += [sweep_row(t, m.x, m.y, m.z, True) for t, m in zip(roots.tolist(), transport(roots))]
+    roots = _chebyshev_real_roots(coef[:, 2].imag, tol[2])
+    xs = np.concatenate([np.linspace(1.0, -1.0, n), roots])  # the samples' x, as in _lobatto_t
+    ts = np.concatenate([np.linspace(lo, hi, n), _lobatto_t(roots, lo, hi)])
+    series = np.cos(np.outer(np.arccos(xs), np.arange(len(coef)))) @ coef
+    rows = [sweep_row(t, *row, i >= n) for i, (t, row) in enumerate(zip(ts.tolist(), series.tolist()))]
     return SweepResult(sorted(rows, key=lambda row: row.t), r)
 
 

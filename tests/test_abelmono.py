@@ -5,6 +5,7 @@ import math
 import re
 import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -673,6 +674,13 @@ def test_monodromy_rejects_bad_params():
         am.monodromies(am.ConnectionParams(0.2, 0.0, R, TAU))
 
 
+@pytest.mark.parametrize(("a", "chi"), [(math.nan, CHI), (complex(0.2, math.inf), CHI),
+                                        (0.2, -math.inf), (0.2, complex(math.nan, 0.2))])
+def test_connection_params_must_be_finite(a, chi):
+    with pytest.raises(am.ParameterOutOfRange, match="^a and chi must be finite$"):
+        am.ConnectionParams(a, chi, R, TAU)
+
+
 def test_reducible_anchor_point():
     """At a = -pi/(4 tau), chi = pi/(4 tau) the traces hit (sqrt(2+2cos 2 pi r), 0, 0)."""
     a0 = -math.pi / (4.0 * TAU)
@@ -1284,16 +1292,17 @@ def _count_monodromies(monkeypatch):
     return calls
 
 
-def test_sweep_transports_nodes_and_roots_once(monkeypatch):
-    """The tau = 1 slice is resolved by 17 Lobatto nodes, and its one Im z root is transported once.
+def test_sweep_transports_its_nodes_alone(monkeypatch):
+    """The tau = 1 slice is resolved by 17 Lobatto nodes, and its one Im z root is read from the series.
 
-    18 members in all.  |Im z| at the refined row measured 5e-11, so the bound
-    is 1e-9, well inside TOL_MONO = 1e-6.
+    17 members in all.  |Im z| at the refined row measured 4.86e-11 (5e-11
+    when the root was transported), so the bound is 1e-9, well inside
+    TOL_MONO = 1e-6.
     """
     calls = _count_monodromies(monkeypatch)
     res = am.real_locus_sweep(R, TAU, math.pi / (4.0 * TAU), (0.05, 1.6), 60)
     refined = [row for row in res.rows if row.refined]
-    assert len(refined) == 1 and len(calls) == 17 + len(refined)
+    assert len(refined) == 1 and len(calls) == 17
     assert len(res.rows) == 60 + len(refined)
     for row in refined:
         assert row.is_real and abs(complex(row.z).imag) <= 1e-9
@@ -1302,10 +1311,11 @@ def test_sweep_transports_nodes_and_roots_once(monkeypatch):
 
 
 def test_each_lobatto_level_is_one_transport(monkeypatch):
-    """The 17 first-level nodes go through one stacked transport, and the root through one more.
+    """The 17 first-level nodes go through one stacked transport; match_y's root through one more.
 
-    A 60-point sweep at r = 0.1, tau = 1 and match_y at 1.8 on (0.05, 0.7) each make
-    2 parallel_transport calls, of 17 and 1 members; match_y keeps its 18 evaluations.
+    A 60-point sweep at r = 0.1, tau = 1 makes 1 parallel_transport call, of 17
+    members, and match_y at 1.8 on (0.05, 0.7) 2, of 17 and 1 members: it
+    returns the matrices at its root.  match_y keeps its 18 evaluations.
     """
     calls = []
     parallel_transport = am.parallel_transport
@@ -1317,7 +1327,7 @@ def test_each_lobatto_level_is_one_transport(monkeypatch):
     monkeypatch.setattr(am, "parallel_transport", spy)
     chi0 = math.pi / (4.0 * TAU)
     am.real_locus_sweep(R, TAU, chi0, (0.05, 1.6), 60)
-    assert calls == [17, 1]
+    assert calls == [17]
     calls.clear()
     assert am.match_y(1.8, R, TAU, chi0, (0.05, 0.7)).evaluations == 18
     assert calls == [17, 1]
@@ -1348,12 +1358,11 @@ def test_widest_gated_range_resolves_at_the_node_ceiling(monkeypatch):
 
     On the chi0 = pi/(4 tau) slice at tau = 12, a = +-11.5 fails the gate and
     (-11, 11) passes: its series oscillates ~tau |a| radians and resolves at
-    exactly 257 nodes.
+    exactly 257 nodes, and its 85 Im z roots are read from the series.
     """
     calls = _count_monodromies(monkeypatch)
     res = am.real_locus_sweep(R, am.TAU_MAX, math.pi / (4.0 * am.TAU_MAX), (-11.0, 11.0), 60)
-    roots = sum(row.refined for row in res.rows)
-    assert len(calls) == am.MAX_SWEEP_NODES + roots
+    assert len(calls) == am.MAX_SWEEP_NODES == 257 and sum(row.refined for row in res.rows) == 85
     with pytest.raises(am.NonGenericChi, match="condition number"):
         am.real_locus_sweep(R, am.TAU_MAX, math.pi / (4.0 * am.TAU_MAX), (-11.5, 11.5), 60)
 
@@ -1376,6 +1385,34 @@ def test_sweep_finds_every_crossing_of_a_scan(r, tau, n):
     for row, i in zip(refined, changes):
         assert scan[i] <= row.t <= scan[i + 1]
         assert row.is_real and abs(complex(row.z).imag) <= 1e-9
+
+
+@pytest.mark.parametrize(("r", "tau", "chi0", "a_range", "n", "bound"), [
+    (0.1, 1.0, math.pi / 4, (0.05, 1.6), 60, 1e-11),  # measured 1.2e-15
+    (0.3, 1.2, math.pi / 4.8, (0.05, 1.6), 40, 1e-11),  # 6.2e-12
+    (0.45, 0.8, math.pi / 3.2, (0.05, 1.6), 60, 1e-11),  # 1.5e-12
+    (0.1, 5.0, math.pi / 20, (0.05, 1.6), 60, 1e-11),  # 2.6e-15, three roots
+    (0.1, 8.0, math.pi / 32, (0.05, 1.6), 4, 1e-11),  # 2.1e-14, four roots, two between samples
+    (0.3, 5.0, math.pi / 20, (-3.0, 4.0), 60, 1e-10),  # 4.8e-11, eleven roots
+    (0.1, 12.0, math.pi / 48, (0.05, 1.8), 60, 1e-11),  # 6.4e-13
+    (0.1, 1.0, 1j * math.pi / 4, (0.05, 1.6), 30, 1e-11),  # 3.5e-12, the line a = i t
+    (0.1, 12.0, math.pi / 48, (-11.0, 11.0), 60, 5e-10),  # 1.34e-10, 85 roots at 257 nodes
+])
+def test_refined_rows_agree_with_their_transport(r, tau, chi0, a_range, n, bound):
+    """Oracle: each refined row, read from the series, against monodromy_batch at its t.
+
+    x, y and z agree within bound times max(1, |trace|), the worst measured
+    deviation noted per slice, and every refined row has the real flag of its
+    transported traces.  The flag is tight on the widest sweep, where one root
+    reads |Im z| = 7.8e-7 on both sides against TOL_MONO = 1e-6.
+    """
+    refined = [row for row in am.real_locus_sweep(r, tau, chi0, a_range, n).rows if row.refined]
+    assert refined
+    transported = am.monodromy_batch([am.ConnectionParams(row.a, chi0, r, tau) for row in refined])
+    for row, m in zip(refined, transported):
+        for series, direct in ((row.x, m.x), (row.y, m.y), (row.z, m.z)):
+            assert abs(series - direct) <= bound * max(1.0, abs(direct))
+        assert row.is_real == (abs(m.z.imag) <= am.TOL_MONO)
 
 
 def test_sweep_rows_ascend_on_a_reversed_range():
@@ -1662,6 +1699,50 @@ def test_match_on_locus_singular_jacobian(monkeypatch):
     monkeypatch.setattr(am, "monodromy_batch", frozen_tau)
     with pytest.raises(am.MaxIterations, match="singular"):
         am.match_on_locus(YSTAR, R)
+
+
+def test_graze_point_returns_a_real_grid_point():
+    """A scan point with |Im z| <= TOL_IM and y > 1 is returned as evaluated, with no secant evaluation.
+
+    Im z is negative before grid[11] and TOL_IM/2 there, so that point both
+    ends a bracket and is real: the real point wins, in the second batch.
+    """
+    grid = np.linspace(*am.GRAZE_SCAN, sum(am.GRAZE_BATCHES))
+    batches = []
+
+    def ev(ts):
+        batches.append(len(ts))
+        return [types.SimpleNamespace(y=2.0 + 0.0j, z=complex(3.0, t - grid[11] if t < grid[11] else am.TOL_IM / 2))
+                for t in ts]
+
+    t, m = am._graze_point(ev)
+    assert t == grid[11] and m.z.imag == am.TOL_IM / 2
+    assert batches == list(am.GRAZE_BATCHES[:2])
+
+
+def test_match_on_locus_without_a_descent_step(monkeypatch):
+    """When no halving of the Newton step decreases |F|, the solve raises MaxIterations naming that.
+
+    Every single-point evaluation after the first stencil reads Im z one
+    larger, so all 64 halvings of the first step fail; MAX_EVALS is raised so
+    that the halvings, not the budget, run out.
+    """
+    monodromy_batch = am.monodromy_batch
+    stencils = []
+
+    def worse(stack):
+        results = monodromy_batch(stack)
+        if len(stack) == 2:
+            stencils.append(stack)
+        elif stencils:
+            results = [dataclasses.replace(m, z=m.z + 1j) for m in results]
+        return results
+
+    monkeypatch.setattr(am, "monodromy_batch", worse)
+    monkeypatch.setattr(am, "MAX_EVALS", 200)
+    with pytest.raises(am.MaxIterations, match=r"^no step along the Newton direction decreases \|F\|$"):
+        am.match_on_locus(YSTAR, R)
+    assert len(stencils) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,18 @@ def test_weight_validation():
     assert charvar.Weight.from_torus("1/10") == charvar.Weight(3, 10)
 
 
+@pytest.mark.parametrize(("l", "k"), [(0, 3), (-1, 3), (1, 0), (1, -3)])
+def test_weight_terms_must_be_positive(l, k):
+    with pytest.raises(charvar.CharVarError, match="^weight numerator and denominator must be positive$"):
+        charvar.Weight(l, k)
+
+
+@pytest.mark.parametrize("r", ["0", "1/2", "-1/10", "0.6"])
+def test_torus_weight_outside_its_interval(r):
+    with pytest.raises(charvar.CharVarError, match=r"^torus weight r = .* outside \(0,1/2\)$"):
+        charvar.Weight.from_torus(r)
+
+
 def test_torus_residual_at_222():
     for w in (charvar.Weight(3, 10), charvar.Weight(2, 5)):
         res = charvar.fricke_torus_residual(2, 2, 2, w.r)
@@ -264,6 +276,18 @@ def test_reconstruct_dodeca_roundtrip():
 @pytest.mark.parametrize("k,genus", [(10, 4), (3, 2), (2, 0), (7, 6), (12, 5)])
 def test_genus_for_order(k, genus):
     assert charvar.genus_for_order(k) == genus
+
+
+def test_genus_for_order_rejects_zero():
+    with pytest.raises(charvar.CharVarError, match="^order must be a positive integer$"):
+        charvar.genus_for_order(0)
+
+
+@pytest.mark.parametrize("x", [1.95, -1.95])
+def test_real_locus_y_without_a_real_point(x):
+    """Between sqrt(2 + 2 cos 2 pi r) ~ 1.902 and 2 (r = 1/10) the branch's square is negative."""
+    with pytest.raises(charvar.CharVarError, match=f"^no real locus point over x = {x}$"):
+        charvar.real_locus_y(x, 0.1)
 
 
 def test_factorization_of_sphere_polynomial():

@@ -38,6 +38,19 @@ def test_vertices_and_normals_valid(tet):
             assert i == j or abs(lorentz.lorentz_inner(p, n)) <= 1e-12
 
 
+def test_validate_names_each_failed_condition(tet):
+    """A vertex off H^3, a normal of norm 2 and swapped vertices each raise LorentzError naming it."""
+    p, n = tet.vertices, tet.normals
+    cases = [
+        (lorentz.Tetrahedron((lorentz.vec(2.0, 0.0, 0.0, 0.0),) + p[1:], n), r"^P0 is not on H\^3$"),
+        (lorentz.Tetrahedron(p, (tuple(2.0 * x for x in n[0]),) + n[1:]), "^L0 is not unit spacelike$"),
+        (lorentz.Tetrahedron((p[1], p[0]) + p[2:], n), r"^<P0,L1> = -4\.729e-01 != 0$"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(lorentz.LorentzError, match=message):
+            bad.validate()
+
+
 def test_reflect_involution_and_fixed_points(tet):
     l0 = tet.normals[0]
     assert np.allclose(lorentz.reflect(l0, l0), [-x for x in l0], atol=1e-12)

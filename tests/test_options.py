@@ -16,14 +16,16 @@ functools.cache) fails the gate.  It also only goes down.  A new entry
 needs a workload whose single pass hits it: replaying the same task list,
 as a benchmark does, does not count.  The one cache left is abelmono's
 _baker_sections, with one entry, and a single pass hits it.  On one pass
-of the benchmark's seed-1 task lists, the node chunks and root batch of
-each sweep and of each match_y task read the nodes memo of the one cached
-sections object: sweep makes 4 sections builds and 5 coefficient calls
-(16 and 19 if every form built its own), scatter 128 and 328, locus_match
-24 and 31 (31 and 39), of them 1 and 1 per match_y task.  Eight entries
-save no build and no call on any of the three: the rank checks between
-the two match_y tasks, three moduli each, evict the first task's sections
-from eight entries as from one, so the second task builds its own.
+of the benchmark's seed-1 task lists, the root transport of each match_y
+task reads the nodes memo of the one cached sections object: locus_match
+makes 24 sections builds and 31 coefficient calls (27 and 35 if every form
+built its own), of them 1 and 1 per match_y task (2 and 2), and scatter
+128 and 328.  sweep makes 4 and 5 either way: each of its four sweeps is
+one 17-node transport, with no later pass to read the memo.  Eight
+entries save no build and no call on any of the three: the rank checks
+between the two match_y tasks, three moduli each, evict the first task's
+sections from eight entries as from one, so the second task builds its
+own.
 """
 
 import ast

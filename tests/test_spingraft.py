@@ -46,6 +46,27 @@ def test_spin_to_chi_dictionary():
     ) <= 1e-15
 
 
+@pytest.mark.parametrize(("eps_x", "eps_y"), [(0, 1), (1, 2), (-1, 0)])
+def test_spin_class_holonomies_are_signs(eps_x, eps_y):
+    with pytest.raises(sg.SpinGraftError, match="^spin holonomies must be \\+-1$"):
+        sg.SpinClass(eps_x, eps_y)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+def test_spin_to_chi_needs_a_positive_finite_tau(tau):
+    with pytest.raises(sg.NonPositiveInput, match="^tau must be positive and finite$"):
+        sg.spin_to_chi(sg.SpinClass(1, -1), tau)
+
+
+def test_spin_dictionary_past_its_tolerance(monkeypatch):
+    """A deviation above TOL_HOLONOMY raises SpinGraftError naming it: i pi/2 leaves 1.2e-16 at tau = 1."""
+    worst = sg.verify_spin_dictionary(1.0)
+    assert 0.0 < worst <= 1e-15
+    monkeypatch.setattr(sg, "TOL_HOLONOMY", worst / 2)
+    with pytest.raises(sg.SpinGraftError, match=f"^spin dictionary holonomy deviation {worst:.2e}$"):
+        sg.verify_spin_dictionary(1.0)
+
+
 @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0, 1e308, 1.7e308])
 def test_spin_holonomies_match(tau):
     """Oracle: line integral of the unitary connection along both loops."""
