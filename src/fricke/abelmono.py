@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import copy
-import functools
 import math
 from dataclasses import dataclass
 
@@ -149,51 +148,6 @@ class ConnectionParams:
             raise ParameterOutOfRange("r must lie in (0, 1/2)")
 
 
-class _BakerSections:
-    """The a-independent part of ConnectionForm at one (chi, r, tau).
-
-    Holds lam, p and scale (see ConnectionForm) once the input checks pass:
-    chi at a half-lattice point, or with theta1(pi p) not finite or 0 in
-    double precision, raises NonGenericChi; an |Im chi| that takes gamma_y
-    past the theta series' reach raises ParameterOutOfRange.  off_diagonal
-    evaluates the sections at any nodes.  nodes memoizes the read-only
-    velocities, C01 and C10 of each (paths, levels) pass of _magnus_product
-    over gamma_x(tau) and gamma_y(tau) alone that cleared the pole check.
-    Built through _baker_sections, so every ConnectionForm at the same
-    (chi, r, tau) shares one.
-    """
-
-    def __init__(self, chi: complex, r: float, tau: float):
-        self.lat = lat = RectangularLattice(tau)
-        self.lam = -2.0 * chi
-        self.p = -tau * self.lam / math.pi
-        if lat.lattice_distance(self.p) < 1e-8:
-            raise NonGenericChi(f"chi = {chi} is (numerically) a half-lattice point of the Jacobian")
-        if abs(self.p.imag) + 1.25 * tau > lat.reach:  # 5 tau/4: the top of gamma_y
-            raise ParameterOutOfRange(
-                f"chi = {chi}: |Im chi| is past the theta series' reach at tau = {tau}"
-            )
-        with np.errstate(all="ignore"):  # high up the reach at large tau it overflows: refused below
-            theta_p = lat.theta1(self.p, [0.0])[0]
-        if not (cmath.isfinite(theta_p) and theta_p != 0.0):
-            raise NonGenericChi(f"chi = {chi}: theta1(pi p) = {theta_p} is beyond double precision")
-        self.scale = -r * math.pi * lat._theta1_d0 / theta_p
-        self.nodes = {}
-
-    def off_diagonal(self, w, wdot):
-        """(C01, C10) = (-psi_- wdot, -psi_+ wdot) at w, with one theta1 call."""
-        theta = self.lat.theta1(w, [0.0, self.p, -self.p])
-        theta_w, theta_minus, theta_plus = theta[..., 0], theta[..., 1], theta[..., 2]
-        scale = self.scale / theta_w * wdot
-        phase = np.exp(2j * self.lam * w.imag)
-        return scale / phase * theta_plus, -scale * phase * theta_minus
-
-
-@functools.lru_cache(maxsize=1)
-def _baker_sections(chi: complex, r: float, tau: float) -> _BakerSections:
-    return _BakerSections(chi, r, tau)
-
-
 class ConnectionForm:
     """The matrix-valued 1-form A_w dw + A_wbar dwbar of the family.
 
@@ -208,16 +162,20 @@ class ConnectionForm:
     quadratic residue of the product is r^2.  coefficient evaluates them
     with one theta1 call and one further exp per node.
 
+    Each form builds its own lattice lat, and lam, p and scale, and checks
+    its input: chi at a half-lattice point, or with theta1(pi p) not finite
+    or 0 in double precision, raises NonGenericChi; an |Im chi| that takes
+    gamma_y past the theta series' reach raises ParameterOutOfRange.
+    Nothing is kept between forms or calls.
+
     params may also be a list of ConnectionParams that share (chi, r, tau):
     a stack along a.  The ndarray a is 0-d for one ConnectionParams and 1-D
     for a list; coefficient takes w of any shape and returns the sl(2)
     coordinates (C00, C01, C10) stacked on axis 0, shape
-    (3,) + a.shape + w.shape, with psi_+- evaluated once for all members.
-    Members leave the stack: parallel_transport takes each later level
-    through a copy of the form over the members still open.
-
-    Nothing but C00 depends on a: the rest is sections, shared by every form
-    at the same (chi, r, tau) until a form at another one is built.
+    (3,) + a.shape + w.shape, with psi_+- evaluated once for all members
+    (nothing but C00 depends on a).  Members leave the stack:
+    parallel_transport takes each later level through a copy of the form
+    over the members still open.
     """
 
     def __init__(self, params: ConnectionParams | list):
@@ -227,21 +185,37 @@ class ConnectionForm:
         if any((p.chi, p.r, p.tau) != (params.chi, params.r, params.tau) for p in stack):
             raise ParameterOutOfRange("a stack of connections must share chi, r and tau")
         self.a = np.array([p.a for p in stack] if stacked else params.a, dtype=complex)
-        self.chi = complex(params.chi)
-        self.sections = _baker_sections(self.chi, float(params.r), float(params.tau))
+        self.chi = chi = complex(params.chi)
+        tau = float(params.tau)
+        self.lat = lat = RectangularLattice(tau)
+        self.lam = -2.0 * chi
+        self.p = -tau * self.lam / math.pi
+        if lat.lattice_distance(self.p) < 1e-8:
+            raise NonGenericChi(f"chi = {chi} is (numerically) a half-lattice point of the Jacobian")
+        if abs(self.p.imag) + 1.25 * tau > lat.reach:  # 5 tau/4: the top of gamma_y
+            raise ParameterOutOfRange(
+                f"chi = {chi}: |Im chi| is past the theta series' reach at tau = {tau}"
+            )
+        with np.errstate(all="ignore"):  # high up the reach at large tau it overflows: refused below
+            theta_p = lat.theta1(self.p, [0.0])[0]
+        if not (cmath.isfinite(theta_p) and theta_p != 0.0):
+            raise NonGenericChi(f"chi = {chi}: theta1(pi p) = {theta_p} is beyond double precision")
+        self.scale = -float(params.r) * math.pi * lat._theta1_d0 / theta_p
 
     def coefficient(self, w, wdot):
         """-(A_w wdot + A_wbar conj(wdot)), the traceless right-hand side of the ODE.
 
         Returned as its sl(2) coordinates (C00, C01, C10) = (-(a wdot + chi
-        conj(wdot)), -psi_- wdot, -psi_+ wdot) on axis 0.
+        conj(wdot)), -psi_- wdot, -psi_+ wdot) on axis 0, with C00 built per
+        member (a's axes, then the node axes) and psi_+- from one theta1 call.
         """
         w = np.asarray(w, dtype=complex)
         wdot = np.asarray(wdot, dtype=complex)
-        return self._coordinates(wdot, *self.sections.off_diagonal(w, wdot))
-
-    def _coordinates(self, wdot, c01, c10):
-        """(C00, C01, C10) on axis 0, with C00 built per member: a's axes, then c01's node axes."""
+        theta = self.lat.theta1(w, [0.0, self.p, -self.p])
+        theta_w, theta_minus, theta_plus = theta[..., 0], theta[..., 1], theta[..., 2]
+        scale = self.scale / theta_w * wdot
+        phase = np.exp(2j * self.lam * w.imag)
+        c01, c10 = scale / phase * theta_plus, -scale * phase * theta_minus
         a = self.a.reshape(self.a.shape + (1,) * c01.ndim)
         c00 = -(a * wdot + self.chi * wdot.conj())
         x = np.empty((3,) + np.broadcast_shapes(c00.shape, c01.shape), dtype=complex)
@@ -257,9 +231,8 @@ class ConnectionForm:
 class TorusPath:
     """The loop s in [0,1] -> basepoint(tau) + step s + i amplitude sin(2 pi cycles s).
 
-    A value: equal fields make the same loop, so a pass over a freshly built
-    gamma_x(tau) finds the nodes memo of an earlier one.  point and velocity
-    act on arrays of s; velocity is the constant step when amplitude is 0.
+    A value: equal fields make the same loop.  point and velocity act on
+    arrays of s; velocity is the constant step when amplitude is 0.
     """
 
     tau: float
@@ -333,42 +306,27 @@ def _magnus_product(form: ConnectionForm, paths: list, levels: tuple) -> list:
     (sinh d / d is sinc(d / (i pi)), which is 1 at d = 0).  The paths' nodes
     are stacked on a leading loop axis and the levels' panels are
     concatenated on the panel axis, each with its own h, so one Magnus pass
-    covers every (member, loop, level).  A pass found in form.sections.nodes
-    under (paths, levels) builds only A00 = -(a wdot + chi conj(wdot)) per
-    member.  Any other is pole-checked (PathTooCloseToPole, nothing stored)
-    and takes every A_k from one form.coefficient call; over gamma_x(tau)
-    and gamma_y(tau) alone it then stores its velocities and the first
-    member's (A01, A10).  Each level's panel factors are then multiplied
+    covers every (member, loop, level).  Every pass is pole-checked
+    (PathTooCloseToPole) and takes every A_k from one form.coefficient
+    call.  Each level's panel factors are then multiplied
     pairwise, later panels on the left, as L[:, :1] R[:1] + L[:, 1:] R[1:] over
     the whole array (a stacked matmul hands BLAS one 2x2 product at a time).
     Returns one product array per level, in the order of levels, of shape
     form.a.shape + (len(paths), 2, 2): one product per member and loop.
     """
     h = np.concatenate([np.full(n, 1.0 / n) for n in levels])
-    key = (tuple(paths), levels)
-    nodes = form.sections.nodes.get(key)
-    if nodes is not None:
-        x = form._coordinates(*nodes)
-    else:
-        s = np.concatenate([(np.arange(n) + _GAUSS_NODES[:, None]) * (1.0 / n) for n in levels],
-                           axis=-1)  # each node set contiguous
-        w = np.stack([path.point(s) for path in paths])
-        dist = form.sections.lat.lattice_distance(w)
-        near = np.min(dist, axis=(1, 2)) < [path.delta for path in paths]
-        if near.any():
-            k = int(np.argmax(near))
-            raise PathTooCloseToPole(
-                f"{paths[k].label}: point {w[k].flat[np.argmin(dist[k])]} within {paths[k].delta} of the lattice"
-            )
-        wdot = np.stack([np.broadcast_to(path.velocity(s), s.shape) for path in paths])
-        x = form.coefficient(w, wdot)
-        tau = form.sections.lat.tau
-        if all(path in (gamma_x(tau), gamma_y(tau)) for path in paths):  # caller-made loops are not kept
-            # (C01, C10) of the first member: every member has the same
-            off = x[1:].reshape((2, -1) + w.shape)[:, 0].copy()
-            for array in (wdot, off):
-                array.flags.writeable = False
-            form.sections.nodes[key] = wdot, *off
+    s = np.concatenate([(np.arange(n) + _GAUSS_NODES[:, None]) * (1.0 / n) for n in levels],
+                       axis=-1)  # each node set contiguous
+    w = np.stack([path.point(s) for path in paths])
+    dist = form.lat.lattice_distance(w)
+    near = np.min(dist, axis=(1, 2)) < [path.delta for path in paths]
+    if near.any():
+        k = int(np.argmax(near))
+        raise PathTooCloseToPole(
+            f"{paths[k].label}: point {w[k].flat[np.argmin(dist[k])]} within {paths[k].delta} of the lattice"
+        )
+    wdot = np.stack([np.broadcast_to(path.velocity(s), s.shape) for path in paths])
+    x = form.coefficient(w, wdot)
     a1, a2, a3 = x[..., 0, :], x[..., 1, :], x[..., 2, :]
     alpha1 = h * a2
     alpha2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
@@ -421,8 +379,8 @@ def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> Transp
     several = isinstance(paths, tuple)
     paths = paths if several else (paths,)
     for path in paths:
-        if path.tau != form.sections.lat.tau:
-            raise ParameterOutOfRange(f"{path.label}: a loop at tau = {path.tau}, not {form.sections.lat.tau}")
+        if path.tau != form.lat.tau:
+            raise ParameterOutOfRange(f"{path.label}: a loop at tau = {path.tau}, not {form.lat.tau}")
     out = [[None] * form.a.size for _ in paths]
     live, loops, members = form, np.arange(len(paths)), np.arange(form.a.size)  # what the next pass carries
     todo = np.ones((loops.size, members.size), dtype=bool)  # its open (loop, member) pairs
@@ -502,10 +460,9 @@ def monodromy_batch(stack: list) -> list:
     BATCH_CHUNK members at a time go through one stacked ConnectionForm and
     one parallel_transport call over (gamma_x, gamma_y): one pass per level
     (the first covers 16 and 32 panels) for the loops still open, carrying
-    only the members still open on one of them.  Every chunk
-    shares the sections of (chi, r, tau), so the Baker sections are
-    evaluated once per (open loops, level) for the whole stack, and not
-    again for a later call while they stay cached.  Every member's result,
+    only the members still open on one of them.  Each chunk builds its own
+    form, so the Baker sections are evaluated once per (chunk, open loops,
+    level), and again by every later call.  Every member's result,
     panel counts included, equals its batch of one.  When a chunk's
     transport fails, its members are run again one at a time, so the error
     raised is the one the first failing member raises alone.  BATCH_CHUNK,

@@ -58,8 +58,7 @@ class Weight:
             raise CharVarError("weight numerator and denominator must be positive")
         if math.gcd(self.l, self.k) != 1:
             raise CharVarError(f"weight {self.l}/{self.k} is not in lowest terms")
-        rt = self.l / self.k
-        if not 0.25 < rt < 0.5:
+        if not (self.k < 4 * self.l and 2 * self.l < self.k):  # 1/4 < l/k < 1/2, exactly
             raise CharVarError(f"weight rt = {self.l}/{self.k} outside (1/4,1/2)")
 
     @classmethod
@@ -205,10 +204,9 @@ def real_locus_y(x, r: float):
     x2 = x * x
     num = 4.0 * x2 - 8.0 * (1.0 + math.cos(2.0 * math.pi * r))
     den = x2 - 4.0
-    val = num / den
-    if val < 0:
+    if den == 0.0 or num / den < 0:  # at x^2 = 4 the locus reads 0 = 8 (1 - cos 2 pi r) > 0
         raise CharVarError(f"no real locus point over x = {x}")
-    return math.sqrt(val)
+    return math.sqrt(num / den)
 
 
 def classify_real(t: TraceCoords, w: Weight, tol=TOL_CHAR):

@@ -275,7 +275,7 @@ def test_baker_dbar_equation():
             dbar = (
                 (psi(w0 + h) - psi(w0 - h)) + 1j * (psi(w0 + 1j * h) - psi(w0 - 1j * h))
             ) / (4.0 * h)
-            assert abs(dbar + sign * FORM.sections.lam * psi(w0)) <= 1e-7
+            assert abs(dbar + sign * FORM.lam * psi(w0)) <= 1e-7
 
 
 def test_coefficient_makes_one_theta1_call(monkeypatch):
@@ -311,29 +311,23 @@ def test_connection_form_simple_pole():
     assert abs(maxima[1] - R) <= 0.05  # residue magnitude dominates
 
 
-class _NoSections:
-    """Baker sections that vanish everywhere, with a nodes memo of their own."""
-
-    def __init__(self, tau):
-        self.lat = am.RectangularLattice(tau)
-        self.nodes = {}
-
-    def off_diagonal(self, w, wdot):
-        zero = np.zeros(np.broadcast_shapes(np.shape(w), np.shape(wdot)), dtype=complex)
-        return zero, zero
-
-
 class _DiagonalForm(am.ConnectionForm):
     """The connection with its off-diagonal Baker sections dropped: a scalar test double.
 
-    It swaps the shared a-independent part for _NoSections, so no chi is refused
-    and its zero coordinates never reach the memo of the real sections.
+    It builds only a, chi and the lattice, with lam = p = scale = 0, so no chi is
+    refused; coefficient keeps the form's own C00 and sets C01 = C10 = 0.
     """
 
     def __init__(self, params):
         self.a = np.array(params.a, dtype=complex)
         self.chi = complex(params.chi)
-        self.sections = _NoSections(params.tau)
+        self.lat = am.RectangularLattice(params.tau)
+        self.lam = self.p = self.scale = 0.0
+
+    def coefficient(self, w, wdot):
+        x = super().coefficient(w, wdot)
+        x[1:] = 0.0
+        return x
 
 
 class _Curve:
@@ -418,11 +412,6 @@ def test_transport_det_drift_small():
         assert res.det_drift <= 1e-12
 
 
-def _cold():
-    """Drop every cached sections object, as in a fresh interpreter."""
-    am._baker_sections.cache_clear()
-
-
 def _spy_coefficient(monkeypatch):
     """Record (members, loops, nodes per panel, panel columns) of every ConnectionForm.coefficient call."""
     calls = []
@@ -437,23 +426,25 @@ def _spy_coefficient(monkeypatch):
 
 
 def test_transport_evaluates_each_panel_level_at_once(monkeypatch):
-    """One coefficient call per (chi, r, tau, open loops, level), across forms and calls.
+    """One coefficient call per (transport call, open loops, level), and none shared between calls.
 
     The loops' node sets are stacked on a leading axis and the first pass's two levels
     on the panel axis (16 + 32 = 48 panels); gamma_x closes at 32 panels here and
-    leaves the call, so the 64-panel level carries gamma_y's nodes alone.  A second
-    form and monodromies at the same point read those nodes from the memo.
+    leaves the call, so the 64-panel level carries gamma_y's nodes alone.  The same
+    form again, a second form and monodromies at the same point each make the same
+    two calls.
     """
-    _cold()
     calls = _spy_coefficient(monkeypatch)
     a, tau = DODECA_ROOT
     params = am._on_slice(a, tau, 0.1)
-    rx, ry = am.parallel_transport(am.ConnectionForm(params), (am.gamma_x(tau), am.gamma_y(tau)))
+    form = am.ConnectionForm(params)
+    rx, ry = am.parallel_transport(form, (am.gamma_x(tau), am.gamma_y(tau)))
     assert (rx.panels, ry.panels) == (32, 64)
     assert calls == [(1, 2, 3, 48), (1, 1, 3, 64)]
+    am.parallel_transport(form, (am.gamma_x(tau), am.gamma_y(tau)))
     am.parallel_transport(am.ConnectionForm(params), (am.gamma_x(tau), am.gamma_y(tau)))
     assert am.monodromies(params).panels == (32, 64)
-    assert len(calls) == 2
+    assert calls == [(1, 2, 3, 48), (1, 1, 3, 64)] * 4
 
 
 @pytest.mark.parametrize("tau", [0.2, 1.0, 5.0])
@@ -773,7 +764,7 @@ def test_fused_levels_equal_levels_alone():
     stacks += [_scatter_point(rng, i * SCATTER_POINTS // 20) for i in range(20)]
     for stack in stacks:
         form = am.ConnectionForm(stack)
-        paths = [am.gamma_x(form.sections.lat.tau), am.gamma_y(form.sections.lat.tau)]
+        paths = [am.gamma_x(form.lat.tau), am.gamma_y(form.lat.tau)]
         fused = am._magnus_product(form, paths, (16, 32))
         alone = [am._magnus_product(form, paths, (n,))[0] for n in (16, 32)]
         assert [p.shape for p in fused] == [form.a.shape + (2, 2, 2)] * 2
@@ -849,39 +840,39 @@ def _open_at(panels, n):
     return loops, [i for i, p in enumerate(panels) if any(p[loop] >= n for loop in loops)]
 
 
+def _expected_calls(panels):
+    """The coefficient calls of one transport of (gamma_x, gamma_y), given its members' closing panels."""
+    expected, n = [], 32
+    while (open_ := _open_at(panels, n))[0]:
+        loops, carried = open_
+        expected.append((len(carried), len(loops), 3, 48 if n == 32 else n))
+        n *= 2
+    return expected
+
+
 @pytest.mark.parametrize("members", [1, 3, 8, 20, 40])
 def test_batch_evaluates_each_panel_level_once_per_chunk(monkeypatch, members):
-    """One coefficient call per (open loops, level) for a whole batch, then none for a single call.
+    """One coefficient call per (chunk, open loops, level) of a batch, and a single call makes its own.
 
     A chunk's first pass carries every member on both loops at 16 + 32 = 48 panel
     columns; each later level carries the loops still open in that chunk and, on
-    them, exactly the chunk's members still open on one of them.  Only the first
-    chunk to reach a (open loops, level) pair evaluates it; the later chunks, and
-    single calls at a member of the batch, read it from the memo of the shared
-    sections.
+    them, exactly the chunk's members still open on one of them.  Every chunk
+    evaluates each of its own levels, and monodromies at each member afterwards
+    makes exactly the calls of that member's batch of one.
     """
-    _cold()
     calls = _spy_coefficient(monkeypatch)
     stack = _slice_stack(0.3, 1.2, members)
     batch = am.monodromy_batch(stack)
-    expected, seen = [], set()
-    for start in range(0, members, am.BATCH_CHUNK):
-        panels = [res.panels for res in batch[start : start + am.BATCH_CHUNK]]
-        n = 32
-        while (open_ := _open_at(panels, n))[0]:
-            loops, carried = open_
-            if (loops, n) not in seen:
-                seen.add((loops, n))
-                expected.append((len(carried), len(loops), 3, 48 if n == 32 else n))
-            n *= 2
-    assert calls == expected
+    chunks = [batch[start : start + am.BATCH_CHUNK] for start in range(0, members, am.BATCH_CHUNK)]
+    assert calls == [call for chunk in chunks for call in _expected_calls([res.panels for res in chunk])]
     if members == 20:  # one chunk; gamma_y alone at 64 panels, for the last member alone
         assert calls == [(20, 2, 3, 48), (1, 1, 3, 64)]
-    if members == 40:  # the second chunk reads its first pass from the memo; its last 2 members reach 64
-        assert calls == [(32, 2, 3, 48), (2, 1, 3, 64)]
+    if members == 40:  # each chunk makes its first pass; the second chunk's last 2 members reach 64
+        assert calls == [(32, 2, 3, 48), (8, 2, 3, 48), (2, 1, 3, 64)]
+    calls.clear()
     for params in stack:
         am.monodromies(params)
-    assert calls == expected
+    assert calls == [call for res in batch for call in _expected_calls([res.panels])]
 
 
 def test_transport_retires_closed_members(monkeypatch):
@@ -985,7 +976,6 @@ def test_batch_chunk_changes_no_result(monkeypatch):
     seen = []
     for chunk in (1, 8, 16, 32, 64):
         monkeypatch.setattr(am, "BATCH_CHUNK", chunk)
-        _cold()
         solves = [am.match_on_locus(YSTAR, R, tau_bracket=bracket) for bracket in ((2.6, 3.2), (12.0, 12.0))]
         solves.append(am.match_y(1.8, R, 1.0, math.pi / 4.0, (0.05, 0.7)))
         sweep = am.real_locus_sweep(0.3, 1.2, math.pi / 4.8, (0.05, 1.6), 60)
@@ -1003,24 +993,21 @@ def _transport_fingerprint(res):
 
 
 def test_warm_cache_changes_no_bit():
-    """Oracle: results read through warm caches equal cold ones bit for bit, in any order.
+    """Oracle: a result does not depend on the calls made before it, nor on their order.
 
-    A 60-point slice stack forwards and then reversed (other chunks, every node set
-    already in the memo), four single calls at its (chi, r, tau) warm and after the
-    caches are cleared, SCATTER_POINTS scatter-domain points with a neighbour at
-    another r and one at conj(chi), each twice in a row, against each alone from
-    cold, and gamma_x and a wiggled gamma_x, each from cold and then both warm.
+    A 60-point slice stack forwards and then reversed (other chunks), four single
+    calls at its members, SCATTER_POINTS scatter-domain points with a neighbour at
+    another r and one at conj(chi), each twice in a row against each alone, and
+    gamma_x and a wiggled gamma_x, each transported once and then again by new forms.
+    Nothing is kept between calls, so any state that leaked from one call into the
+    next would show here.
     """
-    _cold()
     stack = _slice_stack(0.3, 1.2, 60)
     forward = [_fingerprint(m) for m in am.monodromy_batch(stack)]
     backward = [_fingerprint(m) for m in am.monodromy_batch(stack[::-1])][::-1]
     assert backward == forward
     singles = range(3, 60, 17)
     assert [_fingerprint(am.monodromies(stack[i])) for i in singles] == [forward[i] for i in singles]
-    for i in singles:
-        _cold()
-        assert _fingerprint(am.monodromies(stack[i])) == forward[i]
 
     rng = np.random.default_rng(32)
     points = []
@@ -1028,91 +1015,17 @@ def test_warm_cache_changes_no_bit():
         params = _scatter_point(rng, i)
         points += [params, dataclasses.replace(params, r=0.5 - params.r),
                    dataclasses.replace(params, chi=params.chi.conjugate())]
-    cold = []
-    for params in points:
-        _cold()
-        cold.append(_fingerprint(am.monodromies(params)))
-    _cold()
+    alone = [_fingerprint(am.monodromies(params)) for params in points]
     assert [_fingerprint(am.monodromies(params)) for params in points for _ in "ab"] == [
-        fingerprint for fingerprint in cold for _ in "ab"]
+        fingerprint for fingerprint in alone for _ in "ab"]
 
     params = am.ConnectionParams(0.2, CHI, R, TAU)
     wiggled = am.gamma_x_wiggled(TAU, 0.05, 2)
-    cold = []
-    for path in (am.gamma_x, lambda tau: wiggled):
-        _cold()
-        cold.append(_transport_fingerprint(am.parallel_transport(am.ConnectionForm(params), path(TAU))))
-    warm = [_transport_fingerprint(am.parallel_transport(am.ConnectionForm(params), path))
-            for path in (am.gamma_x(TAU), wiggled)]
-    assert warm == cold
-
-
-def test_nodes_memo_is_read_only():
-    """Every array the memo hands out refuses writes, so no caller can change a later result."""
-    _cold()
-    form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
-    am.parallel_transport(form, (am.gamma_x(TAU), am.gamma_y(TAU)))
-    arrays = [array for entry in form.sections.nodes.values() for array in entry]
-    assert arrays
-    for array in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            array[...] = 0.0
-
-
-def test_nodes_memo_holds_only_gamma_x_and_gamma_y():
-    """A caller-made path leaves no memo entry; every stored pass is over gamma_x(tau), gamma_y(tau).
-
-    A wiggled gamma_x, and a test double that traces gamma_x under its label, transport
-    bit for bit as from cold through sections that hold the canonical loops' passes,
-    and add no key.  Over the scatter-domain oracle points, each with a straight and a
-    wiggled gamma_x beside its monodromies, every key of every memo holds loops equal
-    to those two alone.
-    """
-    _cold()
-    params = am.ConnectionParams(0.2, CHI, R, TAU)
-    x_path = am.gamma_x(TAU)
-    for path in (am.gamma_x_wiggled(TAU, 0.05, 2), _Curve(x_path.point, x_path.velocity, TAU, "gamma_x")):
-        _cold()
-        cold = _transport_fingerprint(am.parallel_transport(am.ConnectionForm(params), path))
-        form = am.ConnectionForm(params)
-        assert form.sections.nodes == {}
-        am.monodromies(params)
-        keys = set(form.sections.nodes)
-        assert keys
-        for _ in range(2):
-            assert _transport_fingerprint(am.parallel_transport(form, path)) == cold
-            assert set(form.sections.nodes) == keys
-
-    rng = np.random.default_rng(2024)
-    for i in range(SCATTER_POINTS):
-        params = _scatter_point(rng, i)
-        tau = params.tau
-        form = am.ConnectionForm(params)
-        am.monodromies(params)
-        am.parallel_transport(form, am.gamma_x(tau))
-        am.parallel_transport(form, am.gamma_x_wiggled(tau, 0.05 * min(1.0, tau), 2))
-        loops = (am.gamma_x(tau), am.gamma_y(tau))
-        assert form.sections.nodes
-        for paths, _levels in form.sections.nodes:
-            assert all(path in loops for path in paths), (i, paths)
-
-
-def test_fresh_gamma_x_finds_the_memo(monkeypatch):
-    """A second transport along a freshly built gamma_x(tau), by a new form at the same point,
-    makes no coefficient call and gives the same bits; a wiggled gamma_x pays every time."""
-    _cold()
-    calls = _spy_coefficient(monkeypatch)
-    params = am.ConnectionParams(0.2, CHI, R, TAU)
-    first = am.parallel_transport(am.ConnectionForm(params), am.gamma_x(TAU))
-    assert len(calls) == 1
-    again = am.parallel_transport(am.ConnectionForm(params), am.gamma_x(TAU))
-    assert len(calls) == 1
-    assert _transport_fingerprint(again) == _transport_fingerprint(first)
-    am.parallel_transport(am.ConnectionForm(params), am.gamma_x_wiggled(TAU, 0.05, 2))
-    per_call = len(calls) - 1
-    assert per_call >= 1
-    am.parallel_transport(am.ConnectionForm(params), am.gamma_x_wiggled(TAU, 0.05, 2))
-    assert len(calls) == 1 + 2 * per_call
+    first = [_transport_fingerprint(am.parallel_transport(am.ConnectionForm(params), path))
+             for path in (am.gamma_x(TAU), wiggled)]
+    again = [_transport_fingerprint(am.parallel_transport(am.ConnectionForm(params), path))
+             for path in (am.gamma_x(TAU), wiggled)]
+    assert again == first
 
 
 def test_failures_are_raised_on_every_call():
@@ -1122,7 +1035,6 @@ def test_failures_are_raised_on_every_call():
     for _ in range(3):
         with pytest.raises(am.PathTooCloseToPole, match="^bad: "):
             am.parallel_transport(form, bad)
-    assert not any(bad in paths for paths, _levels in form.sections.nodes)
     for chi, error in ((math.pi / 2.0, am.NonGenericChi), (0.3 + 3j, am.NonGenericChi),
                        (0.3 + 7j, am.ParameterOutOfRange)):
         for _ in range(2):
@@ -1147,11 +1059,12 @@ def test_theta1_at_p_past_double_precision_is_non_generic():
 
 
 def test_retained_memory_is_bounded():
-    """200 monodromies at distinct (chi, r, tau) leave at most one sections object behind.
+    """200 monodromies at distinct (chi, r, tau) leave nothing of theirs behind.
 
-    Measured: 0.12e6 bytes still held afterwards (tracemalloc current; 0.19e6 in a
-    bare interpreter), against a bound of that plus a 0.18e6 margin; a sections
-    cache of 8 entries holds 0.40e6, an unbounded one 7.4e6.
+    Measured: 0.09e6 to 0.10e6 bytes still held afterwards (tracemalloc current, in
+    a bare interpreter; 0.19e6 while one sections object stayed cached), against a
+    bound of 0.10e6 plus a 0.18e6 margin; a sections cache of 8 entries held 0.40e6,
+    an unbounded one 7.4e6.
     """
     rng = np.random.default_rng(200)
     taus = (0.2, 0.5, 1.0, 2.0, 5.0)
@@ -1163,7 +1076,6 @@ def test_retained_memory_is_bounded():
             a = complex(*rng.uniform(-1.0, 1.0, 2))
             points.append(am.ConnectionParams(a, chi, rng.uniform(0.05, 0.45), tau))
     am.monodromies(points[0])
-    _cold()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -1172,7 +1084,7 @@ def test_retained_memory_is_bounded():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained <= 0.12e6 + 0.18e6
+    assert retained <= 0.10e6 + 0.18e6
 
 
 def test_sweep_memory_peak():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,6 +48,17 @@ def test_weight_validation():
     with pytest.raises(charvar.CharVarError):
         charvar.Weight.parse("1/10")  # the caller passes 1/2 - 1/10 = 2/5 itself
     assert charvar.Weight.from_torus("1/10") == charvar.Weight(3, 10)
+
+
+def test_weight_interval_is_checked_exactly():
+    """rt = 1/4 + 10^-17 and 1/2 - 10^-17 lie inside (1/4, 1/2), though l/k rounds to 1/4 and 1/2."""
+    tiny = Fraction(1, 10**17)
+    for rt in (Fraction(1, 4) + tiny, Fraction(1, 2) - tiny):
+        w = charvar.Weight.parse(str(rt))
+        assert (w.l, w.k) == (rt.numerator, rt.denominator)
+    for rt in (Fraction(1, 4), Fraction(1, 4) - tiny, Fraction(1, 2), Fraction(1, 2) + tiny):
+        with pytest.raises(charvar.CharVarError, match=f"^weight rt = {rt} outside \\(1/4,1/2\\)$"):
+            charvar.Weight(rt.numerator, rt.denominator)
 
 
 @pytest.mark.parametrize(("l", "k"), [(0, 3), (-1, 3), (1, 0), (1, -3)])
@@ -281,6 +293,14 @@ def test_genus_for_order(k, genus):
 def test_genus_for_order_rejects_zero():
     with pytest.raises(charvar.CharVarError, match="^order must be a positive integer$"):
         charvar.genus_for_order(0)
+
+
+@pytest.mark.parametrize("x", [2.0, -2.0])
+def test_real_locus_y_has_no_point_over_x_squared_4(x):
+    """At x^2 = 4 the locus equation reads 0 = 8 (1 - cos 2 pi r) > 0: a typed error, not a division by 0."""
+    for r in (0.1, 0.3, 0.45):
+        with pytest.raises(charvar.CharVarError, match=f"^no real locus point over x = {x}$"):
+            charvar.real_locus_y(x, r)
 
 
 @pytest.mark.parametrize("x", [1.95, -1.95])

@@ -503,14 +503,13 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
 
 
 def test_readme_numeric_lines_print_the_same_bytes_warm(tmp_path, monkeypatch, capsys):
-    """Each README monodromy, match, locus and jacobian line, run twice in one process from
-    cold caches, prints the same bytes and writes the same files the second time."""
+    """Each README monodromy, match, locus and jacobian line, run twice in one process,
+    prints the same bytes and writes the same files the second time."""
     lines = [line for line in _readme_cli_lines()
              if line.split()[1] in ("monodromy", "match", "locus", "jacobian")]
     assert len(lines) == 5
     monkeypatch.chdir(tmp_path)
     for line in lines:
-        abelmono._baker_sections.cache_clear()
         outputs = []
         for _ in range(2):
             code, out, err = run(capsys, *shlex.split(line)[1:])

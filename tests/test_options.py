@@ -12,27 +12,20 @@ the tests that passes it.
 The cache budget counts the entries that the functools.lru_cache and
 functools.cache decorators in src/fricke may hold: each lru_cache adds its
 maxsize (128 when none is given), and an unbounded one (maxsize None, or
-functools.cache) fails the gate.  It also only goes down.  A new entry
-needs a workload whose single pass hits it: replaying the same task list,
-as a benchmark does, does not count.  The one cache left is abelmono's
-_baker_sections, with one entry, and a single pass hits it.  On one pass
-of the benchmark's seed-1 task lists, the root transport of each match_y
-task reads the nodes memo of the one cached sections object: locus_match
-makes 24 sections builds and 31 coefficient calls (27 and 35 if every form
-built its own), of them 1 and 1 per match_y task (2 and 2), and scatter
-128 and 328.  sweep makes 4 and 5 either way: each of its four sweeps is
-one 17-node transport, with no later pass to read the memo.  Eight
-entries save no build and no call on any of the three: the rank checks
-between the two match_y tasks, three moduli each, evict the first task's
-sections from eight entries as from one, so the second task builds its
-own.
+functools.cache) fails the gate.  It also only goes down, and it is 0: no
+cache is left.  A new cache needs a workload whose single pass it
+measurably speeds up: replaying the same task list, as a benchmark does,
+does not count.  The last one, abelmono's one-entry Baker-sections cache
+and its nodes memo, saved 4 of 35 coefficient calls on a seed-1
+locus_match pass, 24 of 541 on scatter and none on sweep or cli, and
+interleaved benchmark passes read no end-to-end difference without it.
 """
 
 import ast
 from pathlib import Path
 
 OPTION_BUDGET = 7
-CACHE_BUDGET = 1
+CACHE_BUDGET = 0
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fricke"
 
