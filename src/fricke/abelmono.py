@@ -553,13 +553,14 @@ def _chebyshev_coefficients(values):
     A DCT-I written as one cosine-matrix product: c_k = (2/N) sum'' f_j
     cos(pi j k / N), halved at k = 0 and k = N (the double prime halves the
     terms j = 0 and j = N).  jk is reduced mod 2N so every angle is in [0, 2 pi).
+    The product is an einsum, which calls no BLAS: no thread count moves a digit.
     """
     degree = len(values) - 1
     k = np.arange(degree + 1)
     ends = np.ones(degree + 1)
     ends[[0, -1]] = 0.5
     cosines = np.cos(math.pi / degree * (np.outer(k, k) % (2 * degree)))
-    return (2.0 / degree) * ends[:, None] * (cosines @ (ends[:, None] * values))
+    return (2.0 / degree) * ends[:, None] * np.einsum("jk,kc->jc", cosines, ends[:, None] * values)
 
 
 def _chebyshev_real_roots(coef, tol):
@@ -645,7 +646,7 @@ def real_locus_sweep(
     the line parameter t, with t running over n equally spaced samples of
     a_range; a row is flagged real when |Im z| <= TOL_MONO.  Every row is
     read from the one Chebyshev series of _slice_series over the range, in
-    one cosine product: a sample row at each of the n samples, and a refined
+    one cosine einsum: a sample row at each of the n samples, and a refined
     row at each real root of Im z in the range (the series of Im z cut after
     its last coefficient above z's tolerance, rooted by its colleague
     matrix), flagged real by its own |Im z|.  So a sweep transports its
@@ -672,7 +673,7 @@ def real_locus_sweep(
     roots = _chebyshev_real_roots(coef[:, 2].imag, tol[2])
     xs = np.concatenate([np.linspace(1.0, -1.0, n), roots])  # the samples' x, as in _lobatto_t
     ts = np.concatenate([np.linspace(lo, hi, n), _lobatto_t(roots, lo, hi)])
-    series = np.cos(np.outer(np.arccos(xs), np.arange(len(coef)))) @ coef
+    series = np.einsum("jk,kc->jc", np.cos(np.outer(np.arccos(xs), np.arange(len(coef)))), coef)
     rows = [sweep_row(t, *row, i >= n) for i, (t, row) in enumerate(zip(ts.tolist(), series.tolist()))]
     return SweepResult(sorted(rows, key=lambda row: row.t), r)
 

@@ -89,11 +89,11 @@ def norm_inf(m: Mat2) -> float:
     return max(map(abs, m))
 
 
-def order_of(m, tol=TOL_ALG):
-    """Smallest n <= MAX_ORDER with m^n = Id (entrywise within tol), else None."""
+def order_of(m):
+    """Smallest n <= MAX_ORDER with m^n = Id (entrywise within TOL_ALG), else None."""
     acc = m
     for n in range(1, MAX_ORDER + 1):
-        if norm_inf(acc - IDENTITY) <= tol:
+        if norm_inf(acc - IDENTITY) <= TOL_ALG:
             return n
         acc = acc @ m
     return None

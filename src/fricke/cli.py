@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 all checks passed / output produced, 1 a verification
-failed (report still emitted), 2 invalid input.  Errors go to stderr as
+Each verb returns ``(output, checks)``, checks ``{name: (residual, bound)}``.
+Exit codes (set by ``dispatch`` alone): 0 every residual within its bound, 1
+one past it (report still emitted), 2 invalid input.  Errors go to stderr as
 single-line records ``E:<code>:<message>``; warnings as ``W:<code>:...``.
 Identical argv produce byte-identical JSON/CSV output (SVG is identical up
 to the version comment line).  ``dispatch`` is the only writer of stdout:
@@ -26,9 +27,8 @@ FORMATS = ("json", "csv", "text")
 # The formats each verb can write; a verb not listed writes json only.
 VERB_FORMATS = {"verify": ("json", "text"), "locus": ("csv",)}
 SVG_WIDTH, SVG_HEIGHT = 640, 480
-# The targets of `verify`, each with its check function; dodeca.theorem91_passed
-# judges the checks.  The function is looked up on its module at call time, so
-# a wrapper installed there (perfbench's tracer) sees the call.
+# The targets of `verify`, each with its function of (residual, bound) rows, looked
+# up on its module at call time, so a wrapper there (perfbench's tracer) sees the call.
 VERIFY_TARGETS = {"dodeca": lambda: dodeca.verify_theorem91()}
 # The four check tolerances, reported in every JSON payload's tolerances block.
 TOLERANCES = {
@@ -91,8 +91,13 @@ def warn(code: str, message: str):
 
 
 # ---------------------------------------------------------------------------
-# verbs: each returns (output, ok) and writes nothing to stdout.  output is a
-# JSON payload (dict), text to print, or None; ok False exits CHECK_EXIT.
+# verbs: each returns (output, checks) and writes nothing to stdout.  output is
+# JSON (dict), text or None; checks is {name: (residual, bound)}, {} for none.
+
+
+def _passed(checks) -> bool:
+    """The one pass rule: every residual is within its bound."""
+    return all(res <= bound for res, bound in checks.values())
 
 
 def _pair(z) -> list:
@@ -105,19 +110,18 @@ def cmd_verify(args):
     if args.json and args.format == "text":
         raise CliInputError("--json and --format text conflict")
     checks = VERIFY_TARGETS[args.target]()
-    passed = dodeca.theorem91_passed(checks)
     if args.format != "text":
         return {
             "target": args.target,
-            "passed": passed,
+            "passed": _passed(checks),
             "residuals": {name: res for name, (res, _bound) in checks.items()},
             "bounds": {name: bound for name, (_res, bound) in checks.items()},
-        }, passed
+        }, checks
     lines = [
         f"{'ok' if res <= bound else 'FAIL':4s} {name:24s} {res:.3e} <= {bound:.1e}"
         for name, (res, bound) in checks.items()
     ]
-    return "\n".join([*lines, "passed" if passed else "failed"]) + "\n", passed
+    return "\n".join([*lines, "passed" if _passed(checks) else "failed"]) + "\n", checks
 
 
 def _parse_coords(text: str):
@@ -142,7 +146,7 @@ def cmd_charvar(args):
             res = charvar.fricke_torus_residual(x, y, z, w.r)
         else:
             res = charvar.fricke_sphere_residual(charvar.SphereTraceCoords(x, y, z, w.mu))
-        return {"surface": surface, "weight": str(w), "residual": _pair(res)}, True
+        return {"surface": surface, "weight": str(w), "residual": _pair(res)}, {}
     if args.action == "abelianize":
         s = charvar.abelianize(charvar.TraceCoords(x, y, z), w)
         return {
@@ -152,7 +156,7 @@ def cmd_charvar(args):
             "yt": _pair(s.yt),
             "zt": _pair(s.zt),
             "residual": abs(charvar.fricke_sphere_residual(s)),
-        }, True
+        }, {}
     if args.action == "lift":
         lifts = charvar.lift_traces(charvar.SphereTraceCoords(x, y, z, w.mu), w)
         return {
@@ -167,11 +171,11 @@ def cmd_charvar(args):
                 }
                 for t in lifts
             ],
-        }, True
+        }, {}
     verdict = charvar.classify_real(charvar.TraceCoords(x, y, z), w)
     if isinstance(verdict, tuple):
-        return {"class": verdict[0], "component": verdict[1]}, True
-    return {"class": verdict}, True
+        return {"class": verdict[0], "component": verdict[1]}, {}
+    return {"class": verdict}, {}
 
 
 def cmd_lorentz(args):
@@ -181,12 +185,10 @@ def cmd_lorentz(args):
     for (m, n), g in lorentz.generators().items():
         ref = lorentz.compose_reflections([tet.normals[m], tet.normals[n]])
         lifts[f"g{m}{n}"] = lorentz.lift_check(g, ref)
-    expected = sorted(
-        [0.0, 0.0, 0.0, math.cos(math.pi / 5), math.cos(math.pi / 3), math.cos(math.pi / 4)]
-    )
-    worst_angle = max(abs(a - b) for a, b in zip(data, expected))
-    ok = worst_angle <= 1e-9 and all(v <= 1e-8 for v in lifts.values())
-    return {"dihedral_cosines": data, "expected": expected, "residuals": lifts}, ok
+    expected = sorted([0.0, 0.0, 0.0, *(math.cos(math.pi / k) for k in (5, 3, 4))])
+    checks = {name: (v, 1e-8) for name, v in lifts.items()}
+    checks["dihedral_cosines"] = (max(abs(a - b) for a, b in zip(data, expected)), 1e-9)
+    return {"dihedral_cosines": data, "expected": expected, "residuals": lifts}, checks
 
 
 def cmd_covering(args):
@@ -200,7 +202,7 @@ def cmd_covering(args):
         "all_positive": report.all_positive,
         "signs": report.signs,
         "residuals": {"worst": report.worst_residual},
-    }, report.passed
+    }, {"trivial_covering": (0.0 if report.passed else 1.0, 0.5)}
 
 
 def _monodromy_payload(res):
@@ -226,8 +228,8 @@ def cmd_monodromy(args):
         parse_complex(args.a), parse_complex(args.chi), args.r, args.tau
     )
     res = abelmono.monodromies(params)
-    ok = res.char_residual <= abeldomain.TOL_MONO and res.commutator_residual <= abeldomain.TOL_MONO
-    return _monodromy_payload(res), ok
+    rows = {"character_equation": res.char_residual, "commutator_trace": res.commutator_residual}
+    return _monodromy_payload(res), {name: (v, abeldomain.TOL_MONO) for name, v in rows.items()}
 
 
 def _chi0_value(text: str, tau: float) -> complex:
@@ -262,11 +264,8 @@ def locus_rows_to_csv(result) -> str:
 def emit_locus_svg(result) -> str:
     """Standalone SVG: flagged-real sample points, analytic overlay, axes.
 
-    The dodecahedral point is marked when r = 1/10.  Raises on an empty
-    table.
+    The dodecahedral point is marked when r = 1/10.
     """
-    if not result.rows:
-        raise CliInputError("empty locus table")
     r = result.r
     xs_min, xs_max = 2.0005, 12.0
     # real_locus_y is defined for x > 2, whatever r
@@ -360,7 +359,7 @@ def cmd_locus(args):
     if not result.flagged_real():
         warn("locus", "no flagged-real rows; overlay only")
     printed = args.format == "csv" or not (args.csv or args.svg)
-    return (csv_text if printed else None), True
+    return (csv_text if printed else None), {}
 
 
 # The flags only one mode of match reads, with their defaults, keyed by --on-locus.
@@ -401,7 +400,7 @@ def cmd_match(args):
                **_monodromy_payload(res.result)}
     mismatch = abs(complex(res.result.y).real - args.y_target)
     payload["residuals"]["y_mismatch"] = mismatch
-    return payload, mismatch <= abeldomain.TOL_ROOT
+    return payload, {"y_mismatch": (mismatch, abeldomain.TOL_ROOT)}
 
 
 def cmd_jacobian(args):
@@ -414,7 +413,7 @@ def cmd_jacobian(args):
         "rank": res.rank,
         "step": args.h,
         "residuals": {"smallest_singular_value": res.singular_values[1]},
-    }, res.rank == 2
+    }, {"rank_2": (0.0 if res.rank == 2 else 1.0, 0.5)}
 
 
 def cmd_spin(args):
@@ -437,7 +436,7 @@ def cmd_spin(args):
         "chi": _pair(chi),
         "tau": args.tau,
         "residuals": residuals,
-    }, all(v <= spingraft.TOL_HOLONOMY for v in residuals.values())
+    }, {name: (v, spingraft.TOL_HOLONOMY) for name, v in residuals.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +575,7 @@ def dispatch(argv) -> int:
         args = build_parser().parse_args(argv)
         if args.format not in (None, *VERB_FORMATS.get(args.verb, ("json",))):
             raise CliInputError(f"{args.verb} cannot write format {args.format!r}")
-        output, ok = args.func(args)
+        output, checks = args.func(args)
     except SystemExit as exc:  # --help
         return USAGE_EXIT if exc.code not in (0, None) else 0
     except INPUT_ERRORS as exc:
@@ -594,7 +593,7 @@ def dispatch(argv) -> int:
             return CHECK_EXIT
     if output:
         sys.stdout.write(output)
-    return 0 if ok else CHECK_EXIT
+    return 0 if _passed(checks) else CHECK_EXIT
 
 
 def main():

@@ -61,7 +61,7 @@ def verify_theorem91(tol=algebra.TOL_ALG):
     orders = {"j0": (data.j0, 8), "J1": (J1, 10), "J2": (J2, 10),
               "J3": (J3, 10), "J4": (J4, 10), "g02": (data.generators[(0, 2)], 5)}
     for name, (M, expected) in orders.items():
-        got = algebra.order_of(M, tol)
+        got = algebra.order_of(M)
         checks[f"order_{name}"] = (0.0 if got == expected else 1.0, 0.5)
 
     real_dev = max(abs(v.imag) for M in data.J for v in M)

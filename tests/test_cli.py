@@ -778,3 +778,132 @@ def test_every_flag_is_in_the_readme():
     assert flags
     missing = [f for f in sorted(flags) if not re.search(rf"(?<![\w-]){re.escape(f)}(?![\w-])", readme)]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# The exit rule: each verb returns (output, checks), checks {name: (residual,
+# bound)}, and dispatch exits 1 exactly when a residual exceeds its bound.
+
+
+def _failing_verify(monkeypatch):
+    """verify's dodeca rows with tr_J1's residual set to 1."""
+    rows = cli.dodeca.verify_theorem91()
+    rows["tr_J1"] = (1.0, rows["tr_J1"][1])
+    monkeypatch.setattr(cli.dodeca, "verify_theorem91", lambda: rows)
+
+
+def test_verify_exit_status_follows_its_rows(capsys, monkeypatch):
+    """A verify row past its bound still prints the whole report, JSON and text, and the exit is 1."""
+    rows = cli.dodeca.verify_theorem91()
+    _failing_verify(monkeypatch)
+    code, out, err = run(capsys, "verify", "dodeca")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["passed"] is False and payload["residuals"]["tr_J1"] == 1.0
+    assert payload["residuals"].keys() == rows.keys()
+    code, out, err = run(capsys, "--format", "text", "verify", "dodeca")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert len(lines) == len(rows) + 1 and lines[-1] == "failed"
+    assert lines[0].startswith("FAIL tr_J1 ") and lines[1].startswith("ok   tr_J2 ")
+
+
+def test_lorentz_exit_status_follows_its_lifts(capsys, monkeypatch):
+    """A lift residual above 1e-8 still prints the report, and the exit is 1; below, 0."""
+    code, out, err = run(capsys, "lorentz", "angles")
+    report = json.loads(out)
+    assert (code, err) == (0, "")
+    for residual, expected in ((5e-9, 0), (2e-8, 1)):
+        monkeypatch.setattr(cli.lorentz, "lift_check", lambda g, ref, residual=residual: residual)
+        code, out, err = run(capsys, "lorentz", "angles")
+        assert (code, err) == (expected, "")
+        payload = json.loads(out)
+        assert payload["residuals"] == dict.fromkeys(report["residuals"], residual)
+        assert payload["dihedral_cosines"] == report["dihedral_cosines"]
+
+
+def test_monodromy_exit_status_follows_its_residuals(capsys, monkeypatch):
+    """A character-equation residual above TOL_MONO still prints the report, and the exit is 1."""
+    code, out, err = run(capsys, *MONODROMY)
+    residuals = json.loads(out)["residuals"]
+    assert (code, err) == (0, "") and residuals["character_equation"] > 0.0
+    monkeypatch.setattr(cli.abeldomain, "TOL_MONO", residuals["character_equation"] / 2)
+    code, out, err = run(capsys, *MONODROMY)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["residuals"] == residuals
+
+
+def test_match_exit_status_follows_its_y_mismatch(capsys, monkeypatch):
+    """A y_mismatch above TOL_ROOT still prints the report, and the exit is 1."""
+    argv = ["match", "--y-target", "1.8", "--r", "0.1", "--tau", "1", "--bracket", "0.05,0.7"]
+    code, out, err = run(capsys, *argv)
+    report = json.loads(out)
+    assert (code, err) == (0, "") and report["residuals"]["y_mismatch"] > 0.0
+    monkeypatch.setattr(cli.abeldomain, "TOL_ROOT", report["residuals"]["y_mismatch"] / 2)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == report
+
+
+def test_jacobian_exit_status_follows_its_rank(capsys, monkeypatch):
+    """A rank below 2 still prints the report, and the exit is 1."""
+    argv = ["jacobian", "--a", "0.3", "--tau", "1", "--r", "0.1"]
+    code, out, err = run(capsys, *argv)
+    report = json.loads(out)
+    assert (code, err, report["rank"]) == (0, "", 2)
+    monkeypatch.setattr(abelmono, "RANK_FLOOR", 2 * report["singular_values"][1])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {**report, "rank": 1}
+
+
+# Lines that exit 1 on a failed check, each with the patch that makes it fail (None: none needed).
+FAILING_LINES = [
+    ("verify dodeca", _failing_verify),
+    ("--format text verify dodeca", _failing_verify),
+    ("lorentz angles", lambda mp: mp.setattr(cli.lorentz, "lift_check", lambda g, ref: 1.0)),
+    ("covering check --weight 3/10 --signs=-1,1,-1", None),
+    ("monodromy --a 3 --chi 2+2i --r 0.1 --tau 1", None),
+    ("monodromy --a 0.2 --chi 0.3+0.2i --r 0.1 --tau 1",
+     lambda mp: mp.setattr(cli.abeldomain, "TOL_MONO", 0.0)),
+    ("match --y-target 1.8 --r 0.1 --tau 1 --bracket 0.05,0.7",
+     lambda mp: mp.setattr(cli.abeldomain, "TOL_ROOT", 0.0)),
+    ("jacobian --a 0.3 --tau 1 --r 0.1", lambda mp: mp.setattr(abelmono, "RANK_FLOOR", 1e3)),
+    ("spin --state +,- --tau 1e308", lambda mp: mp.setattr(cli.spingraft, "TOL_HOLONOMY", 0.0)),
+]
+
+
+def test_verbs_return_rows_and_dispatch_alone_judges_them(tmp_path, monkeypatch, capsys):
+    """Each README line and each failing line: the verb returns a mapping of (residual, bound)
+    pairs, and dispatch exits 1 exactly when some residual exceeds its bound."""
+    monkeypatch.chdir(tmp_path)
+    cases = [(line.split(maxsplit=1)[1], None, False) for line in _readme_cli_lines()]
+    cases += [(line, patch, True) for line, patch in FAILING_LINES]
+    for line, patch, fails in cases:
+        with monkeypatch.context() as mp:
+            if patch:
+                patch(mp)
+            argv = shlex.split(line)
+            args = cli.build_parser().parse_args(argv)
+            _output, checks = args.func(args)
+            assert isinstance(checks, dict), line
+            for name, pair in checks.items():
+                assert isinstance(name, str) and len(pair) == 2, line
+                assert all(isinstance(v, float) for v in pair), line
+            assert any(not res <= bound for res, bound in checks.values()) == fails, line
+            code, _out, err = run(capsys, *argv)
+            assert (code, err) == (int(fails), ""), line
+
+
+def test_widest_sweep_prints_the_same_bytes_under_one_and_two_blas_threads(monkeypatch):
+    """The sweep's Chebyshev coefficients and rows are products that call no BLAS, so the
+    number of OpenBLAS threads moves no digit of its CSV (a fresh interpreter per count)."""
+    line = "locus --r 0.1 --tau 12 --a-min -11 --a-max 11"
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        proc = _fresh_interpreter("-m", "fricke.cli", *line.split())
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 146
+    assert outputs[1] == outputs[0]

@@ -24,7 +24,7 @@ interleaved benchmark passes read no end-to-end difference without it.
 import ast
 from pathlib import Path
 
-OPTION_BUDGET = 7
+OPTION_BUDGET = 6
 CACHE_BUDGET = 0
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fricke"

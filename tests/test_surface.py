@@ -27,6 +27,7 @@ KEEP = {
     "spingraft.verify_spin_dictionary": "acceptance criterion 10 checks the spin dictionary",
     "spingraft.graft_modulus": "acceptance criterion 10 checks the grafted modulus",
     "algebra.evaluate_word": "ROADMAP item 8 evaluates J-words on the cover; the covering oracle test uses it",
+    "dodeca.theorem91_passed": "acceptance criterion 1 judges verify_theorem91's rows with it",
 }
 
 
