@@ -174,13 +174,15 @@ class ConnectionForm:
     coordinates (C00, C01, C10) stacked on axis 0, shape
     (3,) + a.shape + w.shape, with psi_+- evaluated once for all members
     (nothing but C00 depends on a).  Members leave the stack:
-    parallel_transport takes each later level through a copy of the form
-    over the members still open.
+    parallel_transport makes each later pass through a copy of the form
+    over the members still open.  An empty list raises ParameterOutOfRange.
     """
 
     def __init__(self, params: ConnectionParams | list):
         stacked = isinstance(params, list)
         stack = params if stacked else [params]
+        if not stack:
+            raise ParameterOutOfRange("a stack needs at least one connection")
         params = stack[0]
         if any((p.chi, p.r, p.tau) != (params.chi, params.r, params.tau) for p in stack):
             raise ParameterOutOfRange("a stack of connections must share chi, r and tau")
@@ -232,7 +234,11 @@ class TorusPath:
     """The loop s in [0,1] -> basepoint(tau) + step s + i amplitude sin(2 pi cycles s).
 
     A value: equal fields make the same loop.  point and velocity act on
-    arrays of s; velocity is the constant step when amplitude is 0.
+    arrays of s; velocity is the constant step when amplitude is 0.  On the
+    scale min(1, tau), delta is how near the lattice a node may come, and
+    first_pass the finest level of the loop's first transport pass: the
+    largest N = 32 2^k, k >= 0, whose panels are no shorter than
+    min(1, tau)/32 (N min(1, tau) <= 32 |step|), capped above 32 by PANEL_BUDGET.
     """
 
     tau: float
@@ -244,6 +250,13 @@ class TorusPath:
     @property
     def delta(self):
         return 0.05 * min(1.0, self.tau)
+
+    @property
+    def first_pass(self):
+        n, scale, length = 32, min(1.0, self.tau), 32.0 * abs(self.step)
+        while 2 * n <= PANEL_BUDGET and 2 * n * scale <= length:
+            n *= 2
+        return n
 
     def point(self, s):
         w = basepoint(self.tau) + self.step * s
@@ -292,8 +305,8 @@ def _bracket(x, y):
                      2.0 * (x[2] * y[0] - x[0] * y[2])])
 
 
-def _magnus_product(form: ConnectionForm, paths: list, levels: tuple) -> list:
-    """Psi(1) along each path on n equal panels per n of levels, by a 6th-order Magnus step per panel.
+def _magnus_product(form: ConnectionForm, levels: list) -> list:
+    """Psi(1) along each path of each (n, paths) of levels on n equal panels, by a 6th-order Magnus step per panel.
 
     On a panel of width h with A1, A2, A3 at its three Gauss nodes
     (Blanes, Casas and Ros, BIT 40, 2000): alpha1 = h A2,
@@ -303,29 +316,30 @@ def _magnus_product(form: ConnectionForm, paths: list, levels: tuple) -> list:
     Every term is traceless, so the A_k are sl(2) coordinates (A00, A01, A10),
     the brackets act on them, and
     exp Omega = cosh d I + (sinh d / d) Omega with d^2 = Omega00^2 + Omega01 Omega10
-    (sinh d / d is sinc(d / (i pi)), which is 1 at d = 0).  The paths' nodes
-    are stacked on a leading loop axis and the levels' panels are
-    concatenated on the panel axis, each with its own h, so one Magnus pass
-    covers every (member, loop, level).  Every pass is pole-checked
-    (PathTooCloseToPole) and takes every A_k from one form.coefficient
-    call.  Each level's panel factors are then multiplied
-    pairwise, later panels on the left, as L[:, :1] R[:1] + L[:, 1:] R[1:] over
-    the whole array (a stacked matmul hands BLAS one 2x2 product at a time).
-    Returns one product array per level, in the order of levels, of shape
-    form.a.shape + (len(paths), 2, 2): one product per member and loop.
+    (sinh d / d is sinc(d / (i pi)), which is 1 at d = 0).  Each (loop,
+    level) is a segment of the panel axis, level after level and the loops
+    of a level in their order, each panel with its own h, so one Magnus pass
+    takes every A_k from one form.coefficient call, whatever levels the
+    loops have.  The panel factors of a level's loops are then multiplied
+    pairwise in one product tree, later panels on the left, as
+    L[:, :1] R[:1] + L[:, 1:] R[1:] over the whole array (a stacked matmul
+    hands BLAS one 2x2 product at a time).  Returns, per (n, paths) of
+    levels, the product array of shape form.a.shape + (len(paths), 2, 2),
+    one product per member and loop, and each path's closest approach to
+    the lattice over its nodes; nothing is pole-checked here.
     """
-    h = np.concatenate([np.full(n, 1.0 / n) for n in levels])
-    s = np.concatenate([(np.arange(n) + _GAUSS_NODES[:, None]) * (1.0 / n) for n in levels],
-                       axis=-1)  # each node set contiguous
-    w = np.stack([path.point(s) for path in paths])
-    dist = form.lat.lattice_distance(w)
-    near = np.min(dist, axis=(1, 2)) < [path.delta for path in paths]
-    if near.any():
-        k = int(np.argmax(near))
-        raise PathTooCloseToPole(
-            f"{paths[k].label}: point {w[k].flat[np.argmin(dist[k])]} within {paths[k].delta} of the lattice"
-        )
-    wdot = np.stack([np.broadcast_to(path.velocity(s), s.shape) for path in paths])
+    widths = [n for n, paths in levels for _path in paths]
+    w = np.empty((3, sum(widths)), dtype=complex)
+    wdot = np.empty_like(w)
+    starts, start = [], 0
+    for n, paths in levels:
+        s = (np.arange(n) + _GAUSS_NODES[:, None]) * (1.0 / n)
+        for path in paths:
+            w[:, start : start + n], wdot[:, start : start + n] = path.point(s), path.velocity(s)
+            starts.append(start)
+            start += n
+    h = np.repeat(1.0 / np.array(widths), widths)
+    gap = np.minimum.reduceat(np.min(form.lat.lattice_distance(w), axis=0), starts)
     x = form.coefficient(w, wdot)
     a1, a2, a3 = x[..., 0, :], x[..., 1, :], x[..., 2, :]
     alpha1 = h * a2
@@ -338,13 +352,47 @@ def _magnus_product(form: ConnectionForm, paths: list, levels: tuple) -> list:
     d = np.sqrt(o0 * o0 + o1 * o2)
     cosh, sinc = np.cosh(d), np.sinc(d / (1j * math.pi))
     factors = np.stack([cosh + sinc * o0, sinc * o1, sinc * o2, cosh - sinc * o0], axis=-1)
-    products = []
-    for product in np.split(factors.reshape(o0.shape + (2, 2)), np.cumsum(levels)[:-1], axis=-3):
+    factors = factors.reshape(o0.shape + (2, 2))
+    products, start, first = [], 0, 0
+    for n, paths in levels:
+        stop = start + n * len(paths)
+        product = factors[..., start:stop, :, :].reshape(form.a.shape + (len(paths), n, 2, 2))
         while product.shape[-3] > 1:
             left, right = product[..., 1::2, :, :], product[..., 0::2, :, :]
             product = left[..., :, :1] * right[..., :1, :] + left[..., :, 1:] * right[..., 1:, :]
-        products.append(product[..., 0, :, :])
+        products.append((product[..., 0, :, :], gap[first : first + len(paths)]))
+        start, first = stop, first + len(paths)
     return products
+
+
+def _pole_check(form: ConnectionForm, paths: list, gaps, levels: tuple):
+    """Raise PathTooCloseToPole for the first of paths whose closest approach over levels is within its delta.
+
+    The error names that path's node nearest the lattice over the nodes of levels.
+    """
+    for path, gap in zip(paths, gaps.tolist()):
+        if gap < path.delta:
+            s = np.concatenate([(np.arange(n) + _GAUSS_NODES[:, None]) * (1.0 / n) for n in levels], axis=-1)
+            w = path.point(s)
+            raise PathTooCloseToPole(
+                f"{path.label}: point {w.flat[np.argmin(form.lat.lattice_distance(w))]} within {path.delta} of the lattice"
+            )
+
+
+def _level(entries: list, loops, members):
+    """One level's products, shape (open loops, live members, 2, 2), and closest approaches, from its passes."""
+    if len(entries) == 1 and entries[0][1] is members and len(entries[0][0]) == loops.size:
+        ks, _members, product, gap = entries[0]  # one pass made for exactly these loops and members
+        return np.moveaxis(product.reshape(-1, len(ks), 2, 2), 1, 0), gap
+    fine = np.empty((loops.size, members.size, 2, 2), dtype=complex)
+    gaps = np.empty(loops.size)
+    row = {k: j for j, k in enumerate(loops.tolist())}
+    for ks, carried, product, gap in entries:
+        product = product.reshape(-1, len(ks), 2, 2)[np.searchsorted(carried, members)]
+        for j, k in enumerate(ks):
+            if k in row:
+                fine[row[k]], gaps[row[k]] = product[:, j], gap[j]
+    return fine, gaps
 
 
 def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> TransportResult | list | tuple:
@@ -360,21 +408,25 @@ def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> Transp
     paths is one TorusPath or a tuple of them.  A form over a stack (1-D
     form.a) gives a list of results per path, one per member; a 0-d form
     gives one TransportResult per path.  A tuple gives a tuple of those, in
-    its order.  The first pass evaluates 16 and 32 panels in one
-    _magnus_product call (16 panels are only ever the coarse side of a
-    comparison), each later pass the next level alone; each level is tested
-    as one (open paths, live members) array.  A pair keeps the product of
-    the level at which it first passed its own test, so its entry equals the
-    result for that path alone and a form over that member alone.  A path
-    whose members have all passed leaves the array, and so does a member
-    that has passed on every open path: the next pass takes a copy of the
-    form over the live members' a (no copy while nobody leaves).  A path at
-    another tau than the form's raises ParameterOutOfRange before any pass,
-    one within its delta of the lattice at any node of a pass
-    PathTooCloseToPole before it is tested.  For the whole call, a
-    non-finite product of an open (member, path) raises NonGenericChi naming
-    chi and the first such member's a and first such path, the budget
-    StepLimitExceeded naming the first open path.
+    its order.  The first _magnus_product pass evaluates each loop at 16,
+    32, ... up to its first_pass panels (16 panels are only ever the coarse
+    side of a comparison), so its levels differ between loops; each later
+    pass adds the next level of the open loops that lack it.  The levels are
+    tested in increasing N, each as one (open paths, live members) array,
+    whichever passes made it.  A pair keeps the product of the level at
+    which it first passed its own test, so its entry equals the result for
+    that path alone, a form over that member alone and any schedule of
+    passes.  A path whose members have all passed leaves the array, and so
+    does a member that has passed on every open path: the next pass takes a
+    copy of the form over the live members' a (no copy while nobody leaves).
+    A path at another tau than the form's raises ParameterOutOfRange before
+    any pass.  One within its delta of the lattice at a node of the 16- or
+    32-panel level raises PathTooCloseToPole before any product is tested,
+    and at a node of a finer level before that level is tested, if the path
+    is still open there.  For the whole call, a non-finite product of an
+    open (member, path) raises NonGenericChi naming chi and the first such
+    member's a and first such path, the budget StepLimitExceeded naming the
+    first open path; no level above PANEL_BUDGET is evaluated.
     """
     several = isinstance(paths, tuple)
     paths = paths if several else (paths,)
@@ -384,15 +436,28 @@ def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> Transp
     out = [[None] * form.a.size for _ in paths]
     live, loops, members = form, np.arange(len(paths)), np.arange(form.a.size)  # what the next pass carries
     todo = np.ones((loops.size, members.size), dtype=bool)  # its open (loop, member) pairs
-    n, pending, coarse = _FIRST_PANELS, [], None
+    made = [0] * len(paths)  # the finest level evaluated per loop
+    passes = {}  # level -> [(loops, members, products, closest approaches)] of the passes that made it
+    n, coarse = _FIRST_PANELS, None
     with np.errstate(all="ignore"):
         while todo.size:
             if n > PANEL_BUDGET:
                 raise StepLimitExceeded(f"{paths[loops[0]].label}: budget of {PANEL_BUDGET} panels")
-            if not pending:
-                levels = (n,) if coarse is not None else (n, 2 * n)
-                pending = _magnus_product(live, [paths[k] for k in loops], levels)
-            fine = np.moveaxis(pending.pop(0).reshape(-1, len(loops), 2, 2), 1, 0)
+            if lacking := [k for k in loops.tolist() if made[k] < n]:
+                for k in lacking:  # the first pass takes each loop from 16 panels up to its first_pass
+                    made[k] = n if coarse is not None else max(2 * n, paths[k].first_pass)
+                levels, m = [], n
+                while ks := [k for k in lacking if made[k] >= m]:
+                    levels.append((m, ks))
+                    m *= 2
+                products = _magnus_product(live, [(m, [paths[k] for k in ks]) for m, ks in levels])
+                for (m, ks), (product, gap) in zip(levels, products):
+                    passes.setdefault(m, []).append((ks, members, product, gap))
+                if coarse is None:  # every loop's 16- and 32-panel nodes, before any product is tested
+                    _pole_check(form, paths, np.minimum(products[0][1], products[1][1]), (n, 2 * n))
+            fine, gap = _level(passes.pop(n), loops, members)
+            if n > 2 * _FIRST_PANELS:
+                _pole_check(form, [paths[k] for k in loops.tolist()], gap, (n,))
             failed = todo & ~np.all(np.isfinite(fine), axis=(2, 3))
             if failed.any():
                 i, k = divmod(int(np.argmax(failed.T)), len(loops))  # the first failing member, then loop
@@ -458,11 +523,11 @@ def monodromy_batch(stack: list) -> list:
     """monodromies for every ConnectionParams of stack; all share (chi, r, tau).
 
     BATCH_CHUNK members at a time go through one stacked ConnectionForm and
-    one parallel_transport call over (gamma_x, gamma_y): one pass per level
-    (the first covers 16 and 32 panels) for the loops still open, carrying
-    only the members still open on one of them.  Each chunk builds its own
-    form, so the Baker sections are evaluated once per (chunk, open loops,
-    level), and again by every later call.  Every member's result,
+    one parallel_transport call over (gamma_x, gamma_y): a first pass that
+    takes each loop up to its first_pass, then one pass per level for the
+    loops still open, carrying only the members still open on one of them.
+    Each chunk builds its own form, so the Baker sections are evaluated once
+    per (chunk, pass), and again by every later call.  Every member's result,
     panel counts included, equals its batch of one.  When a chunk's
     transport fails, its members are run again one at a time, so the error
     raised is the one the first failing member raises alone.  BATCH_CHUNK,

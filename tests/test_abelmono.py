@@ -331,12 +331,18 @@ class _DiagonalForm(am.ConnectionForm):
 
 
 class _Curve:
-    """Any curve s -> point(s) with the interface of a TorusPath: a test-local path double."""
+    """Any curve s -> point(s) with the interface of a TorusPath: a test-local path double.
+
+    Its step is its chord point(1) - point(0), as a TorusPath's is, so delta and
+    first_pass are the TorusPath's rules read off the same fields.
+    """
 
     delta = am.TorusPath.delta
+    first_pass = am.TorusPath.first_pass
 
     def __init__(self, point, velocity, tau, label):
         self.point, self.velocity, self.tau, self.label = point, velocity, tau, label
+        self.step = complex(point(1.0) - point(0.0))
 
 
 def test_torus_path_is_a_value():
@@ -386,6 +392,7 @@ def test_transport_reversed_path_inverts():
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
     path = am.gamma_x(TAU)
     reversed_path = _Curve(lambda s: path.point(1.0 - s), lambda s: -path.velocity(1.0 - s), TAU, "gamma_x^-1")
+    assert (reversed_path.step, reversed_path.first_pass) == (-path.step, path.first_pass)
     fwd = am.parallel_transport(form, path)
     bwd = am.parallel_transport(form, reversed_path)
     assert np.max(np.abs(fwd.matrix @ bwd.matrix - np.eye(2))) <= 1e-8
@@ -401,7 +408,8 @@ def test_transport_step_budget(monkeypatch):
 def test_transport_path_too_close_to_pole():
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
     bad = _Curve(lambda s: 0.001 + 0.001j + s, lambda s: 1.0 + 0.0j, TAU, "bad")
-    with pytest.raises(am.PathTooCloseToPole):
+    assert bad.first_pass == 32
+    with pytest.raises(am.PathTooCloseToPole, match=r"^bad: point \(.*\) within 0\.05 of the lattice$"):
         am.parallel_transport(form, bad)
 
 
@@ -413,7 +421,7 @@ def test_transport_det_drift_small():
 
 
 def _spy_coefficient(monkeypatch):
-    """Record (members, loops, nodes per panel, panel columns) of every ConnectionForm.coefficient call."""
+    """Record (members, nodes per panel, panel columns) of every ConnectionForm.coefficient call."""
     calls = []
     coefficient = am.ConnectionForm.coefficient
 
@@ -426,25 +434,43 @@ def _spy_coefficient(monkeypatch):
 
 
 def test_transport_evaluates_each_panel_level_at_once(monkeypatch):
-    """One coefficient call per (transport call, open loops, level), and none shared between calls.
+    """One coefficient call per pass, and none shared between calls.
 
-    The loops' node sets are stacked on a leading axis and the first pass's two levels
-    on the panel axis (16 + 32 = 48 panels); gamma_x closes at 32 panels here and
-    leaves the call, so the 64-panel level carries gamma_y's nodes alone.  The same
-    form again, a second form and monodromies at the same point each make the same
-    two calls.
+    At the dodecahedral root (tau ~ 2.95) gamma_x's first pass stops at 32 panels and
+    gamma_y's at 64, the levels where they close, so the call is one pass whose
+    (loop, level) segments lie side by side on the panel axis: 16 + 16 + 32 + 32 + 64
+    = 160 columns of three nodes (two passes, of 2 x 48 and then 64 columns, when every
+    first pass stopped at 32).  The same form again, a second form and monodromies at
+    the same point each make the same call.
     """
     calls = _spy_coefficient(monkeypatch)
     a, tau = DODECA_ROOT
     params = am._on_slice(a, tau, 0.1)
     form = am.ConnectionForm(params)
+    assert (am.gamma_x(tau).first_pass, am.gamma_y(tau).first_pass) == (32, 64)
     rx, ry = am.parallel_transport(form, (am.gamma_x(tau), am.gamma_y(tau)))
     assert (rx.panels, ry.panels) == (32, 64)
-    assert calls == [(1, 2, 3, 48), (1, 1, 3, 64)]
+    assert calls == [(1, 3, 160)]
     am.parallel_transport(form, (am.gamma_x(tau), am.gamma_y(tau)))
     am.parallel_transport(am.ConnectionForm(params), (am.gamma_x(tau), am.gamma_y(tau)))
     assert am.monodromies(params).panels == (32, 64)
-    assert calls == [(1, 2, 3, 48), (1, 1, 3, 64)] * 4
+    assert calls == [(1, 3, 160)] * 4
+
+
+@pytest.mark.parametrize(("path", "panels"), [
+    (am.gamma_x(1.0), 32), (am.gamma_x(12.0), 32), (am.gamma_x(0.5), 64), (am.gamma_x(0.4999), 64),
+    (am.gamma_x(0.3), 64), (am.gamma_x(0.25), 128), (am.gamma_x(0.2), 128), (am.gamma_x(0.1), 256),
+    (am.gamma_x_wiggled(0.2, 0.01, 2), 128), (am.gamma_y(0.1), 32), (am.gamma_y(1.0), 32),
+    (am.gamma_y(1.99), 32), (am.gamma_y(2.0), 64), (am.gamma_y(3.99), 64), (am.gamma_y(4.0), 128),
+    (am.gamma_y(12.0), 256),
+])
+def test_first_pass_is_the_finest_level_of_panels_at_least_min_1_tau_over_32(path, panels, monkeypatch):
+    """N = 32 2^k, k >= 0, largest with N min(1, tau) <= 32 |step|, and at most PANEL_BUDGET above 32."""
+    assert path.first_pass == panels
+    monkeypatch.setattr(am, "PANEL_BUDGET", 100)
+    assert path.first_pass == min(panels, 64)
+    monkeypatch.setattr(am, "PANEL_BUDGET", am._FIRST_PANELS)
+    assert path.first_pass == 32
 
 
 @pytest.mark.parametrize("tau", [0.2, 1.0, 5.0])
@@ -475,9 +501,9 @@ def test_magnus_step_is_sixth_order():
     """
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
     paths = [am.gamma_x(TAU), am.gamma_y(TAU)]
-    (exact,) = am._magnus_product(form, paths, (4096,))
+    [(exact, _gap)] = am._magnus_product(form, [(4096, paths)])
     err16, err32 = (np.max(np.abs(product - exact), axis=(1, 2))
-                    for product in am._magnus_product(form, paths, (16, 32)))
+                    for product, _gap in am._magnus_product(form, [(16, paths), (32, paths)]))
     assert np.all((40.0 <= err16 / err32) & (err16 / err32 <= 90.0))
 
 
@@ -705,31 +731,45 @@ def test_monodromy_keeps_transport_data():
         assert m.error_estimate == (rx.error_estimate, ry.error_estimate)
 
 
-def test_stacked_transport_errors_name_the_failing_loop(monkeypatch):
-    """Budget, pole and non-finite errors of a stacked call name the loop that failed.
-
-    The non-finite product also names the connection: chi, and the a of the first
-    failing member of a stack, whose first failing loop it names.
-    """
+def _stacked_failures(monkeypatch):
+    """(call, error class, message start) of failing stacked transports, each naming its loop."""
     a, tau = DODECA_ROOT
     params = am._on_slice(a, tau, 0.1)  # gamma_x closes at 32 panels, gamma_y at 64
     form = am.ConnectionForm(params)
     x_path = am.gamma_x(tau)
     bad = _Curve(lambda s: 0.001 + 0.001j + s, x_path.velocity, tau, "bad")
-    with pytest.raises(am.PathTooCloseToPole, match="^bad: "):
-        am.parallel_transport(form, (x_path, bad))
     huge = _Curve(x_path.point, lambda s: 1e300 + 0j, tau, "huge")
-    named = f"chi = {complex(params.chi)}, a = {complex(a)}: huge: non-finite panel product at 16 panels: "
-    with pytest.raises(am.NonGenericChi, match="^" + re.escape(named)):
-        am.parallel_transport(form, (x_path, huge))
     # member 1 overflows on gamma_y alone, member 2 on both loops: member 1 and gamma_y are named
     stack = am.ConnectionForm([am._on_slice(b, tau, 0.1) for b in (a, 400j, 1e200)])
-    with pytest.raises(am.NonGenericChi, match="^" + re.escape(
-            f"chi = {complex(params.chi)}, a = 400j: gamma_y: non-finite panel product at 16 panels: ")):
-        am.parallel_transport(stack, (x_path, am.gamma_y(tau)))
-    monkeypatch.setattr(am, "PANEL_BUDGET", 32)
-    with pytest.raises(am.StepLimitExceeded, match="^gamma_y: budget of 32 panels"):
-        am.monodromies(params)
+    unit = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))  # gamma_x closes at 32 panels
+
+    def over_budget():
+        with monkeypatch.context() as patch:
+            patch.setattr(am, "PANEL_BUDGET", 32)
+            return am.monodromies(params)
+
+    return [
+        (lambda: am.parallel_transport(form, (x_path, bad)), am.PathTooCloseToPole, "bad: "),
+        (lambda: am.parallel_transport(form, (x_path, huge)), am.NonGenericChi,
+         f"chi = {complex(params.chi)}, a = {complex(a)}: huge: non-finite panel product at 16 panels: "),
+        (lambda: am.parallel_transport(stack, (x_path, am.gamma_y(tau))), am.NonGenericChi,
+         f"chi = {complex(params.chi)}, a = 400j: gamma_y: non-finite panel product at 16 panels: "),
+        (over_budget, am.StepLimitExceeded, "gamma_y: budget of 32 panels"),
+        (lambda: am.parallel_transport(unit, (am.gamma_x(TAU), _spike64(lambda s: 1.0 + 0j, "moving"))),
+         am.PathTooCloseToPole, "moving: point 0j within 0.05 of the lattice"),
+    ]
+
+
+def test_stacked_transport_errors_name_the_failing_loop(monkeypatch):
+    """Budget, pole and non-finite errors of a stacked call name the loop that failed.
+
+    The non-finite product also names the connection: chi, and the a of the first
+    failing member of a stack, whose first failing loop it names.  A pole met at a
+    64-panel node names the loop still open there, after gamma_x has closed.
+    """
+    for call, error, message in _stacked_failures(monkeypatch):
+        with pytest.raises(error, match="^" + re.escape(message)):
+            call()
 
 
 def test_pole_check_covers_the_whole_first_pass():
@@ -742,33 +782,79 @@ def test_pole_check_covers_the_whole_first_pass():
     raised NonGenericChi.
     """
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
-    p0 = am.basepoint(TAU)
-    spiky = _Curve(lambda s: p0 * np.cos(32.0 * math.pi * s) ** 2, lambda s: 1e300 + 0j, TAU, "spiky")
+    spiky = _spiky()
     with np.errstate(all="ignore"):
-        (coarse,) = am._magnus_product(form, [spiky], (16,))
+        [(coarse, near16), (_fine, near32)] = am._magnus_product(form, [(16, [spiky]), (32, [spiky])])
     assert not np.all(np.isfinite(coarse))
+    assert near16[0] > spiky.delta > near32[0]
     with pytest.raises(am.PathTooCloseToPole, match="^spiky: "):
         am.parallel_transport(form, spiky)
 
 
-def test_fused_levels_equal_levels_alone():
-    """Oracle: the first pass's (16, 32) call equals (16,) and (32,) called alone, byte for byte.
+def _spiky():
+    p0 = am.basepoint(TAU)
+    return _Curve(lambda s: p0 * np.cos(32.0 * math.pi * s) ** 2, lambda s: 1e300 + 0j, TAU, "spiky")
 
-    At the canonical point, the dodecahedral root, 20 seeded scatter points and an
-    8-member slice stack.  test_monodromy_keeps_transport_data cannot see a slip in the
-    fused pass, since both sides of its comparison run it.
+
+def _spike64(velocity, label):
+    """A curve that meets the lattice at the first 64-panel midpoint node, s = 1/128, and at no 16-, 32- or 128-panel node."""
+    p0 = am.basepoint(TAU)
+    return _Curve(lambda s: p0 * (1.0 - np.exp(-(((s - 1.0 / 128.0) / 0.0015) ** 2))), velocity, TAU, label)
+
+
+def test_pole_check_of_a_finer_level_waits_for_that_level(monkeypatch):
+    """A node of a level above 32 panels fails the pole check only if the ladder reaches that level open.
+
+    With first_pass at 1024, the first pass holds the 64-panel nodes of a curve that
+    meets the lattice there.  Standing still (velocity 0), it closes at 32 panels and
+    returns its result; moving, it is still open at 64 panels and fails there, naming
+    that level's node, as a pass of the 64-panel level alone would.
+    """
+    monkeypatch.setattr(_Curve, "first_pass", property(lambda path: 1024))
+    form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
+    still, moving = _spike64(lambda s: 0j, "still"), _spike64(lambda s: 1.0 + 0j, "moving")
+    with np.errstate(all="ignore"):
+        gaps = [float(gap[0]) for _product, gap in am._magnus_product(form, [(n, [still]) for n in (16, 32, 64, 128)])]
+    assert gaps[2] == 0.0 and min(gaps[:2] + gaps[3:]) > still.delta
+    res = am.parallel_transport(form, still)
+    assert (res.panels, res.error_estimate) == (32, 0.0)
+    assert res.matrix.tobytes() == np.eye(2, dtype=complex).tobytes()
+    with pytest.raises(am.PathTooCloseToPole, match=r"^moving: point 0j within 0\.05 of the lattice$"):
+        am.parallel_transport(form, moving)
+
+
+def test_fused_levels_equal_levels_alone():
+    """Oracle: any grouping of (loop, level) segments equals each segment alone, byte for byte.
+
+    Products and closest approaches, at the canonical point, the dodecahedral root,
+    20 seeded scatter points and an 8-member slice stack, for a pass of 16 and 32
+    panels on both loops, first passes of unequal depth, a pass with the loops in
+    reverse order and levels missing, and six seeded random groupings of the levels
+    16 to 256.  test_monodromy_keeps_transport_data cannot see a slip in a fused pass,
+    since both sides of its comparison run it.
     """
     a, tau = DODECA_ROOT
     rng = np.random.default_rng(28)
     stacks = [am.ConnectionParams(0.2, CHI, R, TAU), am._on_slice(a, tau, 0.1), _slice_stack(R, TAU, 8)]
     stacks += [_scatter_point(rng, i * SCATTER_POINTS // 20) for i in range(20)]
+    ladder = (16, 32, 64, 128, 256)
+    groupings = [[(16, (0, 1)), (32, (0, 1))], [(16, (0, 1)), (32, (0, 1)), (64, (1,)), (128, (1,))],
+                 [(16, (0, 1)), (32, (0, 1)), (64, (0,))], [(16, (1, 0)), (64, (0,)), (128, (1, 0))]]
+    for _ in range(6):
+        groupings.append([(n, loops) for n in ladder
+                          if (loops := tuple(k for k in rng.permutation(2).tolist() if rng.uniform() < 0.6))])
     for stack in stacks:
         form = am.ConnectionForm(stack)
         paths = [am.gamma_x(form.lat.tau), am.gamma_y(form.lat.tau)]
-        fused = am._magnus_product(form, paths, (16, 32))
-        alone = [am._magnus_product(form, paths, (n,))[0] for n in (16, 32)]
-        assert [p.shape for p in fused] == [form.a.shape + (2, 2, 2)] * 2
-        assert [p.tobytes() for p in fused] == [p.tobytes() for p in alone]
+        alone = {(n, k): am._magnus_product(form, [(n, [paths[k]])])[0] for n in ladder for k in (0, 1)}
+        for grouping in groupings:
+            fused = am._magnus_product(form, [(n, [paths[k] for k in loops]) for n, loops in grouping])
+            assert len(fused) == len(grouping)
+            for (n, loops), (product, gap) in zip(grouping, fused):
+                assert product.shape == form.a.shape + (len(loops), 2, 2) and gap.shape == (len(loops),)
+                for j, k in enumerate(loops):
+                    assert product[..., j, :, :].tobytes() == alone[n, k][0][..., 0, :, :].tobytes()
+                    assert gap[j] == alone[n, k][1][0]
 
 
 def test_panel_product_is_holomorphic_in_a_and_chi():
@@ -789,11 +875,11 @@ def test_panel_product_is_holomorphic_in_a_and_chi():
 
     def along_a(points):
         form = am.ConnectionForm([am.ConnectionParams(a, CHI, R, TAU) for a in points])
-        return am._magnus_product(form, paths, (32,))[0]
+        return am._magnus_product(form, [(32, paths)])[0][0]
 
     def along_chi(points):
         return np.stack([am._magnus_product(am.ConnectionForm(am.ConnectionParams(0.2, chi, R, TAU)),
-                                            paths, (32,))[0] for chi in points])
+                                            [(32, paths)])[0][0] for chi in points])
 
     for product, center in ((along_a, 0.2), (along_chi, CHI)):
         ring = product(list(center + 0.05 * circle))
@@ -840,39 +926,54 @@ def _open_at(panels, n):
     return loops, [i for i, p in enumerate(panels) if any(p[loop] >= n for loop in loops)]
 
 
-def _expected_calls(panels):
-    """The coefficient calls of one transport of (gamma_x, gamma_y), given its members' closing panels."""
-    expected, n = [], 32
+def _expected_passes(panels, tau):
+    """The passes of one transport of (gamma_x, gamma_y): (members carried, [(level, loops)]) each.
+
+    Given its members' closing panels: the first pass carries every member, each loop
+    from 16 panels up to its first_pass; each later level carries the members still
+    open there and, of the loops still open, those whose first pass stopped short of it.
+    """
+    first = (am.gamma_x(tau).first_pass, am.gamma_y(tau).first_pass)
+    ladder = [16 * 2**j for j in range(int(math.log2(max(first) // 16)) + 1)]
+    expected = [(list(range(len(panels))), [(n, tuple(k for k in (0, 1) if first[k] >= n)) for n in ladder])]
+    n = 2 * ladder[-1]
     while (open_ := _open_at(panels, n))[0]:
         loops, carried = open_
-        expected.append((len(carried), len(loops), 3, 48 if n == 32 else n))
+        expected.append((carried, [(n, tuple(k for k in loops if first[k] < n))]))
         n *= 2
     return expected
 
 
+def _expected_calls(panels, tau):
+    """The coefficient calls of one transport of (gamma_x, gamma_y), given its members' closing panels."""
+    return [(len(carried), 3, sum(n * len(loops) for n, loops in levels))
+            for carried, levels in _expected_passes(panels, tau)]
+
+
 @pytest.mark.parametrize("members", [1, 3, 8, 20, 40])
 def test_batch_evaluates_each_panel_level_once_per_chunk(monkeypatch, members):
-    """One coefficient call per (chunk, open loops, level) of a batch, and a single call makes its own.
+    """One coefficient call per (chunk, pass) of a batch, and a single call makes its own.
 
-    A chunk's first pass carries every member on both loops at 16 + 32 = 48 panel
-    columns; each later level carries the loops still open in that chunk and, on
-    them, exactly the chunk's members still open on one of them.  Every chunk
-    evaluates each of its own levels, and monodromies at each member afterwards
-    makes exactly the calls of that member's batch of one.
+    At tau = 1.2 both loops' first passes stop at 32 panels, so a chunk's first pass
+    carries every member on both loops at 2 x (16 + 32) = 96 panel columns; each later
+    level carries the loops still open in that chunk and, on them, exactly the
+    chunk's members still open on one of them.  Every chunk evaluates each of its own
+    levels, and monodromies at each member afterwards makes exactly the calls of that
+    member's batch of one.
     """
     calls = _spy_coefficient(monkeypatch)
     stack = _slice_stack(0.3, 1.2, members)
     batch = am.monodromy_batch(stack)
     chunks = [batch[start : start + am.BATCH_CHUNK] for start in range(0, members, am.BATCH_CHUNK)]
-    assert calls == [call for chunk in chunks for call in _expected_calls([res.panels for res in chunk])]
+    assert calls == [call for chunk in chunks for call in _expected_calls([res.panels for res in chunk], 1.2)]
     if members == 20:  # one chunk; gamma_y alone at 64 panels, for the last member alone
-        assert calls == [(20, 2, 3, 48), (1, 1, 3, 64)]
+        assert calls == [(20, 3, 96), (1, 3, 64)]
     if members == 40:  # each chunk makes its first pass; the second chunk's last 2 members reach 64
-        assert calls == [(32, 2, 3, 48), (8, 2, 3, 48), (2, 1, 3, 64)]
+        assert calls == [(32, 3, 96), (8, 3, 96), (2, 3, 64)]
     calls.clear()
     for params in stack:
         am.monodromies(params)
-    assert calls == [call for res in batch for call in _expected_calls([res.panels])]
+    assert calls == [call for res in batch for call in _expected_calls([res.panels], 1.2)]
 
 
 def test_transport_retires_closed_members(monkeypatch):
@@ -880,16 +981,19 @@ def test_transport_retires_closed_members(monkeypatch):
 
     The retiring stack goes through one stacked transport of both loops.  Every
     _magnus_product pass is spied on: its form's a must be the a of the members
-    open at its finest level, in stack order, and its loops those still open.
-    gamma_x closes at 32 panels for every member, so the passes carry 40, 40, 40,
-    27 and 4 members.
+    open at its level, in stack order, and its segments the levels of the loops
+    still open that no earlier pass made.  At tau = 5 gamma_x's first pass stops at
+    32 panels, where every member closes it, and gamma_y's at 128, so the first pass
+    carries all 40 members, gamma_x at 16 and 32 panels and gamma_y at 16 to 128, and
+    the passes at 256 and 512 panels carry gamma_y for 27 and 4 members (five passes
+    of 40, 40, 40, 27 and 4 when every first pass stopped at 32).
     """
     passes = []
     magnus_product = am._magnus_product
 
-    def spy(form, paths, levels):
-        passes.append((form.a.tolist(), [path.label for path in paths], levels[-1]))
-        return magnus_product(form, paths, levels)
+    def spy(form, levels):
+        passes.append((form.a.tolist(), [(n, [path.label for path in paths]) for n, paths in levels]))
+        return magnus_product(form, levels)
 
     monkeypatch.setattr(am, "_magnus_product", spy)
     stack = _retiring_stack()
@@ -897,12 +1001,13 @@ def test_transport_retires_closed_members(monkeypatch):
     tx, ty = am.parallel_transport(form, (am.gamma_x(5.0), am.gamma_y(5.0)))
     panels = [(rx.panels, ry.panels) for rx, ry in zip(tx, ty)]
     assert sorted(collections.Counter(p[1] for p in panels).items()) == [(128, 13), (256, 23), (512, 4)]
-    expected = []
-    for n in (32, 64, 128, 256, 512):
-        loops, carried = _open_at(panels, n)
-        expected.append(([complex(stack[i].a) for i in carried], [("gamma_x", "gamma_y")[k] for k in loops], n))
+    labels = ("gamma_x", "gamma_y")
+    expected = [([complex(stack[i].a) for i in carried], [(n, [labels[k] for k in loops]) for n, loops in levels])
+                for carried, levels in _expected_passes(panels, 5.0)]
     assert passes == expected
-    assert [len(a) for a, _labels, _n in passes] == [40, 40, 40, 27, 4]
+    assert [(len(a), segments) for a, segments in passes] == [
+        (40, [(16, list(labels)), (32, list(labels)), (64, ["gamma_y"]), (128, ["gamma_y"])]),
+        (27, [(256, ["gamma_y"])]), (4, [(512, ["gamma_y"])])]
 
 
 @pytest.mark.parametrize("members", [None, 1, 8])
@@ -923,6 +1028,12 @@ def test_stack_shape_contract(members):
     for params, got in zip(stack, res):
         alone = am.parallel_transport(am.ConnectionForm(params), am.gamma_x(TAU))
         assert got.matrix.tobytes() == alone.matrix.tobytes()
+
+
+def test_empty_stack_is_refused_and_an_empty_batch_is_empty():
+    with pytest.raises(am.ParameterOutOfRange, match="^a stack needs at least one connection$"):
+        am.ConnectionForm([])
+    assert am.monodromy_batch([]) == []
 
 
 def test_batch_requires_shared_chi_r_tau():
@@ -992,6 +1103,92 @@ def _transport_fingerprint(res):
     return res.matrix.tobytes(), res.det_drift, res.panels, res.error_estimate
 
 
+def _outcome(call):
+    try:
+        return call()
+    except am.AbelMonoError as error:
+        return type(error), str(error)
+
+
+def _schedule_outcomes(monkeypatch):
+    """Results and errors that no first-pass schedule may change, and the coefficient calls they took."""
+    with monkeypatch.context() as patch:
+        calls = _spy_coefficient(patch)
+        rng = np.random.default_rng(43)
+        seen = [_fingerprint(am.monodromies(_scatter_point(rng, i * SCATTER_POINTS // 20))) for i in range(20)]
+        for stack in (_retiring_stack(), _slice_stack(0.3, 1.2, 60)):
+            seen += [_fingerprint(m) for m in am.monodromy_batch(stack)]
+        form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, 0.3))  # gamma_x's first pass reaches 64 panels
+        seen += [_transport_fingerprint(am.parallel_transport(form, path))
+                 for path in (am.gamma_x(0.3), am.gamma_x_wiggled(0.3, 0.015, 2))]
+    seen.append(_outcome(lambda: am.monodromy_batch(_mixed_chunk())))
+    seen += [_outcome(call) for call, _error, _message in _stacked_failures(monkeypatch)]
+    unit = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
+    seen.append(_outcome(lambda: am.parallel_transport(unit, _spiky())))
+    seen.append(_outcome(lambda: _transport_fingerprint(am.parallel_transport(unit, _spike64(lambda s: 0j, "still")))))
+    a, tau = DODECA_ROOT
+    for budget in (16, 32):
+        with monkeypatch.context() as patch:
+            patch.setattr(am, "PANEL_BUDGET", budget)
+            seen += [_outcome(lambda: _fingerprint(am.monodromies(params))) for params in (
+                am.ConnectionParams(0.2, CHI, R, TAU), am.ConnectionParams(0.2, CHI, R, 4.0), am._on_slice(a, tau, R))]
+    return seen, len(calls)
+
+
+def test_first_pass_schedule_changes_no_bit(monkeypatch):
+    """Oracle: how deep each loop's first pass goes changes no result and no error.
+
+    Under the rule, under first_pass 32 for every loop (every transport started at 16
+    and 32 panels and added one level per pass) and under min(1024, PANEL_BUDGET) for
+    every loop (a first pass deeper than any loop here needs), the fingerprints of
+    20 scatter-domain monodromies, the retiring stack, a 60-member slice stack and a
+    homotopy pair are the same, and so are the errors of the mixed chunk, of the
+    stacked failures, of the spiky pole path and at budgets of 16 and 32 panels.  The
+    first rule makes more coefficient calls than the rule, the second no more.
+    """
+    ours, calls = _schedule_outcomes(monkeypatch)
+    counts = []
+    for rule in (lambda path: 32, lambda path: min(1024, am.PANEL_BUDGET)):
+        with monkeypatch.context() as patch:
+            for cls in (am.TorusPath, _Curve):
+                patch.setattr(cls, "first_pass", property(rule))
+            seen, count = _schedule_outcomes(monkeypatch)
+        assert seen == ours
+        counts.append(count)
+    assert counts[0] > calls >= counts[1]
+
+
+def test_first_pass_never_overshoots_and_saves_passes(monkeypatch):
+    """first_pass is at most the panels each loop closes at, and the passes it saves are real.
+
+    Over 96 seeded scatter-domain points (three seeds), for gamma_x, gamma_y and,
+    at every eighth point, the wiggled gamma_x.  coefficient calls: 1 for monodromies
+    at (0.2, 0.3+0.2i, 0.1, 4), 1 for the transport at the dodecahedral root and 8
+    for the dodecahedral solve from (2.6, 3.2); 3, 2 and 16 when every first pass
+    stopped at 32 panels.
+    """
+    for seed in (1, 7919, 3):
+        rng = np.random.default_rng(seed)
+        for i in range(SCATTER_POINTS):
+            params = _scatter_point(rng, i)
+            tau = params.tau
+            m = am.monodromies(params)
+            assert am.gamma_x(tau).first_pass <= m.panels[0] and am.gamma_y(tau).first_pass <= m.panels[1]
+            if i % 8 == 0:
+                wiggled = am.gamma_x_wiggled(tau, 0.05 * min(1.0, tau), 2)
+                assert wiggled.first_pass <= am.parallel_transport(am.ConnectionForm(params), wiggled).panels
+    calls = _spy_coefficient(monkeypatch)
+    am.monodromies(am.ConnectionParams(0.2, CHI, R, 4.0))
+    assert len(calls) == 1
+    a, tau = DODECA_ROOT
+    calls.clear()
+    am.parallel_transport(am.ConnectionForm(am._on_slice(a, tau, R)), (am.gamma_x(tau), am.gamma_y(tau)))
+    assert len(calls) == 1
+    calls.clear()
+    am.match_on_locus(YSTAR, R, tau_bracket=(2.6, 3.2))
+    assert len(calls) == 8
+
+
 def test_warm_cache_changes_no_bit():
     """Oracle: a result does not depend on the calls made before it, nor on their order.
 
@@ -1032,9 +1229,12 @@ def test_failures_are_raised_on_every_call():
     """A pole error and the construction checks are never cached: each call raises again."""
     form = am.ConnectionForm(am.ConnectionParams(0.2, CHI, R, TAU))
     bad = _Curve(lambda s: 0.001 + 0.001j + s, lambda s: 1.0 + 0.0j, TAU, "bad")
+    messages = set()
     for _ in range(3):
-        with pytest.raises(am.PathTooCloseToPole, match="^bad: "):
+        with pytest.raises(am.PathTooCloseToPole, match=r"^bad: point \(.*\) within 0\.05 of the lattice$") as info:
             am.parallel_transport(form, bad)
+        messages.add(str(info.value))
+    assert len(messages) == 1
     for chi, error in ((math.pi / 2.0, am.NonGenericChi), (0.3 + 3j, am.NonGenericChi),
                        (0.3 + 7j, am.ParameterOutOfRange)):
         for _ in range(2):
