@@ -1,7 +1,8 @@
-"""The numpy-free part of abelmono: its tolerances, its tau domain and its typed errors.
+"""The numpy-free part of abelmono: tolerances, tau domain, two defaults and typed errors.
 
-The CLI maps these errors and reads these tolerances for every verb, so
-they live apart from the numerical code; abelmono re-exports each name.
+The CLI maps these errors and reads these tolerances for every verb, and
+its match and jacobian flags default to these defaults, so they live apart
+from the numerical code; abelmono re-exports each name.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 TOL_MONO = 1e-6
 TOL_ROOT = 1e-6
 TAU_MIN, TAU_MAX = 0.1, 12.0  # the moduli a RectangularLattice is built for
+TAU_BRACKET = (2.0, 3.5)  # match_on_locus's tau_bracket, and match --on-locus's --tau-min, --tau-max
+JACOBIAN_STEP = 1e-4  # jacobian_rank's finite-difference step h, and jacobian's --h
 
 
 class AbelMonoError(ValueError):

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, charvar
-# abelmono.<name> stays valid for every error class, tolerance, tau bound and check_tau
-from .abeldomain import (TAU_MAX, TAU_MIN, TOL_MONO, TOL_ROOT, AbelMonoError,
+# abelmono.<name> stays valid for every error class, tolerance, tau bound, default and check_tau
+from .abeldomain import (JACOBIAN_STEP, TAU_BRACKET, TAU_MAX, TAU_MIN, TOL_MONO, TOL_ROOT, AbelMonoError,
                          BracketDoesNotStraddle, MaxIterations, NonGenericChi,
                          ParameterOutOfRange, PathTooCloseToPole, SlicePreconditionError,
                          StepLimitExceeded, check_tau)
@@ -379,22 +379,6 @@ def _pole_check(form: ConnectionForm, paths: list, gaps, levels: tuple):
             )
 
 
-def _level(entries: list, loops, members):
-    """One level's products, shape (open loops, live members, 2, 2), and closest approaches, from its passes."""
-    if len(entries) == 1 and entries[0][1] is members and len(entries[0][0]) == loops.size:
-        ks, _members, product, gap = entries[0]  # one pass made for exactly these loops and members
-        return np.moveaxis(product.reshape(-1, len(ks), 2, 2), 1, 0), gap
-    fine = np.empty((loops.size, members.size, 2, 2), dtype=complex)
-    gaps = np.empty(loops.size)
-    row = {k: j for j, k in enumerate(loops.tolist())}
-    for ks, carried, product, gap in entries:
-        product = product.reshape(-1, len(ks), 2, 2)[np.searchsorted(carried, members)]
-        for j, k in enumerate(ks):
-            if k in row:
-                fine[row[k]], gaps[row[k]] = product[:, j], gap[j]
-    return fine, gaps
-
-
 def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> TransportResult | list | tuple:
     """Solve Psi' = -(A_w wdot + A_wbar conj(wdot)) Psi, Psi(0) = Id, over each path.
 
@@ -408,25 +392,29 @@ def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> Transp
     paths is one TorusPath or a tuple of them.  A form over a stack (1-D
     form.a) gives a list of results per path, one per member; a 0-d form
     gives one TransportResult per path.  A tuple gives a tuple of those, in
-    its order.  The first _magnus_product pass evaluates each loop at 16,
-    32, ... up to its first_pass panels (16 panels are only ever the coarse
-    side of a comparison), so its levels differ between loops; each later
-    pass adds the next level of the open loops that lack it.  The levels are
-    tested in increasing N, each as one (open paths, live members) array,
-    whichever passes made it.  A pair keeps the product of the level at
-    which it first passed its own test, so its entry equals the result for
-    that path alone, a form over that member alone and any schedule of
-    passes.  A path whose members have all passed leaves the array, and so
-    does a member that has passed on every open path: the next pass takes a
-    copy of the form over the live members' a (no copy while nobody leaves).
-    A path at another tau than the form's raises ParameterOutOfRange before
-    any pass.  One within its delta of the lattice at a node of the 16- or
-    32-panel level raises PathTooCloseToPole before any product is tested,
-    and at a node of a finer level before that level is tested, if the path
-    is still open there.  For the whole call, a non-finite product of an
-    open (member, path) raises NonGenericChi naming chi and the first such
-    member's a and first such path, the budget StepLimitExceeded naming the
-    first open path; no level above PANEL_BUDGET is evaluated.
+    its order.  Each _magnus_product pass keeps one record per (path, level)
+    it made: the members it carried, a view of that path's products and its
+    closest approach to the lattice.  The first pass takes each path from 16
+    panels up to max(32, its first_pass) (16 panels are only ever the coarse
+    side of a comparison), so its levels differ between paths; each later
+    pass makes level N alone, for the open paths that lack it.  The levels
+    are tested in increasing N, each as one (open paths, live members) array
+    stacked from the open paths' records, whichever passes made them; a
+    record made before a member left is indexed down to the live members.  A
+    pair keeps the product of the level at which it first passed its own
+    test, so its entry equals the result for that path alone, a form over
+    that member alone and any schedule of passes.  A path whose members have
+    all passed leaves the array, and so does a member that has passed on
+    every open path: the next pass takes a copy of the form over the live
+    members' a (no copy while nobody leaves).  A path at another tau than
+    the form's raises ParameterOutOfRange before any pass.  One within its
+    delta of the lattice at a node of the 16- or 32-panel level raises
+    PathTooCloseToPole before any product is tested, and at a node of a
+    finer level before that level is tested, if the path is still open
+    there.  For the whole call, a non-finite product of an open (member,
+    path) raises NonGenericChi naming chi and the first such member's a and
+    first such path, the budget StepLimitExceeded naming the first open
+    path; no level above PANEL_BUDGET is evaluated.
     """
     several = isinstance(paths, tuple)
     paths = paths if several else (paths,)
@@ -436,26 +424,26 @@ def parallel_transport(form: ConnectionForm, paths: TorusPath | tuple) -> Transp
     out = [[None] * form.a.size for _ in paths]
     live, loops, members = form, np.arange(len(paths)), np.arange(form.a.size)  # what the next pass carries
     todo = np.ones((loops.size, members.size), dtype=bool)  # its open (loop, member) pairs
-    made = [0] * len(paths)  # the finest level evaluated per loop
-    passes = {}  # level -> [(loops, members, products, closest approaches)] of the passes that made it
+    made = {}  # (loop, level) -> (members, products, closest approach) of the pass that made it
     n, coarse = _FIRST_PANELS, None
     with np.errstate(all="ignore"):
         while todo.size:
             if n > PANEL_BUDGET:
                 raise StepLimitExceeded(f"{paths[loops[0]].label}: budget of {PANEL_BUDGET} panels")
-            if lacking := [k for k in loops.tolist() if made[k] < n]:
-                for k in lacking:  # the first pass takes each loop from 16 panels up to its first_pass
-                    made[k] = n if coarse is not None else max(2 * n, paths[k].first_pass)
-                levels, m = [], n
-                while ks := [k for k in lacking if made[k] >= m]:
-                    levels.append((m, ks))
+            if lacking := [k for k in loops.tolist() if (k, n) not in made]:
+                levels, m = [(n, lacking)], 2 * n
+                while coarse is None and (ks := [k for k in lacking if max(2 * n, paths[k].first_pass) >= m]):
+                    levels.append((m, ks))  # the first pass takes each loop up to max(32, its first_pass)
                     m *= 2
                 products = _magnus_product(live, [(m, [paths[k] for k in ks]) for m, ks in levels])
                 for (m, ks), (product, gap) in zip(levels, products):
-                    passes.setdefault(m, []).append((ks, members, product, gap))
+                    product = product.reshape(-1, len(ks), 2, 2)
+                    made.update(((k, m), (members, product[:, j], gap[j])) for j, k in enumerate(ks))
                 if coarse is None:  # every loop's 16- and 32-panel nodes, before any product is tested
                     _pole_check(form, paths, np.minimum(products[0][1], products[1][1]), (n, 2 * n))
-            fine, gap = _level(passes.pop(n), loops, members)
+            level = [made.pop((k, n)) for k in loops.tolist()]
+            fine = np.array([p if rows is members else p[np.searchsorted(rows, members)] for rows, p, _gap in level])
+            gap = np.array([g for _rows, _p, g in level])
             if n > 2 * _FIRST_PANELS:
                 _pole_check(form, [paths[k] for k in loops.tolist()], gap, (n,))
             failed = todo & ~np.all(np.isfinite(fine), axis=(2, 3))
@@ -838,7 +826,7 @@ def _graze_point(ev):
 def match_on_locus(
     y_target: float,
     r: float,
-    tau_bracket=(2.0, 3.5),
+    tau_bracket=TAU_BRACKET,
 ) -> MatchResult:
     """Match tr Y on the real locus itself by moving the modulus tau.
 
@@ -910,7 +898,7 @@ class JacobianResult:
     rank: int
 
 
-def jacobian_rank(a: float, tau: float, r: float, h: float = 1e-4) -> JacobianResult:
+def jacobian_rank(a: float, tau: float, r: float, h: float = JACOBIAN_STEP) -> JacobianResult:
     """Finite-difference Jacobian of (a, tau) -> (x, y) on the slice chi0 = pi/(4 tau).
 
     Rank 2 is declared when the smaller singular value exceeds RANK_FLOOR.

@@ -27,6 +27,7 @@ FORMATS = ("json", "csv", "text")
 # The formats each verb can write; a verb not listed writes json only.
 VERB_FORMATS = {"verify": ("json", "text"), "locus": ("csv",)}
 SVG_WIDTH, SVG_HEIGHT = 640, 480
+SVG_X_MAX = 13.0  # the locus figure's x axis ends here; flagged points past it fall off the canvas
 # The targets of `verify`, each with its function of (residual, bound) rows, looked
 # up on its module at call time, so a wrapper there (perfbench's tracer) sees the call.
 VERIFY_TARGETS = {"dodeca": lambda: dodeca.verify_theorem91()}
@@ -278,7 +279,7 @@ def emit_locus_svg(result) -> str:
     ]
     pts_x = [p[0] for p in overlay + flagged]
     pts_y = [p[1] for p in overlay + flagged]
-    x_lo, x_hi = min(pts_x) - 0.3, min(max(pts_x) + 0.3, 13.0)
+    x_lo, x_hi = min(pts_x) - 0.3, min(max(pts_x) + 0.3, SVG_X_MAX)
     y_lo, y_hi = min(pts_y) - 0.3, max(pts_y) + 0.5
     margin = 50.0
 
@@ -356,6 +357,10 @@ def cmd_locus(args):
         _write_file(args.csv, csv_text)
     if args.svg:
         _write_file(args.svg, emit_locus_svg(result))
+        flagged = [complex(row.x).real for row in result.flagged_real()]
+        if beyond := sum(x > SVG_X_MAX for x in flagged):
+            warn("locus", f"{beyond} of {len(flagged)} flagged-real rows lie past x = {SVG_X_MAX:g},"
+                          " outside the figure")
     if not result.flagged_real():
         warn("locus", "no flagged-real rows; overlay only")
     printed = args.format == "csv" or not (args.csv or args.svg)
@@ -364,7 +369,7 @@ def cmd_locus(args):
 
 # The flags only one mode of match reads, with their defaults, keyed by --on-locus.
 MATCH_MODE_FLAGS = {
-    True: {"tau_min": 2.0, "tau_max": 3.5},
+    True: dict(zip(("tau_min", "tau_max"), abeldomain.TAU_BRACKET)),
     False: {"tau": 1.0, "chi0": "pi/(4tau)", "bracket": "0.05,1.5"},
 }
 
@@ -558,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=finite_float, required=True)
     p.add_argument("--tau", type=finite_float, required=True)
     p.add_argument("--r", type=finite_float, required=True)
-    p.add_argument("--h", type=finite_float, default=1e-4)
+    p.add_argument("--h", type=finite_float, default=abeldomain.JACOBIAN_STEP)
     p.set_defaults(func=cmd_jacobian)
 
     p = sub.add_parser("spin", help="spin classes and grafting bookkeeping")

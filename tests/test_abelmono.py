@@ -903,14 +903,24 @@ def _retiring_stack():
     return _slice_stack(0.3, 5.0, 40, (-3.0, 4.0))
 
 
+def _split_level_stack():
+    """32 members of (-6, 6) at r = 0.3, tau = 2: two passes make the 64-panel level.
+
+    gamma_x's first pass stops at 32 panels and gamma_y's at 64, so the first pass
+    makes gamma_y's 64-panel products and the second gamma_x's; gamma_x closes at 32
+    and 64 panels, gamma_y at 64, 128 and 256.
+    """
+    return _slice_stack(0.3, 2.0, 32, (-6.0, 6.0))
+
+
 def test_batch_members_equal_batches_of_one():
     """Each member keeps the level where it first passes and equals its batch of one bit for bit.
 
     On a tau = 1.2 slice stack, whose last chunk closes gamma_y at 32 and at 64
-    panels, and on the retiring stack, whose members leave the transport at three
-    levels.
+    panels, on the retiring stack, whose members leave the transport at three
+    levels, and on the split-level stack, whose 64-panel level two passes make.
     """
-    for stack in (_slice_stack(0.3, 1.2, 60), _retiring_stack()):
+    for stack in (_slice_stack(0.3, 1.2, 60), _retiring_stack(), _split_level_stack()):
         batch = am.monodromy_batch(stack)
         assert len({res.panels[1] for res in batch}) >= 2
         for params, res in zip(stack, batch):
@@ -932,14 +942,16 @@ def _expected_passes(panels, tau):
     Given its members' closing panels: the first pass carries every member, each loop
     from 16 panels up to its first_pass; each later level carries the members still
     open there and, of the loops still open, those whose first pass stopped short of it.
+    A level above the shallowest first_pass that no open loop lacks makes no pass.
     """
     first = (am.gamma_x(tau).first_pass, am.gamma_y(tau).first_pass)
     ladder = [16 * 2**j for j in range(int(math.log2(max(first) // 16)) + 1)]
     expected = [(list(range(len(panels))), [(n, tuple(k for k in (0, 1) if first[k] >= n)) for n in ladder])]
-    n = 2 * ladder[-1]
+    n = 2 * min(first)
     while (open_ := _open_at(panels, n))[0]:
         loops, carried = open_
-        expected.append((carried, [(n, tuple(k for k in loops if first[k] < n))]))
+        if lacking := tuple(k for k in loops if first[k] < n):
+            expected.append((carried, [(n, lacking)]))
         n *= 2
     return expected
 
@@ -986,7 +998,9 @@ def test_transport_retires_closed_members(monkeypatch):
     32 panels, where every member closes it, and gamma_y's at 128, so the first pass
     carries all 40 members, gamma_x at 16 and 32 panels and gamma_y at 16 to 128, and
     the passes at 256 and 512 panels carry gamma_y for 27 and 4 members (five passes
-    of 40, 40, 40, 27 and 4 when every first pass stopped at 32).
+    of 40, 40, 40, 27 and 4 when every first pass stopped at 32).  So does the
+    split-level stack: its first pass takes gamma_y to 64 panels and a second pass
+    of all 32 members takes gamma_x there, so one level comes from two passes.
     """
     passes = []
     magnus_product = am._magnus_product
@@ -996,18 +1010,24 @@ def test_transport_retires_closed_members(monkeypatch):
         return magnus_product(form, levels)
 
     monkeypatch.setattr(am, "_magnus_product", spy)
-    stack = _retiring_stack()
-    form = am.ConnectionForm(stack)
-    tx, ty = am.parallel_transport(form, (am.gamma_x(5.0), am.gamma_y(5.0)))
-    panels = [(rx.panels, ry.panels) for rx, ry in zip(tx, ty)]
-    assert sorted(collections.Counter(p[1] for p in panels).items()) == [(128, 13), (256, 23), (512, 4)]
     labels = ("gamma_x", "gamma_y")
-    expected = [([complex(stack[i].a) for i in carried], [(n, [labels[k] for k in loops]) for n, loops in levels])
-                for carried, levels in _expected_passes(panels, 5.0)]
-    assert passes == expected
-    assert [(len(a), segments) for a, segments in passes] == [
-        (40, [(16, list(labels)), (32, list(labels)), (64, ["gamma_y"]), (128, ["gamma_y"])]),
-        (27, [(256, ["gamma_y"])]), (4, [(512, ["gamma_y"])])]
+    for stack, tau, closings, shapes in (
+        (_retiring_stack(), 5.0, [(128, 13), (256, 23), (512, 4)],
+         [(40, [(16, list(labels)), (32, list(labels)), (64, ["gamma_y"]), (128, ["gamma_y"])]),
+          (27, [(256, ["gamma_y"])]), (4, [(512, ["gamma_y"])])]),
+        (_split_level_stack(), 2.0, [(64, 9), (128, 14), (256, 9)],
+         [(32, [(16, list(labels)), (32, list(labels)), (64, ["gamma_y"])]),
+          (32, [(64, ["gamma_x"])]), (23, [(128, ["gamma_y"])]), (9, [(256, ["gamma_y"])])]),
+    ):
+        passes.clear()
+        form = am.ConnectionForm(stack)
+        tx, ty = am.parallel_transport(form, (am.gamma_x(tau), am.gamma_y(tau)))
+        panels = [(rx.panels, ry.panels) for rx, ry in zip(tx, ty)]
+        assert sorted(collections.Counter(p[1] for p in panels).items()) == closings
+        expected = [([complex(stack[i].a) for i in carried], [(n, [labels[k] for k in loops]) for n, loops in levels])
+                    for carried, levels in _expected_passes(panels, tau)]
+        assert passes == expected
+        assert [(len(a), segments) for a, segments in passes] == shapes
 
 
 @pytest.mark.parametrize("members", [None, 1, 8])

@@ -214,6 +214,33 @@ def test_locus_csv_svg_deterministic(tmp_path, capsys):
     assert "<svg" in svg1.read_text() and "dodecahedral point" in svg1.read_text()
 
 
+@pytest.mark.parametrize("argv, beyond, flagged", [
+    (["--r", "0.1", "--tau", "12", "--a-min", "-11", "--a-max", "11"], 64, 85),
+    (["--r", "0.3", "--tau", "5", "--a-min", "-3", "--a-max", "4"], 2, 11),
+])
+def test_locus_svg_counts_the_flagged_points_it_leaves_out(tmp_path, capsys, argv, beyond, flagged):
+    """The figure's x axis ends at SVG_X_MAX; one W:locus: line counts the flagged points past it.
+
+    Those points are still written, off the canvas, so the count is that of the
+    circles right of SVG_WIDTH; the figure and the exit status are as without the line.
+    """
+    svg = tmp_path / "locus.svg"
+    code, out, err = run(capsys, "locus", *argv, "--svg", str(svg))
+    assert (code, out) == (0, "")
+    assert err == f"W:locus:{beyond} of {flagged} flagged-real rows lie past x = 13, outside the figure\n"
+    circles = re.findall(r'<circle cx="([-0-9.]+)"', svg.read_text())
+    assert (len(circles), sum(float(cx) > cli.SVG_WIDTH for cx in circles)) == (flagged, beyond)
+
+
+def test_match_and_jacobian_defaults_have_one_home():
+    """match --on-locus's tau bracket and jacobian's --h are abeldomain's, as are the library's defaults."""
+    parse = cli.build_parser().parse_args
+    assert inspect.signature(abelmono.match_on_locus).parameters["tau_bracket"].default is abeldomain.TAU_BRACKET
+    assert tuple(cli.MATCH_MODE_FLAGS[True].values()) == abeldomain.TAU_BRACKET == (2.0, 3.5)
+    assert inspect.signature(abelmono.jacobian_rank).parameters["h"].default is abeldomain.JACOBIAN_STEP
+    assert parse(["jacobian", "--a", "0.3", "--tau", "1", "--r", "0.1"]).h is abeldomain.JACOBIAN_STEP == 1e-4
+
+
 def test_match_fixed_tau(capsys):
     code, out, _ = run(
         capsys, "match", "--y-target", "1.8", "--r", "0.1", "--tau", "1",

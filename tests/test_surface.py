@@ -1,16 +1,20 @@
-"""Every public name in src/fricke has a caller outside the tests, from the syntax tree.
+"""Every public and private top-level name in src/fricke has a caller outside the tests, from the syntax tree.
 
 A public name is a top-level function, class or constant, or a method of a
 public class, or an attribute a public class assigns on ``self``, whose name
-does not start with an underscore.  It has a caller when src/fricke or
+does not start with an underscore.  A private top-level name is a top-level
+function, class or constant whose name starts with one underscore but is not
+a dunder such as ``__all__``: a helper that a refactor leaves uncalled fails
+here, as a public one does.  A name has a caller when src/fricke or
 perfbench/ refers to it outside its own definition.  A top-level name N of
 module M is referred to as an attribute ``.N``, or as the name N in M itself
 or in a file that imports N from M; a method only as an attribute, so a
 builtin or a local variable of the same name does not count; an attribute
 only as a read ``.N``, so an assignment is not a caller.
 
-KEEP lists the names that stay without such a caller, each with its reason.
-A name that gains a caller leaves KEEP.
+KEEP lists the public names that stay without such a caller, each with its
+reason.  A name that gains a caller leaves KEEP.  A private name has no KEEP:
+one without a caller is deleted.
 """
 
 import ast
@@ -35,6 +39,10 @@ def _public(name):
     return not name.startswith("_")
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _self_attributes(cls):
     """The public attribute names the methods of a class assign on self."""
     return {
@@ -46,18 +54,20 @@ def _self_attributes(cls):
 
 
 def _definitions(module, tree):
-    """(qualified name, definition node, kind) for each public definition of a module.
+    """(qualified name, definition node, kind) for each checked definition of a module.
 
-    kind is "top" for a top-level name, "method" or "attribute"; an
-    attribute has no definition node of its own (None).
+    That is each top-level name but a dunder, and each public method and
+    attribute of a public class.  kind is "top" for a top-level name,
+    "method" or "attribute"; an attribute has no definition node of its own
+    (None).
     """
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not _public(node.name):
+            if _dunder(node.name):
                 continue
             out.append((f"{module}.{node.name}", node, "top"))
-            if isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef) and _public(node.name):
                 out.extend(
                     (f"{module}.{node.name}.{item.name}", item, "method")
                     for item in node.body
@@ -74,7 +84,7 @@ def _definitions(module, tree):
                 (f"{module}.{name.id}", node, "top")
                 for target in targets
                 for name in ast.walk(target)
-                if isinstance(name, ast.Name) and _public(name.id)
+                if isinstance(name, ast.Name) and not _dunder(name.id)
             )
     return out
 
@@ -130,7 +140,16 @@ def _orphans():
     return orphans
 
 
+def _private(qualname):
+    return not _public(qualname.split(".")[1])
+
+
 def test_every_public_name_has_a_caller():
-    orphans = _orphans()
+    orphans = {name for name in _orphans() if not _private(name)}
     assert not orphans - KEEP.keys(), sorted(orphans - KEEP.keys())
     assert not KEEP.keys() - orphans, sorted(KEEP.keys() - orphans)
+
+
+def test_every_private_top_level_name_has_a_caller():
+    orphans = {name for name in _orphans() if _private(name)}
+    assert not orphans, sorted(orphans)
